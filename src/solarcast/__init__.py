@@ -16,7 +16,6 @@ from .mar import (
     fit_all_horizons,
     fit_weights,
     forecast,
-    predict_step,
 )
 from .metrics import (
     ForecastReport,
@@ -34,13 +33,11 @@ from .series import (
     DifferencedSeries,
     IrradianceSeries,
     Scaler,
-    SplitIndex,
     destandardize,
     difference_transform,
     fit_scaler,
     inverse_difference,
     split,
-    split_index,
     standardize,
 )
 from .stats import (
@@ -71,7 +68,6 @@ __all__ = [
     "NumericalError",
     "Scaler",
     "SolarcastError",
-    "SplitIndex",
     "SummaryCell",
     "UsageError",
     "autocorrelation",
@@ -93,13 +89,11 @@ __all__ = [
     "mae",
     "mape",
     "partial_autocorrelation",
-    "predict_step",
     "rmse",
     "save_mar_model",
     "save_nn_models",
     "select_order",
     "split",
-    "split_index",
     "standardize",
     "summarize",
     "summary_csv",

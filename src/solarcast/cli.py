@@ -336,10 +336,20 @@ def _detect_model_kind(path: str) -> str:
 
 def _evaluate_model_file(
     model_file: str, test: IrradianceSeries, config: RunConfig
-) -> list[ForecastReport]:
+) -> tuple[list[ForecastReport], RunConfig]:
+    """Forecast with a saved model. Also returns the config with the
+    settings the model file fixes in place of the flags, so output
+    headers record what actually ran."""
     reports: list[ForecastReport] = []
     if _detect_model_kind(model_file) == "mar":
         model = load_mar_model(model_file)
+        config = replace(
+            config,
+            model="mar" if model.ensemble_enabled else "ar",
+            order=str(model.order),
+            ensemble=model.ensemble_enabled,
+            daylight=str(model.daylight),
+        )
         for h in config.horizon_list():
             if not config.recursive and h not in model.weights:
                 raise UsageError(f"model file has no weights for horizon {h}")
@@ -348,11 +358,13 @@ def _evaluate_model_file(
         if config.recursive:
             raise UsageError("recursive mode applies to mar/ar models only")
         models = load_nn_models(model_file)
+        first = next(iter(models.values()))
+        config = replace(config, model=first.kind, daylight=str(first.daylight))
         for h in config.horizon_list():
             if h not in models:
                 raise UsageError(f"model file has no network for horizon {h}")
             reports.append(nn.nn_forecast(models[h], test))
-    return reports
+    return reports, config
 
 
 def _write_reports(
@@ -377,8 +389,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     series = _require_data(config)
     _, test = split(series, config.split)
     out_dir = _ensure_out(config)
-    reports = _evaluate_model_file(args.model_file, test, config)
-    _write_reports(reports, config, "evaluate", out_dir, step=test.step)
+    reports, used = _evaluate_model_file(args.model_file, test, config)
+    _write_reports(reports, used, "evaluate", out_dir, step=test.step)
     return EXIT_OK
 
 

@@ -7,9 +7,9 @@ add the profile back, destandardize, and clip at zero. Disabling the
 ensemble step yields the conventional AR baseline with an otherwise
 identical pipeline.
 
-Rows never leave the daylight window and never straddle midnight: a
-target slot t at horizon h produces a row only when its lag slots
-t-h+1-m .. t-h lie inside the window and t itself does.
+Rows come from ``series.row_index``, the one daylight row policy every
+model shares, so the fit and the forecast gather exactly the target
+slots the neural baselines use.
 """
 
 from __future__ import annotations
@@ -20,7 +20,14 @@ import numpy as np
 
 from .errors import DataValidationError, NumericalError, UsageError
 from .metrics import ForecastReport
-from .series import DaylightWindow, IrradianceSeries, Scaler, fit_scaler, standardize
+from .series import (
+    DaylightWindow,
+    IrradianceSeries,
+    Scaler,
+    fit_scaler,
+    row_index,
+    standardize,
+)
 from .stats import (
     EnsembleProfile,
     ensemble_deduct,
@@ -105,15 +112,6 @@ class MarModel:
             self.weights[h] = w
 
 
-def _target_slot_range(
-    daylight: DaylightWindow, step: int, order: int, horizon: int
-) -> range:
-    """Target slots t for which the lag block and the target both fit
-    inside the daylight window."""
-    lo, hi = daylight.slot_bounds(step)
-    return range(lo + order + horizon - 1, hi + 1)
-
-
 def build_design_matrix(
     train: IrradianceSeries,
     order: int,
@@ -126,25 +124,14 @@ def build_design_matrix(
         raise DataValidationError(f"order must be >= 1, got {order}")
     if horizon < 1:
         raise DataValidationError(f"horizon must be >= 1, got {horizon}")
-    daylight = daylight or DaylightWindow()
-    targets_range = _target_slot_range(daylight, train.step, order, horizon)
-    day_matrix = train.day_matrix()
-
-    lag_rows: list[np.ndarray] = []
-    target_vals: list[np.ndarray] = []
-    for day in day_matrix:
-        for t in targets_range:
-            base = t - horizon + 1
-            lag_rows.append(day[base - order : base][::-1])
-            target_vals.append(day[t])
-    n_rows = len(lag_rows)
-    if n_rows < MIN_ROWS_PER_COLUMN * order:
+    targets, lag_index = row_index(train, daylight or DaylightWindow(), order, horizon)
+    if targets.size < MIN_ROWS_PER_COLUMN * order:
         raise DataValidationError(
-            f"only {n_rows} design rows for order {order}; need at least "
+            f"only {targets.size} design rows for order {order}; need at least "
             f"{MIN_ROWS_PER_COLUMN * order} for a stable fit"
         )
     return DesignMatrix(
-        lags=np.array(lag_rows), targets=np.array(target_vals), order=order, horizon=horizon
+        lags=train.values[lag_index], targets=train.values[targets], order=order, horizon=horizon
     )
 
 
@@ -172,19 +159,6 @@ def fit_weights(matrix: DesignMatrix) -> np.ndarray:
             f"exceeds {ORTHOGONALITY_TOL} * |X'y| = {ORTHOGONALITY_TOL * scale:.3e}"
         )
     return w
-
-
-def predict_step(model: MarModel, lags: np.ndarray, horizon: int) -> float:
-    """Dot product of the horizon's weights with the m most recent
-    values (most recent first)."""
-    lags = np.asarray(lags, dtype=np.float64)
-    if lags.shape != (model.order,):
-        raise DataValidationError(
-            f"expected {model.order} lag values, got shape {lags.shape}"
-        )
-    if horizon not in model.weights:
-        raise UsageError(f"model has no weights for horizon {horizon}")
-    return float(np.dot(model.weights[horizon], lags))
 
 
 def fit_all_horizons(train: IrradianceSeries, config: MarConfig | None = None) -> MarModel:
@@ -255,44 +229,24 @@ def forecast(
 
     z = standardize(test, model.scaler)
     base_series = ensemble_deduct(z, model.profile) if model.ensemble_enabled else z
-    base_days = base_series.day_matrix()
-    raw_days = test.day_matrix()
-    spd = test.samples_per_day
-    m = model.order
-
-    timestamps = []
-    actual = []
-    predicted = []
-    for d in range(test.n_days):
-        day = base_days[d]
-        for t in _target_slot_range(model.daylight, test.step, m, horizon):
-            base = t - horizon + 1
-            lag_vec = day[base - m : base][::-1]
-            if recursive:
-                pred_domain = _recurse(model.weights[1], lag_vec, horizon)
-            else:
-                pred_domain = float(np.dot(model.weights[horizon], lag_vec))
-            pred_z = pred_domain + (model.profile.means[t] if model.ensemble_enabled else 0.0)
-            pred = max(pred_z * model.scaler.sigma + model.scaler.mu, 0.0)
-            timestamps.append(test.timestamp(d * spd + t))
-            actual.append(raw_days[d, t])
-            predicted.append(pred)
+    targets, lag_index = row_index(test, model.daylight, model.order, horizon)
+    lags = base_series.values[lag_index]
+    if recursive:
+        # feed each 1-step prediction back in as the most recent lag
+        for _ in range(horizon):
+            pred_domain = lags @ model.weights[1]
+            lags = np.column_stack([pred_domain, lags[:, :-1]])
+    else:
+        pred_domain = lags @ model.weights[horizon]
+    if model.ensemble_enabled:
+        pred_domain = pred_domain + model.profile.means[targets % test.samples_per_day]
+    predicted = np.maximum(pred_domain * model.scaler.sigma + model.scaler.mu, 0.0)
 
     name = label if label is not None else ("mar" if model.ensemble_enabled else "ar")
     return ForecastReport(
         model=name,
         horizon=horizon,
-        timestamps=timestamps,
-        actual=np.array(actual),
-        predicted=np.array(predicted),
+        timestamps=[test.timestamp(int(i)) for i in targets],
+        actual=test.values[targets],
+        predicted=predicted,
     )
-
-
-def _recurse(w1: np.ndarray, lag_vec: np.ndarray, horizon: int) -> float:
-    state = lag_vec.copy()
-    pred = 0.0
-    for _ in range(horizon):
-        pred = float(np.dot(w1, state))
-        state[1:] = state[:-1]
-        state[0] = pred
-    return pred

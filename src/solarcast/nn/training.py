@@ -1,9 +1,10 @@
 """Window construction, training loops, and forecast post-processing
 for the neural baselines.
 
-Both networks consume windows of the 4 most recent samples and follow
-the same daylight row policy as the autoregressive design matrix, so
-every model forecasts exactly the same target slots.
+Both networks consume windows of the 4 most recent samples gathered
+through ``series.row_index``, the same daylight row policy the
+autoregressive design matrix uses, so every model forecasts exactly
+the same target slots.
 
 The CNN works on lag-1 differences of the standardized signal (the
 difference transform detrends the bell shape); its target is the
@@ -21,7 +22,15 @@ import numpy as np
 
 from ..errors import DataValidationError, NumericalError, UsageError
 from ..metrics import ForecastReport
-from ..series import DaylightWindow, IrradianceSeries, Scaler, fit_scaler, standardize
+from ..series import (
+    DaylightWindow,
+    IrradianceSeries,
+    Scaler,
+    fit_scaler,
+    inverse_difference,
+    row_index,
+    standardize,
+)
 from .adam import Adam
 from .networks import CnnNetwork, ConvSpec, LstmNetwork, LstmSpec
 
@@ -54,41 +63,25 @@ def build_windows(
     window's first slot (anchored at zero), so no feature ever reaches
     outside the window.
     """
-    lo, hi = daylight.slot_bounds(z.step)
-    day_matrix = z.day_matrix()
-    spd = z.samples_per_day
-
-    inputs, targets, anchors, sample_index = [], [], [], []
-    for d, day in enumerate(day_matrix):
-        segment = day[lo : hi + 1]
-        if differenced:
-            feature_seq = np.empty_like(segment)
-            feature_seq[0] = segment[0]
-            feature_seq[1:] = np.diff(segment)
-        else:
-            feature_seq = segment
-        for t in range(lo + window + horizon - 1, hi + 1):
-            base = t - horizon + 1          # first unobserved slot
-            r = base - lo                   # base, relative to the window segment
-            inputs.append(feature_seq[r - window : r])
-            anchor = day[base - 1]
-            if differenced:
-                targets.append(day[t] - anchor)
-            else:
-                targets.append(day[t])
-            anchors.append(anchor)
-            sample_index.append(d * spd + t)
-
-    if not inputs:
+    targets, lag_index = row_index(z, daylight, window, horizon)
+    if targets.size == 0:
         raise DataValidationError(
             f"no usable windows: daylight window too narrow for window {window} "
             f"and horizon {horizon}"
         )
+    features = z.values
+    if differenced:
+        lo, hi = daylight.slot_bounds(z.step)
+        days = z.day_matrix().copy()
+        days[:, lo + 1 : hi + 1] = np.diff(days[:, lo : hi + 1], axis=1)
+        features = days.reshape(-1)
+    anchors = z.values[lag_index[:, 0]]
+    target_values = z.values[targets]
     return WindowSet(
-        inputs=np.asarray(inputs)[:, :, None],
-        targets=np.asarray(targets),
-        anchors=np.asarray(anchors),
-        sample_index=np.asarray(sample_index, dtype=np.int64),
+        inputs=features[lag_index[:, ::-1]][:, :, None],
+        targets=target_values - anchors if differenced else target_values,
+        anchors=anchors,
+        sample_index=targets,
         differenced=differenced,
     )
 
@@ -265,7 +258,7 @@ def nn_forecast(
     network = model.network()
     pred = network.predict(windows.inputs)
     if windows.differenced:
-        pred = pred + windows.anchors
+        pred = inverse_difference(pred, windows.anchors)
     pred_raw = np.clip(pred * model.scaler.sigma + model.scaler.mu, 0.0, None)
     return ForecastReport(
         model=model.kind,

@@ -74,9 +74,6 @@ class IrradianceSeries:
     def timestamp(self, index: int) -> datetime:
         return self.start + timedelta(minutes=index * self.step)
 
-    def timestamps(self) -> list[datetime]:
-        return [self.timestamp(i) for i in range(len(self))]
-
     def day_matrix(self) -> np.ndarray:
         """Values as an (n_days, samples_per_day) array."""
         return self.values.reshape(self.n_days, self.samples_per_day)
@@ -103,14 +100,6 @@ class Scaler:
             raise DataValidationError("scaler parameters must be finite")
         if self.sigma <= 0:
             raise DataValidationError(f"scaler sigma must be positive, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class SplitIndex:
-    """Chronological train/test boundary, snapped to a day boundary."""
-
-    train_end: int
-    fraction: float
 
 
 @dataclass(frozen=True)
@@ -159,6 +148,26 @@ class DaylightWindow:
         return hi - lo + 1
 
 
+def row_index(
+    series: IrradianceSeries, daylight: DaylightWindow, lags: int, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The daylight row policy every model shares: one row per day and
+    target slot t whose lag slots t-horizon-lags+1 .. t-horizon and t
+    itself all lie inside the daylight window of that day.
+
+    Returns the flat indices of the target samples, day-major and
+    slot-ascending, and a (rows, lags) array of the flat indices of
+    each row's lag samples, most recent first. Both are empty when the
+    window is too narrow for the lags and horizon.
+    """
+    lo, hi = daylight.slot_bounds(series.step)
+    slots = np.arange(lo + lags + horizon - 1, hi + 1, dtype=np.int64)
+    day_starts = np.arange(series.n_days, dtype=np.int64) * series.samples_per_day
+    targets = (day_starts[:, None] + slots).reshape(-1)
+    lag_index = targets[:, None] - horizon - np.arange(lags, dtype=np.int64)
+    return targets, lag_index
+
+
 @dataclass(frozen=True)
 class DifferencedSeries:
     """Lag-1 differences plus the anchor subtracted from the first
@@ -182,9 +191,12 @@ def _as_values(series: IrradianceSeries | np.ndarray) -> np.ndarray:
     return np.asarray(series, dtype=np.float64)
 
 
-def split_index(series: IrradianceSeries, fraction: float = 0.70) -> SplitIndex:
-    """Day index of the first test day for a chronological split,
-    rounding the boundary down to a day boundary."""
+def split(
+    series: IrradianceSeries, fraction: float = 0.70
+) -> tuple[IrradianceSeries, IrradianceSeries]:
+    """Chronological train/test split on a day boundary, rounding the
+    boundary down. Train strictly precedes test; the halves never
+    overlap."""
     if not 0.0 < fraction < 1.0:
         raise DataValidationError(f"split fraction must lie in (0, 1), got {fraction}")
     if series.n_days < 2:
@@ -194,20 +206,10 @@ def split_index(series: IrradianceSeries, fraction: float = 0.70) -> SplitIndex:
         raise DataValidationError(
             f"fraction {fraction} on {series.n_days} days leaves an empty train or test half"
         )
-    return SplitIndex(train_end=train_days, fraction=fraction)
-
-
-def split(
-    series: IrradianceSeries, fraction: float = 0.70
-) -> tuple[IrradianceSeries, IrradianceSeries]:
-    """Chronological train/test split on a day boundary. Train strictly
-    precedes test; the halves never overlap."""
-    idx = split_index(series, fraction)
-    spd = series.samples_per_day
-    cut = idx.train_end * spd
+    cut = train_days * series.samples_per_day
     train = IrradianceSeries(series.start, series.values[:cut], series.step)
     test = IrradianceSeries(
-        series.start + timedelta(days=idx.train_end), series.values[cut:], series.step
+        series.start + timedelta(days=train_days), series.values[cut:], series.step
     )
     return train, test
 

@@ -63,3 +63,75 @@ def cloudy_30d() -> IrradianceSeries:
 @pytest.fixture(scope="session")
 def clear_10d() -> IrradianceSeries:
     return generate_synthetic(10, "clear", seed=303)
+
+
+# Plain-loop oracles for the daylight row policy: one row per day and
+# target slot t whose lags and target all lie inside the window.
+
+
+def design_matrix_oracle(series: IrradianceSeries, order: int, horizon: int, daylight):
+    """Lag rows (most recent first) and targets, one row at a time."""
+    lo, hi = daylight.slot_bounds(series.step)
+    lags, targets = [], []
+    for day in series.day_matrix():
+        for t in range(lo + order + horizon - 1, hi + 1):
+            base = t - horizon + 1
+            lags.append(day[base - order : base][::-1])
+            targets.append(day[t])
+    return np.array(lags), np.array(targets)
+
+
+def windows_oracle(z: IrradianceSeries, window: int, horizon: int, daylight, differenced: bool):
+    """Chronological input windows, targets, anchors and flat sample
+    indices; differenced features restart at each day's first
+    in-window slot."""
+    lo, hi = daylight.slot_bounds(z.step)
+    spd = z.samples_per_day
+    inputs, targets, anchors, sample_index = [], [], [], []
+    for d, day in enumerate(z.day_matrix()):
+        segment = day[lo : hi + 1]
+        if differenced:
+            feature_seq = np.empty_like(segment)
+            feature_seq[0] = segment[0]
+            feature_seq[1:] = np.diff(segment)
+        else:
+            feature_seq = segment
+        for t in range(lo + window + horizon - 1, hi + 1):
+            base = t - horizon + 1
+            r = base - lo
+            inputs.append(feature_seq[r - window : r])
+            anchor = day[base - 1]
+            targets.append(day[t] - anchor if differenced else day[t])
+            anchors.append(anchor)
+            sample_index.append(d * spd + t)
+    return (
+        np.asarray(inputs)[:, :, None],
+        np.asarray(targets),
+        np.asarray(anchors),
+        np.asarray(sample_index, dtype=np.int64),
+    )
+
+
+def forecast_oracle(model, test: IrradianceSeries, horizon: int, recursive: bool):
+    """Timestamps, actuals and predictions of a fitted autoregressive
+    model, one dot product per row (and per step when recursive)."""
+    lo, hi = model.daylight.slot_bounds(test.step)
+    mu, sigma, m = model.scaler.mu, model.scaler.sigma, model.order
+    means = model.profile.means if model.ensemble_enabled else np.zeros(test.samples_per_day)
+    timestamps, actual, predicted = [], [], []
+    for d, day in enumerate(test.day_matrix()):
+        domain = (day - mu) / sigma - means
+        for t in range(lo + m + horizon - 1, hi + 1):
+            base = t - horizon + 1
+            state = domain[base - m : base][::-1].copy()
+            if recursive:
+                for _ in range(horizon):
+                    pred = float(np.dot(model.weights[1], state))
+                    state[1:] = state[:-1]
+                    state[0] = pred
+            else:
+                pred = float(np.dot(model.weights[horizon], state))
+            timestamps.append(test.timestamp(d * test.samples_per_day + t))
+            actual.append(day[t])
+            predicted.append(max((pred + means[t]) * sigma + mu, 0.0))
+    return timestamps, np.array(actual), np.array(predicted)

@@ -211,6 +211,25 @@ class TestEvaluate:
                    "--model-file", str(tmp_path / "cnn.model"),
                    "--horizons", "1", "--out", str(tmp_path)) == 0
 
+    @pytest.mark.parametrize("kind, expected", [
+        ("ar", ["# model=ar", "# order=3", "# ensemble=False"]),
+        ("cnn", ["# model=cnn"]),
+    ])
+    def test_header_records_model_file_settings(self, mixed_csv, tmp_path, kind, expected):
+        # the model file fixes these settings, so flags that disagree
+        # must not be echoed in their place
+        fit_dir = tmp_path / "fit"
+        assert run("fit", "--data", str(mixed_csv), "--model", kind, "--order", "3",
+                   "--horizons", "1", "--out", str(fit_dir)) == 0
+        assert run("evaluate", "--data", str(mixed_csv),
+                   "--model-file", str(fit_dir / f"{kind}.model"), "--horizons", "1",
+                   "--daylight", "00:00-03:00", "--order", "5", "--out", str(tmp_path)) == 0
+        for name in ("summary.csv", "forecasts.csv"):
+            header = [ln for ln in (tmp_path / name).read_text().splitlines()
+                      if ln.startswith("#")]
+            for line in ["# daylight=06:00-18:30", *expected]:
+                assert line in header
+
     def test_recursive_rejected_for_nn(self, mixed_csv, tmp_path):
         assert run("fit", "--data", str(mixed_csv), "--model", "cnn", "--horizons", "1",
                    "--out", str(tmp_path)) == 0

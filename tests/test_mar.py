@@ -16,13 +16,10 @@ from solarcast import (
     forecast,
     generate_synthetic,
     mape,
-    predict_step,
     rmse,
     split,
 )
-from solarcast.mar import DesignMatrix, MarModel
-from solarcast.series import Scaler
-from solarcast.stats import EnsembleProfile
+from solarcast.mar import DesignMatrix
 
 from conftest import FULL_DAY_WINDOW, make_series, sinusoid_recurrence
 
@@ -130,43 +127,6 @@ class TestFitWeights:
         dm = DesignMatrix(lags=np.ones((2, 3)), targets=np.ones(2), order=3, horizon=1)
         with pytest.raises(DataValidationError, match="underdetermined"):
             fit_weights(dm)
-
-
-class TestPredictStep:
-    def fitted_model(self, weights_h1):
-        return MarModel(
-            order=len(weights_h1),
-            horizons=(1,),
-            weights={1: np.asarray(weights_h1, dtype=np.float64)},
-            scaler=Scaler(mu=400.0, sigma=250.0),
-            profile=EnsembleProfile(
-                means=np.zeros(144), support_counts=np.ones(144, dtype=int)
-            ),
-            daylight=DaylightWindow(),
-            step=10,
-        )
-
-    def test_persistence_weights(self):
-        model = self.fitted_model([1.0, 0.0, 0.0, 0.0])
-        assert predict_step(model, np.array([5.5, 1.0, 2.0, 3.0]), 1) == 5.5
-
-    def test_zero_lags(self):
-        model = self.fitted_model([0.3, 0.2, 0.1, 0.05])
-        assert predict_step(model, np.zeros(4), 1) == 0.0
-
-    def test_hand_dot_product(self):
-        model = self.fitted_model([0.5, 0.3])
-        assert predict_step(model, np.array([2.0, -1.0]), 1) == pytest.approx(0.7)
-
-    def test_lag_count_mismatch(self):
-        model = self.fitted_model([0.5, 0.3])
-        with pytest.raises(DataValidationError):
-            predict_step(model, np.zeros(3), 1)
-
-    def test_unknown_horizon(self):
-        model = self.fitted_model([0.5, 0.3])
-        with pytest.raises(UsageError):
-            predict_step(model, np.zeros(2), 9)
 
 
 class TestFitAllHorizons:

@@ -16,7 +16,6 @@ from solarcast import (
     inverse_difference,
     load_csv,
     split,
-    split_index,
     standardize,
     write_csv,
 )
@@ -149,7 +148,7 @@ class TestSplit:
 
     def test_chronological_and_disjoint(self, mixed_30d):
         train, test = split(mixed_30d, 0.70)
-        assert train.timestamps()[-1] < test.timestamps()[0]
+        assert train.timestamp(len(train) - 1) < test.timestamp(0)
         assert len(train) + len(test) == len(mixed_30d)
         assert np.array_equal(
             np.concatenate([train.values, test.values]), mixed_30d.values
@@ -166,9 +165,9 @@ class TestSplit:
             split(series, 0.7)
 
     def test_split_index_metadata(self, mixed_30d):
-        idx = split_index(mixed_30d, 0.70)
-        assert idx.train_end == 21
-        assert idx.fraction == 0.70
+        train, test = split(mixed_30d, 0.70)
+        assert train.n_days == 21
+        assert test.start == mixed_30d.timestamp(21 * mixed_30d.samples_per_day)
 
 
 class TestScaler:
