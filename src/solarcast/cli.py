@@ -9,6 +9,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -46,6 +47,7 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 MODELS = ("mar", "ar", "cnn", "lstm")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -291,15 +293,59 @@ def _fit_mar(train: IrradianceSeries, config: RunConfig) -> MarModel:
     return fit_all_horizons(train, mar_config)
 
 
-def _fit_nn(train: IrradianceSeries, config: RunConfig, kind: str) -> list[nn.NeuralModel]:
+def _train_network(
+    kind: str, train: IrradianceSeries, horizon: int, daylight: DaylightWindow, seed: int
+) -> nn.NeuralModel:
+    trainer = nn.train_cnn if kind == "cnn" else nn.train_lstm
+    return trainer(train, horizon=horizon, daylight=daylight, seed=seed)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Processes started inside the block run BLAS on one thread: the
+    pool already puts one worker on each CPU, and OpenBLAS reads these
+    variables when it loads."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fit_nn(train: IrradianceSeries, config: RunConfig, kinds: tuple[str, ...]) -> list[nn.NeuralModel]:
+    """Train one network per (kind, horizon) in a pool of worker
+    processes; returns them in (kind, horizon) order. Each job is the
+    same seeded call as in-process training, so results are identical."""
+    # imported here, so commands that train nothing start as fast as before
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     daylight = config.daylight_window()
-    models = []
-    for h in config.horizon_list():
-        if kind == "cnn":
-            models.append(nn.train_cnn(train, horizon=h, daylight=daylight, seed=config.seed))
-        else:
-            models.append(nn.train_lstm(train, horizon=h, daylight=daylight, seed=config.seed))
-    return models
+    jobs = [(kind, h) for kind in kinds for h in config.horizon_list()]
+    workers = min(len(jobs), _usable_cpus())
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        # workers start on submit; LSTM fits take longest, so they go first
+        with _one_blas_thread():
+            futures = {
+                job: pool.submit(_train_network, job[0], train, job[1], daylight, config.seed)
+                for job in sorted(jobs, key=lambda job: job[0] != "lstm")
+            }
+        return [futures[job].result() for job in jobs]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -312,7 +358,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         model = _fit_mar(train, config)
         save_mar_model(model, path)
     else:
-        models = _fit_nn(train, config, config.model)
+        models = _fit_nn(train, config, (config.model,))
         save_nn_models(models, path)
         for m in models:
             curve_path = os.path.join(out_dir, f"{config.model}_h{m.horizon}_loss.csv")
@@ -447,9 +493,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for h in config.horizon_list():
         reports.append(forecast(mar_model, test, h, label="mar"))
         reports.append(forecast(ar_model, test, h, label="ar"))
-    for kind in ("cnn", "lstm"):
-        for model in _fit_nn(train, config, kind):
-            reports.append(nn.nn_forecast(model, test))
+    for model in _fit_nn(train, config, ("cnn", "lstm")):
+        reports.append(nn.nn_forecast(model, test))
 
     _write_reports(reports, config, "compare", out_dir, step=test.step, prefix="compare_")
     _overlay_charts(reports, test, config, out_dir)

@@ -150,6 +150,15 @@ def save_nn_models(models: list, path: str | os.PathLike) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse_param(rest: str, where: str) -> tuple[str, tuple[int, ...], np.ndarray]:
+    """Split a ``param`` record into name, declared shape and values."""
+    try:
+        name, shape_text, vec_text = rest.split(" ", 2)
+        return name, tuple(int(s) for s in shape_text.split(",")), _parse_vec(vec_text)
+    except ValueError:
+        raise DataValidationError(f"{where}: malformed param record {rest[:40]!r}") from None
+
+
 def load_nn_models(path: str | os.PathLike) -> dict[int, "object"]:
     """Load every horizon section from an ``nn-model v1`` file; returns
     {horizon: NeuralModel}."""
@@ -170,17 +179,25 @@ def load_nn_models(path: str | os.PathLike) -> dict[int, "object"]:
     else:
         raise DataValidationError(f"{path}: unknown network kind {kind!r}")
 
+    expected = spec.param_shapes()
     models: dict[int, NeuralModel] = {}
     while not reader.done():
         horizon = int(reader.take("horizon"))
+        where = f"{path}: horizon {horizon}"
         params: dict[str, np.ndarray] = {}
         while reader.peek_key() == "param":
-            rest = reader.take("param")
-            name, shape_text, vec_text = rest.split(" ", 2)
-            shape = tuple(int(s) for s in shape_text.split(","))
-            params[name] = _parse_vec(vec_text).reshape(shape)
-        if not params:
-            raise DataValidationError(f"{path}: horizon {horizon} has no parameters")
+            name, shape, values = _parse_param(reader.take("param"), where)
+            if name not in expected or name in params:
+                raise DataValidationError(f"{where}: unknown or repeated {kind} parameter {name!r}")
+            if shape != expected[name] or values.size != int(np.prod(shape)):
+                raise DataValidationError(
+                    f"{where}: parameter {name} has shape {shape} and {values.size} values, "
+                    f"expected shape {expected[name]}"
+                )
+            params[name] = values.reshape(shape)
+        missing = sorted(set(expected) - set(params))
+        if missing:
+            raise DataValidationError(f"{where}: missing parameters {missing}")
         models[horizon] = NeuralModel(
             kind=kind,
             spec=spec,

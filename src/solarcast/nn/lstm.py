@@ -12,6 +12,13 @@ Gate parameters act on the concatenation [h_prev, x_t]:
 Weight matrices have shape (hidden, hidden + input); the sequence
 helpers unroll the cell over a window and accumulate parameter
 gradients across all steps.
+
+Every step runs on the four gates stacked in f, i, o, c order into one
+``(4 * hidden, hidden + input)`` matrix and one ``4 * hidden`` bias, as
+``torch.nn.LSTM`` stacks its gate weights, so a step is a single matmul
+in each direction. The per-gate arrays stay the parameters; they are
+packed once per forward or backward call, never kept across calls,
+because optimizers and gradient checks change them in place.
 """
 
 from __future__ import annotations
@@ -21,19 +28,27 @@ import numpy as np
 from ..errors import DataValidationError
 
 GATE_PARAMS = ("w_f", "w_i", "w_o", "w_c", "b_f", "b_i", "b_o", "b_c")
+_WEIGHTS, _BIASES = GATE_PARAMS[:4], GATE_PARAMS[4:]
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign to stay overflow-free for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """σ(x) = ½(1 + tanh(x/2)), which cannot overflow. ``out`` may be
+    ``x`` itself."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
-def _check_params(params: dict, hidden: int, n_in: int) -> None:
+# The step functions hold activations feature-major, as (features,
+# batch) arrays, so each gate is a contiguous block of rows of the
+# packed gates; the public functions take and return (batch, features).
+
+
+def _pack(params: dict, hidden: int, n_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the per-gate parameters and stack them into the packed
+    (4 * hidden, hidden + n_in) weight and (4 * hidden, 1) bias."""
     for name in GATE_PARAMS:
         if name not in params:
             raise DataValidationError(f"missing LSTM parameter {name!r}")
@@ -42,6 +57,69 @@ def _check_params(params: dict, hidden: int, n_in: int) -> None:
             raise DataValidationError(
                 f"LSTM parameter {name} has shape {params[name].shape}, expected {expected}"
             )
+    return (
+        np.concatenate([params[name] for name in _WEIGHTS]),
+        np.concatenate([params[name] for name in _BIASES])[:, None],
+    )
+
+
+def _gates(packed: np.ndarray, hidden: int) -> list[np.ndarray]:
+    """The f, i, o and c row blocks of a packed (4 * hidden, ...) array."""
+    return [packed[k * hidden : (k + 1) * hidden] for k in range(4)]
+
+
+def _unpack(grad_w: np.ndarray, grad_b: np.ndarray) -> dict:
+    """Split packed gradients back into per-gate arrays."""
+    hidden = grad_w.shape[0] // 4
+    return dict(zip(GATE_PARAMS, [*_gates(grad_w, hidden), *_gates(grad_b[:, 0], hidden)]))
+
+
+def _step_forward(
+    x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, w: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    hidden = h_prev.shape[0]
+    concat = np.concatenate([h_prev, x_t])
+    gates = w @ concat
+    gates += b
+    sigmoid(gates[: 3 * hidden], out=gates[: 3 * hidden])
+    np.tanh(gates[3 * hidden :], out=gates[3 * hidden :])
+    f, i, o, cand = _gates(gates, hidden)
+    c_t = f * c_prev + i * cand
+    tanh_c = np.tanh(c_t)
+    h_t = o * tanh_c
+    cache = {
+        "concat": concat,
+        "gates": gates,
+        "f": f,
+        "i": i,
+        "o": o,
+        "cand": cand,
+        "c_prev": c_prev,
+        "tanh_c": tanh_c,
+    }
+    return h_t, c_t, cache
+
+
+def _step_backward(
+    grad_h: np.ndarray, grad_c: np.ndarray, cache: dict, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Returns (d, grad_concat, grad_c_prev), where d is the (4 * hidden,
+    batch) loss gradient at the gate pre-activations."""
+    f, i, o, cand, tanh_c = cache["f"], cache["i"], cache["o"], cache["cand"], cache["tanh_c"]
+    hidden = f.shape[0]
+    grad_c_total = grad_c + grad_h * o * (1.0 - tanh_c**2)
+
+    d = np.empty_like(cache["gates"])
+    d_f, d_i, d_o, d_cand = _gates(d, hidden)
+    np.multiply(grad_c_total, cache["c_prev"], out=d_f)
+    np.multiply(grad_c_total, cand, out=d_i)
+    np.multiply(grad_h, tanh_c, out=d_o)
+    # through the gate nonlinearities
+    sig, d_sig = cache["gates"][: 3 * hidden], d[: 3 * hidden]
+    d_sig *= sig
+    d_sig *= 1.0 - sig
+    np.multiply(grad_c_total * i, 1.0 - cand**2, out=d_cand)
+    return d, w.T @ d, grad_c_total * f
 
 
 def lstm_cell_forward(
@@ -54,28 +132,9 @@ def lstm_cell_forward(
     c_prev = np.asarray(c_prev, dtype=np.float64)
     if x_t.ndim != 2 or h_prev.ndim != 2 or c_prev.shape != h_prev.shape:
         raise DataValidationError("lstm cell expects (batch, n_in) input and matching states")
-    hidden = h_prev.shape[1]
-    _check_params(params, hidden, x_t.shape[1])
-
-    concat = np.concatenate([h_prev, x_t], axis=1)
-    f = sigmoid(concat @ params["w_f"].T + params["b_f"])
-    i = sigmoid(concat @ params["w_i"].T + params["b_i"])
-    o = sigmoid(concat @ params["w_o"].T + params["b_o"])
-    cand = np.tanh(concat @ params["w_c"].T + params["b_c"])
-    c_t = f * c_prev + i * cand
-    tanh_c = np.tanh(c_t)
-    h_t = o * tanh_c
-    cache = {
-        "concat": concat,
-        "f": f,
-        "i": i,
-        "o": o,
-        "cand": cand,
-        "c_prev": c_prev,
-        "tanh_c": tanh_c,
-        "hidden": hidden,
-    }
-    return h_t, c_t, cache
+    w, b = _pack(params, h_prev.shape[1], x_t.shape[1])
+    h_t, c_t, cache = _step_forward(x_t.T, h_prev.T, c_prev.T, w, b)
+    return h_t.T, c_t.T, cache
 
 
 def lstm_cell_backward(
@@ -86,36 +145,11 @@ def lstm_cell_backward(
     grad_h / grad_c are the loss gradients flowing into h_t and c_t.
     Returns (grad_x, grad_h_prev, grad_c_prev, param_grads).
     """
-    f, i, o, cand = cache["f"], cache["i"], cache["o"], cache["cand"]
-    tanh_c, concat, hidden = cache["tanh_c"], cache["concat"], cache["hidden"]
-
-    grad_o = grad_h * tanh_c
-    grad_c_total = grad_c + grad_h * o * (1.0 - tanh_c**2)
-    grad_f = grad_c_total * cache["c_prev"]
-    grad_i = grad_c_total * cand
-    grad_cand = grad_c_total * i
-    grad_c_prev = grad_c_total * f
-
-    # through the gate nonlinearities
-    d_f = grad_f * f * (1.0 - f)
-    d_i = grad_i * i * (1.0 - i)
-    d_o = grad_o * o * (1.0 - o)
-    d_cand = grad_cand * (1.0 - cand**2)
-
-    grads = {
-        "w_f": d_f.T @ concat,
-        "w_i": d_i.T @ concat,
-        "w_o": d_o.T @ concat,
-        "w_c": d_cand.T @ concat,
-        "b_f": d_f.sum(axis=0),
-        "b_i": d_i.sum(axis=0),
-        "b_o": d_o.sum(axis=0),
-        "b_c": d_cand.sum(axis=0),
-    }
-    grad_concat = d_f @ params["w_f"] + d_i @ params["w_i"] + d_o @ params["w_o"] + d_cand @ params["w_c"]
-    grad_h_prev = grad_concat[:, :hidden]
-    grad_x = grad_concat[:, hidden:]
-    return grad_x, grad_h_prev, grad_c_prev, grads
+    hidden = cache["f"].shape[0]
+    w, _ = _pack(params, hidden, cache["concat"].shape[0] - hidden)
+    d, grad_concat, grad_c_prev = _step_backward(grad_h.T, grad_c.T, cache, w)
+    grads = _unpack(d @ cache["concat"].T, d.sum(axis=1, keepdims=True))
+    return grad_concat[hidden:].T, grad_concat[:hidden].T, grad_c_prev.T, grads
 
 
 def lstm_sequence_forward(
@@ -126,14 +160,15 @@ def lstm_sequence_forward(
     x_seq = np.asarray(x_seq, dtype=np.float64)
     if x_seq.ndim != 3:
         raise DataValidationError("lstm sequence expects (batch, steps, n_in)")
+    w, b = _pack(params, hidden, x_seq.shape[2])
     batch = x_seq.shape[0]
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
+    h = np.zeros((hidden, batch))
+    c = np.zeros((hidden, batch))
     caches: list[dict] = []
-    for t in range(x_seq.shape[1]):
-        h, c, cache = lstm_cell_forward(x_seq[:, t, :], h, c, params)
+    for x_t in x_seq.transpose(1, 2, 0):
+        h, c, cache = _step_forward(x_t, h, c, w, b)
         caches.append(cache)
-    return h, caches
+    return h.T, caches
 
 
 def lstm_sequence_backward(
@@ -143,11 +178,15 @@ def lstm_sequence_backward(
     accumulating parameter gradients over all steps."""
     if not caches:
         raise DataValidationError("no forward caches to backpropagate through")
-    grads = {name: np.zeros_like(params[name]) for name in GATE_PARAMS}
-    grad_h = grad_h_final
-    grad_c = np.zeros_like(grad_h_final)
+    hidden = caches[0]["f"].shape[0]
+    w, b = _pack(params, hidden, caches[0]["concat"].shape[0] - hidden)
+    grad_w = np.zeros_like(w)
+    grad_b = np.zeros_like(b)
+    grad_h = np.ascontiguousarray(grad_h_final.T)
+    grad_c = np.zeros_like(grad_h)
     for cache in reversed(caches):
-        _, grad_h, grad_c, step_grads = lstm_cell_backward(grad_h, grad_c, cache, params)
-        for name in GATE_PARAMS:
-            grads[name] += step_grads[name]
-    return grads
+        d, grad_concat, grad_c = _step_backward(grad_h, grad_c, cache, w)
+        grad_w += d @ cache["concat"].T
+        grad_b += d.sum(axis=1, keepdims=True)
+        grad_h = grad_concat[:hidden]
+    return _unpack(grad_w, grad_b)

@@ -70,6 +70,20 @@ class ConvSpec:
     def flat_units(self) -> int:
         return (self.window - self.kernel_size + 1) // self.pool_size * self.kernel_count
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name and shape of every parameter of a network of this spec."""
+        k, f, fc1, fc2 = self.kernel_size, self.kernel_count, self.fc1_units, self.fc2_units
+        return {
+            "conv_w": (k, 1, f),
+            "conv_b": (f,),
+            "fc1_w": (self.flat_units, fc1),
+            "fc1_b": (fc1,),
+            "fc2_w": (fc1, fc2),
+            "fc2_b": (fc2,),
+            "out_w": (fc2, 1),
+            "out_b": (1,),
+        }
+
     def to_text(self) -> str:
         return _spec_to_text(self)
 
@@ -96,6 +110,12 @@ class LstmSpec:
                 raise DataValidationError(f"LSTM spec field {f.name} must be positive")
         if self.layers != 1:
             raise DataValidationError("only a single LSTM layer is supported")
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name and shape of every parameter of a network of this spec."""
+        h, dense = self.units, self.dense_hidden
+        gates = {name: (h, h + 1) if name.startswith("w") else (h,) for name in GATE_PARAMS}
+        return {**gates, "fc_w": (h, dense), "fc_b": (dense,), "out_w": (dense, 1), "out_b": (1,)}
 
     def to_text(self) -> str:
         return _spec_to_text(self)

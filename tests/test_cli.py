@@ -1,5 +1,6 @@
 """Command-line surface: each subcommand, exit codes, output headers."""
 
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -8,8 +9,21 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from solarcast import load_csv, mae, mape, rmse, write_csv
+from solarcast import (
+    DaylightWindow,
+    fit_scaler,
+    generate_synthetic,
+    load_csv,
+    mae,
+    mape,
+    rmse,
+    save_nn_models,
+    split,
+    write_csv,
+)
+from solarcast import cli
 from solarcast.cli import main
+from solarcast.nn import LstmNetwork, LstmSpec, NeuralModel, train_lstm
 from solarcast.series import IrradianceSeries
 
 from conftest import AR4_COEFFS, simulate_ar
@@ -149,6 +163,26 @@ class TestFit:
         assert len(curve) == 31  # header + 30 epochs
 
 
+    def test_pool_fit_matches_in_process_training(self, tmp_path):
+        data = tmp_path / "short.csv"
+        write_csv(generate_synthetic(24, "mixed", seed=4), data)
+        assert run("fit", "--data", str(data), "--model", "lstm", "--horizons", "1,3",
+                   "--seed", "2", "--out", str(tmp_path)) == 0
+        train, _ = split(load_csv(data), 0.7)
+        models = [train_lstm(train, horizon=h, daylight=DaylightWindow(), seed=2) for h in (1, 3)]
+        save_nn_models(models, tmp_path / "in_process.model")
+        assert (tmp_path / "lstm.model").read_bytes() == (tmp_path / "in_process.model").read_bytes()
+
+    def test_worker_error_keeps_its_exit_code(self, tmp_path, capfd):
+        data = tmp_path / "five_days.csv"
+        write_csv(generate_synthetic(5, "mixed", seed=1), data)
+        code = run("fit", "--data", str(data), "--model", "lstm", "--out", str(tmp_path))
+        err = capfd.readouterr().err
+        assert code == 2
+        assert "training windows; need at least 1000" in err
+        assert "Traceback" not in err and "BrokenProcessPool" not in err
+
+
 @pytest.fixture(scope="module")
 def mar_file(mixed_csv, tmp_path_factory):
     out = tmp_path_factory.mktemp("fit")
@@ -240,6 +274,50 @@ class TestEvaluate:
 
 
 @pytest.fixture(scope="module")
+def lstm_file_lines(mixed_csv, tmp_path_factory):
+    """The lines of an untrained one-horizon ``lstm.model``."""
+    train, _ = split(load_csv(mixed_csv), 0.7)
+    spec = LstmSpec()
+    model = NeuralModel(kind="lstm", spec=spec, horizon=1, params=LstmNetwork(spec).params,
+                        scaler=fit_scaler(train), daylight=DaylightWindow(), step=train.step,
+                        window=spec.window)
+    path = tmp_path_factory.mktemp("nnfile") / "lstm.model"
+    save_nn_models([model], path)
+    return path.read_text().splitlines()
+
+
+class TestNnModelFileValidation:
+    def evaluate(self, mixed_csv, tmp_path, lines):
+        path = tmp_path / "edited.model"
+        path.write_text("\n".join(lines) + "\n")
+        return run("evaluate", "--data", str(mixed_csv), "--model-file", str(path),
+                   "--horizons", "1", "--out", str(tmp_path))
+
+    def test_unedited_file_evaluates(self, mixed_csv, tmp_path, lstm_file_lines):
+        assert self.evaluate(mixed_csv, tmp_path, lstm_file_lines) == 0
+
+    @pytest.mark.parametrize("record, edited, message", [
+        ("param fc_b 8 ", "param fc_b 9 ", "parameter fc_b has shape (9,)"),
+        ("param out_w 8,1 ", "param out_w 1,8 ", "parameter out_w has shape (1, 8)"),
+    ])
+    def test_shape_edit(self, mixed_csv, tmp_path, lstm_file_lines, capsys, record, edited, message):
+        lines = [ln.replace(record, edited) for ln in lstm_file_lines]
+        assert lines != lstm_file_lines
+        assert self.evaluate(mixed_csv, tmp_path, lines) == 2
+        assert message in capsys.readouterr().err
+
+    def test_dropped_param(self, mixed_csv, tmp_path, lstm_file_lines, capsys):
+        lines = [ln for ln in lstm_file_lines if not ln.startswith("param out_w ")]
+        assert len(lines) == len(lstm_file_lines) - 1
+        assert self.evaluate(mixed_csv, tmp_path, lines) == 2
+        assert "missing parameters ['out_w']" in capsys.readouterr().err
+
+    def test_unknown_param(self, mixed_csv, tmp_path, lstm_file_lines, capsys):
+        assert self.evaluate(mixed_csv, tmp_path, [*lstm_file_lines, "param w_z 1 0.5"]) == 2
+        assert "parameter 'w_z'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
 def compare_out(mixed_csv, tmp_path_factory):
     out = tmp_path_factory.mktemp("cmp")
     assert run("compare", "--data", str(mixed_csv), "--seed", "7", "--out", str(out)) == 0
@@ -314,6 +392,15 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no_such_key=1\n")
         assert run("fit", "--config", str(cfg), "--out", str(tmp_path)) == 1
+
+
+def test_blas_pinned_only_while_workers_start(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    with cli._one_blas_thread():
+        assert [os.environ[name] for name in cli.BLAS_THREAD_VARS] == ["1"] * 3
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_installed_entry_point(tmp_path):

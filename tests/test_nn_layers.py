@@ -26,7 +26,7 @@ from solarcast.nn import (
     max_relative_error,
     relu,
 )
-from solarcast.nn.lstm import GATE_PARAMS
+from solarcast.nn.lstm import GATE_PARAMS, sigmoid
 from solarcast.nn.training import mse_loss
 
 GRAD_TOL = 1e-4
@@ -152,6 +152,46 @@ class TestDense:
         assert np.abs(out - loop_dense(x, w, b)).max() < 1e-12
 
 
+def split_exp_sigmoid(x):
+    """The sign-split exp form of the logistic function, overflow-free
+    on either side of zero."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    GRID = np.linspace(-40.0, 40.0, 80_001)
+
+    def test_no_floating_point_error_at_extremes(self):
+        x = np.array([-np.inf, -800.0, 800.0, np.inf])
+        with np.errstate(all="raise"):
+            assert sigmoid(x).tolist() == [0.0, 0.0, 1.0, 1.0]
+
+    def test_exactly_half_at_zero(self):
+        assert sigmoid(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
+
+    def test_symmetry(self):
+        # the two sides may differ by one float spacing of [0.5, 1):
+        # 2**-53 (1.1e-16)
+        gap = np.abs(sigmoid(-self.GRID) - (1.0 - sigmoid(self.GRID)))
+        assert gap.max() <= 2.0**-53
+
+    def test_matches_split_exp_form(self):
+        # two float spacings of [0.5, 1): 2**-52 (2.2e-16)
+        assert np.abs(sigmoid(self.GRID) - split_exp_sigmoid(self.GRID)).max() <= 2.0**-52
+
+    def test_in_place_on_a_view(self):
+        x = np.random.default_rng(3).standard_normal((5, 8)) * 10
+        expected = sigmoid(x[:, :6])
+        block = x[:, :6]
+        assert sigmoid(block, out=block) is block
+        assert np.array_equal(x[:, :6], expected)
+
+
 def scalar_lstm_oracle(x, h_prev, c_prev, params):
     """Element-by-element recomputation with math.* scalar ops."""
     hidden = h_prev.shape[1]
@@ -243,6 +283,40 @@ class TestLstmCell:
         params = small_lstm_params(rng)
         with pytest.raises(DataValidationError):
             lstm_cell_forward(np.zeros((2, 5)), np.zeros((2, 3)), np.zeros((2, 3)), params)
+
+    def test_sequence_helpers_equal_a_loop_over_the_cell(self):
+        rng = np.random.default_rng(9)
+        hidden = 3
+        params = small_lstm_params(rng, hidden=hidden, n_in=1)
+        x_seq = rng.standard_normal((5, 4, 1))
+        grad_h_final = rng.standard_normal((5, hidden))
+
+        h = c = np.zeros((5, hidden))
+        caches = []
+        for t in range(4):
+            h, c, cache = lstm_cell_forward(x_seq[:, t, :], h, c, params)
+            caches.append(cache)
+        grads = {name: np.zeros_like(params[name]) for name in GATE_PARAMS}
+        grad_h, grad_c = grad_h_final, np.zeros_like(grad_h_final)
+        for cache in reversed(caches):
+            _, grad_h, grad_c, step = lstm_cell_backward(grad_h, grad_c, cache, params)
+            for name in GATE_PARAMS:
+                grads[name] += step[name]
+
+        h_seq, seq_caches = lstm_sequence_forward(x_seq, params, hidden)
+        assert np.array_equal(h_seq, h)
+        seq_grads = lstm_sequence_backward(grad_h_final, seq_caches, params)
+        for name in GATE_PARAMS:
+            assert np.array_equal(seq_grads[name], grads[name]), name
+
+    def test_sequence_sees_in_place_parameter_updates(self):
+        rng = np.random.default_rng(10)
+        params = small_lstm_params(rng, hidden=3, n_in=1)
+        x_seq = rng.standard_normal((2, 4, 1))
+        before, _ = lstm_sequence_forward(x_seq, params, 3)
+        params["w_o"] *= 0.5  # as an optimizer step does
+        after, _ = lstm_sequence_forward(x_seq, params, 3)
+        assert not np.array_equal(before, after)
 
 
 def check_gradients(loss_fn, params, analytic, tol=GRAD_TOL):

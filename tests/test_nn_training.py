@@ -15,7 +15,7 @@ from solarcast import (
     split,
 )
 from solarcast.nn import Adam, ConvSpec, LstmSpec, nn_forecast, train_cnn, train_lstm
-from solarcast.nn.networks import CnnNetwork
+from solarcast.nn.networks import CnnNetwork, LstmNetwork
 from solarcast.nn.training import NeuralModel, build_windows, loss_curve_csv, mse_loss, _train
 from solarcast.series import DaylightWindow, Scaler, fit_scaler, standardize
 
@@ -122,6 +122,7 @@ class TestTrainLstm:
         spec = LstmSpec(epochs=2)
         a = train_lstm(train, spec=spec, horizon=1, seed=5)
         b = train_lstm(train, spec=spec, horizon=1, seed=5)
+        assert a.loss_curve == b.loss_curve
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name])
 
@@ -262,6 +263,16 @@ class TestPersistence:
         assert np.array_equal(
             nn_forecast(model, test).predicted, nn_forecast(loaded, test).predicted
         )
+
+    @pytest.mark.parametrize("network, spec", [
+        (CnnNetwork, ConvSpec()),
+        (CnnNetwork, ConvSpec(kernel_count=5, kernel_size=3, window=5, fc1_units=7, fc2_units=2)),
+        (LstmNetwork, LstmSpec()),
+        (LstmNetwork, LstmSpec(units=3, dense_hidden=2)),
+    ])
+    def test_spec_param_shapes_match_initial_params(self, network, spec):
+        params = network(spec=spec, seed=0).params
+        assert {name: arr.shape for name, arr in params.items()} == spec.param_shapes()
 
     def test_mixed_kinds_rejected(self, mixed_40d_split, tmp_path):
         train, _ = mixed_40d_split
