@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .errors import DataValidationError, NumericalError, UsageError
-from .io import load_csv, write_csv
+from .io import load_csv, read_text, write_csv
 from .mar import MarConfig, MarModel, daylight_values, fit_all_horizons, forecast
 from .metrics import (
     ForecastReport,
@@ -28,8 +28,7 @@ from .metrics import (
     summary_table,
 )
 from .model_io import (
-    MAR_MAGIC,
-    NN_MAGIC,
+    detect_model_kind,
     load_mar_model,
     load_nn_models,
     save_mar_model,
@@ -110,11 +109,7 @@ def _coerce(name: str, raw: str, current) -> object:
 
 def load_config_file(path: str) -> RunConfig:
     config = RunConfig()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}") from None
+    lines = read_text(path, UsageError, "config file").splitlines()
     known = {f.name for f in fields(RunConfig)}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -172,7 +167,10 @@ def _write_text(path: str, header: dict[str, object], body: str) -> None:
 
 
 def _ensure_out(config: RunConfig) -> str:
-    os.makedirs(config.out, exist_ok=True)
+    try:
+        os.makedirs(config.out, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {config.out}: {exc.strerror}") from None
     return config.out
 
 
@@ -367,19 +365,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _detect_model_kind(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            first = fh.readline().strip()
-    except FileNotFoundError:
-        raise DataValidationError(f"model file not found: {path}") from None
-    if first == MAR_MAGIC:
-        return "mar"
-    if first == NN_MAGIC:
-        return "nn"
-    raise DataValidationError(f"{path}: not a recognized model file (first line {first!r})")
-
-
 def _evaluate_model_file(
     model_file: str, test: IrradianceSeries, config: RunConfig
 ) -> tuple[list[ForecastReport], RunConfig]:
@@ -387,7 +372,7 @@ def _evaluate_model_file(
     settings the model file fixes in place of the flags, so output
     headers record what actually ran."""
     reports: list[ForecastReport] = []
-    if _detect_model_kind(model_file) == "mar":
+    if detect_model_kind(model_file) == "mar":
         model = load_mar_model(model_file)
         config = replace(
             config,

@@ -3,7 +3,8 @@
 Schema: UTF-8, LF line endings, header ``timestamp,irradiance_wm2``,
 one row per sampling slot with an ISO-8601 timestamp. Lines starting
 with ``#`` are metadata comments (tools in this package write their
-resolved configuration there) and are skipped on load.
+resolved configuration there) and are skipped on load. ``read_text``
+is the one place that opens a text input (CSV, model or config file).
 """
 
 from __future__ import annotations
@@ -13,24 +14,35 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .errors import DataValidationError
+from .errors import DataValidationError, SolarcastError
 from .series import IrradianceSeries
 
 CSV_HEADER = "timestamp,irradiance_wm2"
 
 
+def read_text(path: str | os.PathLike, error: type[SolarcastError], what: str) -> str:
+    """The file's UTF-8 text, line endings untouched. A file that is
+    missing, unreadable or not UTF-8 raises ``error``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
 def load_csv(path: str | os.PathLike) -> IrradianceSeries:
     """Load and validate a series from the canonical CSV schema.
 
-    Rejects missing files, malformed rows (reported with their line
-    number), duplicate or missing sampling slots, and negative
-    irradiance values.
+    Rejects unreadable or non-UTF-8 files, malformed rows (reported
+    with their line number), timestamps that mix naive and UTC-offset
+    forms, duplicate or missing sampling slots, and negative irradiance
+    values.
     """
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
-    except FileNotFoundError:
-        raise DataValidationError(f"input file not found: {path}") from None
+    lines = read_text(path, DataValidationError, "input file").splitlines()
 
     timestamps: list[datetime] = []
     values: list[float] = []
@@ -77,28 +89,38 @@ def load_csv(path: str | os.PathLike) -> IrradianceSeries:
     if len(values) < 2:
         raise DataValidationError(f"{path}: need at least two data rows")
 
-    step_delta = timestamps[1] - timestamps[0]
+    try:
+        step_delta = timestamps[1] - timestamps[0]
+        # the first row whose gap to the row before is not the step
+        off_grid = next(
+            (i for i in range(2, len(timestamps))
+             if timestamps[i] - timestamps[i - 1] != step_delta),
+            None,
+        )
+    except TypeError:  # datetime cannot subtract a naive and a UTC-offset timestamp
+        first_naive = timestamps[0].tzinfo is None
+        odd = next(ts for ts in timestamps if (ts.tzinfo is None) != first_naive)
+        raise DataValidationError(
+            f"timestamp {odd.isoformat()} mixes naive and UTC-offset forms"
+        ) from None
     step_minutes = step_delta.total_seconds() / 60.0
     if step_minutes <= 0 or step_minutes != int(step_minutes):
         raise DataValidationError(
             f"first two rows imply a non-positive or fractional step of {step_minutes} minutes"
         )
-    step = int(step_minutes)
-    for i in range(1, len(timestamps)):
-        gap = timestamps[i] - timestamps[i - 1]
-        if gap == step_delta:
-            continue
-        if gap == timedelta(0):
-            raise DataValidationError(
-                f"duplicate timestamp {timestamps[i].isoformat()}"
-            )
-        expected = timestamps[i - 1] + step_delta
+    if off_grid is not None:
+        prev, found = timestamps[off_grid - 1], timestamps[off_grid]
+        if found == prev:
+            raise DataValidationError(f"duplicate timestamp {found.isoformat()}")
+        try:
+            expected = f"sample at {(prev + step_delta).isoformat()}"
+        except OverflowError:  # the previous sample is the calendar's last slot
+            expected = f"no sample after {prev.isoformat()}"
         raise DataValidationError(
-            f"irregular spacing: expected sample at {expected.isoformat()}, "
-            f"found {timestamps[i].isoformat()}"
+            f"irregular spacing: expected {expected}, found {found.isoformat()}"
         )
 
-    return IrradianceSeries(start=timestamps[0], values=np.array(values), step=step)
+    return IrradianceSeries(start=timestamps[0], values=np.array(values), step=int(step_minutes))
 
 
 def write_csv(

@@ -8,11 +8,13 @@ forecasts bit-identically to the one that was saved.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 
 from .errors import DataValidationError
+from .io import read_text
 from .mar import MarModel
 from .series import DaylightWindow, Scaler
 from .stats import EnsembleProfile
@@ -29,19 +31,36 @@ def _fmt_vec(values: np.ndarray) -> str:
     return " ".join(_fmt(v) for v in np.asarray(values, dtype=np.float64))
 
 
-def _parse_vec(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split()], dtype=np.float64)
+def detect_model_kind(path: str | os.PathLike) -> str:
+    """'mar' or 'nn', from the file's magic line."""
+    first = read_text(path, DataValidationError, "model file").partition("\n")[0].strip()
+    if first == MAR_MAGIC:
+        return "mar"
+    if first == NN_MAGIC:
+        return "nn"
+    raise DataValidationError(f"{path}: not a recognized model file (first line {first!r})")
+
+
+def _parse_values(
+    path, key: str, text: str, parse, count: int | None = None, sep: str | None = None
+) -> list:
+    """The ``sep``-separated values of a ``key`` record, each through
+    ``parse``; exactly ``count`` of them when given."""
+    try:
+        values = [parse(tok) for tok in text.split(sep)]
+    except (ValueError, OverflowError):
+        values = None
+    if values is None or (count is not None and len(values) != count):
+        raise DataValidationError(f"{path}: malformed {key!r} record {text[:40]!r}")
+    return values
 
 
 class _RecordReader:
     """Sequential ``key value`` reader with useful errors."""
 
     def __init__(self, path: str | os.PathLike, magic: str):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                self.lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-        except FileNotFoundError:
-            raise DataValidationError(f"model file not found: {path}") from None
+        text = read_text(path, DataValidationError, "model file")
+        self.lines = [ln for ln in text.splitlines() if ln.strip()]
         self.path = path
         if not self.lines:
             raise DataValidationError(f"{path}: empty model file")
@@ -71,6 +90,11 @@ class _RecordReader:
         self.pos += 1
         return rest
 
+    def take_values(
+        self, key: str, parse, count: int | None = None, sep: str | None = None
+    ) -> list:
+        return _parse_values(self.path, key, self.take(key), parse, count, sep)
+
 
 def save_mar_model(model: MarModel, path: str | os.PathLike) -> None:
     lines = [
@@ -92,19 +116,19 @@ def save_mar_model(model: MarModel, path: str | os.PathLike) -> None:
 
 def load_mar_model(path: str | os.PathLike) -> MarModel:
     reader = _RecordReader(path, MAR_MAGIC)
-    step = int(reader.take("step"))
-    order = int(reader.take("order"))
-    horizons = tuple(int(tok) for tok in reader.take("horizons").split(","))
-    ensemble_enabled = bool(int(reader.take("ensemble")))
-    day_lo, day_hi = (int(tok) for tok in reader.take("daylight").split())
-    mu, sigma = (float(tok) for tok in reader.take("scaler").split())
-    means = _parse_vec(reader.take("profile_means"))
-    support = np.array([int(tok) for tok in reader.take("profile_support").split()])
+    [step] = reader.take_values("step", int, 1)
+    [order] = reader.take_values("order", int, 1)
+    horizons = tuple(reader.take_values("horizons", int, sep=","))
+    [ensemble] = reader.take_values("ensemble", int, 1)
+    day_lo, day_hi = reader.take_values("daylight", int, 2)
+    mu, sigma = reader.take_values("scaler", float, 2)
+    means = np.array(reader.take_values("profile_means", float))
+    support = np.array(reader.take_values("profile_support", np.int64), dtype=np.int64)
     weights: dict[int, np.ndarray] = {}
     while not reader.done():
-        rest = reader.take("weights")
-        h_text, _, vec_text = rest.partition(" ")
-        weights[int(h_text)] = _parse_vec(vec_text)
+        h_text, _, vec_text = reader.take("weights").partition(" ")
+        [h] = _parse_values(path, "weights", h_text, int, 1)
+        weights[h] = np.array(_parse_values(path, "weights", vec_text, float))
     missing = [h for h in horizons if h not in weights]
     if missing:
         raise DataValidationError(f"{path}: missing weight vectors for horizons {missing}")
@@ -116,7 +140,7 @@ def load_mar_model(path: str | os.PathLike) -> MarModel:
         profile=EnsembleProfile(means=means, support_counts=support),
         daylight=DaylightWindow(start_minute=day_lo, end_minute=day_hi),
         step=step,
-        ensemble_enabled=ensemble_enabled,
+        ensemble_enabled=bool(ensemble),
     )
 
 
@@ -154,7 +178,8 @@ def _parse_param(rest: str, where: str) -> tuple[str, tuple[int, ...], np.ndarra
     """Split a ``param`` record into name, declared shape and values."""
     try:
         name, shape_text, vec_text = rest.split(" ", 2)
-        return name, tuple(int(s) for s in shape_text.split(",")), _parse_vec(vec_text)
+        values = np.array([float(tok) for tok in vec_text.split()], dtype=np.float64)
+        return name, tuple(int(s) for s in shape_text.split(",")), values
     except ValueError:
         raise DataValidationError(f"{where}: malformed param record {rest[:40]!r}") from None
 
@@ -167,29 +192,30 @@ def load_nn_models(path: str | os.PathLike) -> dict[int, "object"]:
 
     reader = _RecordReader(path, NN_MAGIC)
     kind = reader.take("kind")
-    step = int(reader.take("step"))
-    window = int(reader.take("window"))
-    day_lo, day_hi = (int(tok) for tok in reader.take("daylight").split())
-    mu, sigma = (float(tok) for tok in reader.take("scaler").split())
+    [step] = reader.take_values("step", int, 1)
+    [window] = reader.take_values("window", int, 1)
+    day_lo, day_hi = reader.take_values("daylight", int, 2)
+    mu, sigma = reader.take_values("scaler", float, 2)
     spec_text = reader.take("spec")
-    if kind == "cnn":
-        spec = ConvSpec.from_text(spec_text)
-    elif kind == "lstm":
-        spec = LstmSpec.from_text(spec_text)
-    else:
+    specs = {"cnn": ConvSpec, "lstm": LstmSpec}
+    if kind not in specs:
         raise DataValidationError(f"{path}: unknown network kind {kind!r}")
+    try:
+        spec = specs[kind].from_text(spec_text)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{path}: spec record: {exc}") from None
 
     expected = spec.param_shapes()
     models: dict[int, NeuralModel] = {}
     while not reader.done():
-        horizon = int(reader.take("horizon"))
+        [horizon] = reader.take_values("horizon", int, 1)
         where = f"{path}: horizon {horizon}"
         params: dict[str, np.ndarray] = {}
         while reader.peek_key() == "param":
             name, shape, values = _parse_param(reader.take("param"), where)
             if name not in expected or name in params:
                 raise DataValidationError(f"{where}: unknown or repeated {kind} parameter {name!r}")
-            if shape != expected[name] or values.size != int(np.prod(shape)):
+            if shape != expected[name] or values.size != math.prod(shape):
                 raise DataValidationError(
                     f"{where}: parameter {name} has shape {shape} and {values.size} values, "
                     f"expected shape {expected[name]}"

@@ -39,7 +39,12 @@ def _spec_from_text(cls, text: str):
         name, _, raw = token.partition("=")
         if name not in types:
             raise DataValidationError(f"unknown {cls.__name__} field {name!r}")
-        kwargs[name] = float(raw) if types[name] == "float" else int(raw)
+        try:
+            kwargs[name] = float(raw) if types[name] == "float" else int(raw)
+        except ValueError:
+            raise DataValidationError(
+                f"{cls.__name__} field {name}: cannot parse {raw!r}"
+            ) from None
     return cls(**kwargs)
 
 
@@ -56,6 +61,9 @@ class ConvSpec:
     epochs: int = 30
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise DataValidationError(f"CNN spec field {f.name} must be positive")
         if self.kernel_size > self.window:
             raise DataValidationError(
                 f"kernel size {self.kernel_size} exceeds the {self.window}-sample window"

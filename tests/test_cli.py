@@ -23,7 +23,7 @@ from solarcast import (
 )
 from solarcast import cli
 from solarcast.cli import main
-from solarcast.nn import LstmNetwork, LstmSpec, NeuralModel, train_lstm
+from solarcast.nn import CnnNetwork, ConvSpec, LstmNetwork, LstmSpec, NeuralModel, train_lstm
 from solarcast.series import IrradianceSeries
 
 from conftest import AR4_COEFFS, simulate_ar
@@ -273,17 +273,26 @@ class TestEvaluate:
         assert code == 1
 
 
-@pytest.fixture(scope="module")
-def lstm_file_lines(mixed_csv, tmp_path_factory):
-    """The lines of an untrained one-horizon ``lstm.model``."""
+def untrained_file_lines(kind, mixed_csv, tmp_path_factory):
+    """The lines of an untrained one-horizon ``<kind>.model``."""
     train, _ = split(load_csv(mixed_csv), 0.7)
-    spec = LstmSpec()
-    model = NeuralModel(kind="lstm", spec=spec, horizon=1, params=LstmNetwork(spec).params,
+    spec, network = (ConvSpec(), CnnNetwork) if kind == "cnn" else (LstmSpec(), LstmNetwork)
+    model = NeuralModel(kind=kind, spec=spec, horizon=1, params=network(spec).params,
                         scaler=fit_scaler(train), daylight=DaylightWindow(), step=train.step,
                         window=spec.window)
-    path = tmp_path_factory.mktemp("nnfile") / "lstm.model"
+    path = tmp_path_factory.mktemp("nnfile") / f"{kind}.model"
     save_nn_models([model], path)
     return path.read_text().splitlines()
+
+
+@pytest.fixture(scope="module")
+def lstm_file_lines(mixed_csv, tmp_path_factory):
+    return untrained_file_lines("lstm", mixed_csv, tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def cnn_file_lines(mixed_csv, tmp_path_factory):
+    return untrained_file_lines("cnn", mixed_csv, tmp_path_factory)
 
 
 class TestNnModelFileValidation:
@@ -315,6 +324,32 @@ class TestNnModelFileValidation:
     def test_unknown_param(self, mixed_csv, tmp_path, lstm_file_lines, capsys):
         assert self.evaluate(mixed_csv, tmp_path, [*lstm_file_lines, "param w_z 1 0.5"]) == 2
         assert "parameter 'w_z'" in capsys.readouterr().err
+
+
+class TestScalarRecords:
+    """A scalar record that does not parse is a data error naming the
+    file and the record."""
+
+    @pytest.mark.parametrize("lines, record, edited, message", [
+        ("cnn_file_lines", "horizon 1", "horizon one", "malformed 'horizon' record 'one'"),
+        ("mar_file", "step 10", "step ten", "malformed 'step' record 'ten'"),
+        ("lstm_file_lines", "epochs=100", "epochs=two", "spec record: LstmSpec field epochs"),
+    ])
+    def test_unparsable_record_exits_2(self, request, mixed_csv, tmp_path, capfd,
+                                       lines, record, edited, message):
+        lines = request.getfixturevalue(lines)
+        if not isinstance(lines, list):
+            lines = lines.read_text().splitlines()
+        edited_lines = [ln.replace(record, edited) for ln in lines]
+        assert edited_lines != lines
+        path = tmp_path / "edited.model"
+        path.write_text("\n".join(edited_lines) + "\n")
+        code = run("evaluate", "--data", str(mixed_csv), "--model-file", str(path),
+                   "--horizons", "1", "--out", str(tmp_path))
+        err = capfd.readouterr().err
+        assert code == 2
+        assert f"{path}: {message}" in err
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +400,28 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("timestamp,irradiance_wm2\n2024-01-01T00:00:00,oops\n")
         assert run("diagnose", "--data", str(bad), "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("case", ["mixed_offsets", "not_utf8", "directory"])
+    def test_unreadable_data_exits_2(self, tmp_path, capfd, case):
+        path = tmp_path / "data.csv"
+        if case == "mixed_offsets":
+            path.write_text("timestamp,irradiance_wm2\n2024-01-01T00:00:00,0\n"
+                            "2024-01-01T00:10:00+00:00,0\n")
+        elif case == "not_utf8":
+            path.write_bytes(b"# caf\xe9\ntimestamp,irradiance_wm2\n")
+        else:
+            path.mkdir()
+        code = run("diagnose", "--data", str(path), "--out", str(tmp_path / "out"))
+        err = capfd.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ") and "Traceback" not in err
+
+    def test_out_under_regular_file_exits_1(self, mixed_csv, tmp_path, capfd):
+        (tmp_path / "plain").write_text("")
+        code = run("diagnose", "--data", str(mixed_csv), "--out", str(tmp_path / "plain" / "sub"))
+        err = capfd.readouterr().err
+        assert code == 1
+        assert "cannot create output directory" in err and "Traceback" not in err
 
     def test_numerical_error_rank_deficient(self, tmp_path):
         # per-day-constant data: every lag column of the deducted

@@ -78,6 +78,16 @@ class TestMarModelFile:
         with pytest.raises(DataValidationError, match="horizons \\[6\\]"):
             load_mar_model(path)
 
+    def test_support_count_beyond_int64_rejected(self, fitted, tmp_path):
+        model, _ = fitted
+        path = tmp_path / "m.model"
+        save_mar_model(model, path)
+        lines = [ln.replace("profile_support ", "profile_support 99999999999999999999 ", 1)
+                 for ln in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataValidationError, match="malformed 'profile_support' record"):
+            load_mar_model(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataValidationError, match="not found"):
             load_mar_model(tmp_path / "absent.model")

@@ -1,5 +1,7 @@
 """Adam, the training loops, persistence, and forecast post-processing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,17 @@ from solarcast import (
     split,
 )
 from solarcast.nn import Adam, ConvSpec, LstmSpec, nn_forecast, train_cnn, train_lstm
+from solarcast.nn import training
 from solarcast.nn.networks import CnnNetwork, LstmNetwork
 from solarcast.nn.training import NeuralModel, build_windows, loss_curve_csv, mse_loss, _train
-from solarcast.series import DaylightWindow, Scaler, fit_scaler, standardize
+from solarcast.series import (
+    DaylightWindow,
+    IrradianceSeries,
+    Scaler,
+    fit_scaler,
+    inverse_difference,
+    standardize,
+)
 
 
 class TestAdam:
@@ -239,6 +249,53 @@ class TestNnForecast:
             nn_forecast(model, test, horizon=1)
 
 
+def untrained_model(kind: str, train: IrradianceSeries) -> NeuralModel:
+    """A freshly initialised one-step network; forecasting needs no training."""
+    spec, network = (ConvSpec(), CnnNetwork) if kind == "cnn" else (LstmSpec(), LstmNetwork)
+    return NeuralModel(kind=kind, spec=spec, horizon=1, params=network(spec, seed=3).params,
+                       scaler=fit_scaler(train), daylight=DaylightWindow(), step=train.step,
+                       window=spec.window)
+
+
+class TestBlockwiseForecast:
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_blocks_match_one_batch(self, mixed_40d_split, monkeypatch, kind):
+        train, test = mixed_40d_split
+        model = untrained_model(kind, train)
+        windows = build_windows(standardize(test, model.scaler), model.window, 1,
+                                model.daylight, differenced=(kind == "cnn"))
+        pred = model.network().predict(windows.inputs)
+        if windows.differenced:
+            pred = inverse_difference(pred, windows.anchors)
+        whole = np.clip(pred * model.scaler.sigma + model.scaler.mu, 0.0, None)
+
+        monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", 7)
+        rows = windows.sample_index.size
+        assert rows > 100 * 7 and rows % 7  # many blocks, the last one ragged
+        report = nn_forecast(model, test)
+        assert report.timestamps == [test.timestamp(int(i)) for i in windows.sample_index]
+        assert np.array_equal(report.actual, test.values[windows.sample_index])
+        np.testing.assert_allclose(report.predicted, whole, rtol=1e-12, atol=0.0)
+
+    def test_lstm_memory_is_one_block_deep(self, mixed_40d_split, monkeypatch):
+        train, test = mixed_40d_split
+        model = untrained_model("lstm", train)
+        one_day = IrradianceSeries(test.start, test.values[: test.samples_per_day], test.step)
+        block = build_windows(one_day, model.window, 1, model.daylight, False).targets.size
+        monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", block)
+        assert test.n_days >= 8  # the whole test split spans at least 8 blocks
+
+        def traced_peak(series: IrradianceSeries) -> int:
+            tracemalloc.start()
+            try:
+                nn_forecast(model, series)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(test) < 3 * traced_peak(one_day)
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, mixed_40d_split, tmp_path):
         train, test = mixed_40d_split
@@ -273,6 +330,16 @@ class TestPersistence:
     def test_spec_param_shapes_match_initial_params(self, network, spec):
         params = network(spec=spec, seed=0).params
         assert {name: arr.shape for name, arr in params.items()} == spec.param_shapes()
+
+    @pytest.mark.parametrize("spec, text, message", [
+        (ConvSpec, "pool_size=0", "pool_size must be positive"),
+        (ConvSpec, "learning_rate=fast", "learning_rate: cannot parse 'fast'"),
+        (LstmSpec, "epochs=two", "epochs: cannot parse 'two'"),
+        (LstmSpec, "units", "units: cannot parse ''"),
+    ])
+    def test_bad_spec_text_is_a_data_error(self, spec, text, message):
+        with pytest.raises(DataValidationError, match=message):
+            spec.from_text(text)
 
     def test_mixed_kinds_rejected(self, mixed_40d_split, tmp_path):
         train, _ = mixed_40d_split

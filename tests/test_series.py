@@ -57,6 +57,14 @@ class TestLoadCsv:
         with pytest.raises(DataValidationError, match=expected):
             load_csv(path)
 
+    def test_gap_after_the_calendars_last_slot(self, tmp_path):
+        # the expected next sample lies past datetime.max
+        path = tmp_path / "end.csv"
+        path.write_text("timestamp,irradiance_wm2\n" + "".join(
+            f"9999-12-31T23:{m}:00,1\n" for m in (30, 40, 50, 55)))
+        with pytest.raises(DataValidationError, match="no sample after 9999-12-31T23:50:00"):
+            load_csv(path)
+
     def test_duplicate_timestamp(self, tmp_path):
         path = tmp_path / "dup.csv"
         rows = grid_rows(288)
