@@ -55,18 +55,18 @@ with tempfile.TemporaryDirectory() as tmp:
     )
 print("save/load forecasts bit-identical:", bool(same))
 
-# one test day, observed vs predicted at each horizon
+# one test day, observed vs predicted at each horizon: rows whose
+# sample index falls in the test series' first day
+spd = test.samples_per_day
+first_day = test.start.date()
 day_report = reports[0]
-first_day = day_report.timestamps[0].date()
-mask = np.array([ts.date() == first_day for ts in day_report.timestamps])
-hours = np.array([ts.hour + ts.minute / 60 for ts, m in zip(day_report.timestamps, mask) if m])
+mask = day_report.sample_index < spd
+hours = day_report.sample_index[mask] * test.step / 60
 curves = [("observed", hours, day_report.actual[mask])]
 for report in reports:
-    m = np.array([ts.date() == first_day for ts in report.timestamps])
+    m = report.sample_index < spd
     label = f"{report.horizon * test.step} min ahead"
-    curves.append((label, np.array([ts.hour + ts.minute / 60
-                                    for ts, keep in zip(report.timestamps, m) if keep]),
-                   report.predicted[m]))
+    curves.append((label, report.sample_index[m] * test.step / 60, report.predicted[m]))
 chart = os.path.join(OUT, "mar_day.svg")
 write_line_chart(chart, curves, title=f"Observed vs predicted, {first_day}",
                  x_label="hour of day", y_label="irradiance W/m2")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .errors import DataValidationError, NumericalError, UsageError
-from .io import load_csv, read_text, write_csv
+from .io import load_csv, read_text, write_csv, write_text
 from .mar import MarConfig, MarModel, daylight_values, fit_all_horizons, forecast
 from .metrics import (
     ForecastReport,
@@ -160,10 +160,8 @@ def _header_lines(config: RunConfig, command: str) -> dict[str, object]:
 
 
 def _write_text(path: str, header: dict[str, object], body: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in header.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(body)
+    comments = "".join(f"# {key}={value}\n" for key, value in header.items())
+    write_text(path, comments + body)
 
 
 def _ensure_out(config: RunConfig) -> str:
@@ -436,34 +434,25 @@ def _overlay_charts(
     by_horizon: dict[int, list[ForecastReport]] = {}
     for report in reports:
         by_horizon.setdefault(report.horizon, []).append(report)
-    day_start = test.start
-    day_end = day_start.replace(hour=23, minute=59)
     header = _header_lines(config, "compare")
     comment = " ".join(f"{k}={v}" for k, v in header.items())
     for horizon, horizon_reports in sorted(by_horizon.items()):
-        curves = []
         first = horizon_reports[0]
-        day_mask = [day_start <= ts <= day_end for ts in first.timestamps]
-        hours = np.array(
-            [ts.hour + ts.minute / 60.0 for ts, keep in zip(first.timestamps, day_mask) if keep]
-        )
-        curves.append(("observed", hours, first.actual[np.array(day_mask)]))
+        # the first test day's slots are the indices below one day
+        on_first_day = first.sample_index < test.samples_per_day
+        minutes = first.sample_index[on_first_day] * test.step
+        hours = minutes // 60 + (minutes % 60) / 60.0
+        curves = [("observed", hours, first.actual[on_first_day])]
         for report in horizon_reports:
-            mask = np.array([day_start <= ts <= day_end for ts in report.timestamps])
-            curves.append((report.model, hours, report.predicted[mask]))
-        minutes = horizon * test.step
-        title = f"Observed vs predicted, {minutes}-minute horizon, {day_start.date()}"
-        path = os.path.join(out_dir, f"overlay_h{horizon}.svg")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(
-                render_line_chart(
-                    curves,
-                    title=title,
-                    x_label="hour of day",
-                    y_label="irradiance W/m2",
-                    comment=comment,
-                )
-            )
+            on_first_day = report.sample_index < test.samples_per_day
+            curves.append((report.model, hours, report.predicted[on_first_day]))
+        title = (
+            f"Observed vs predicted, {horizon * test.step}-minute horizon, {test.start.date()}"
+        )
+        svg = render_line_chart(
+            curves, title=title, x_label="hour of day", y_label="irradiance W/m2", comment=comment
+        )
+        write_text(os.path.join(out_dir, f"overlay_h{horizon}.svg"), svg)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -4,18 +4,23 @@ Schema: UTF-8, LF line endings, header ``timestamp,irradiance_wm2``,
 one row per sampling slot with an ISO-8601 timestamp. Lines starting
 with ``#`` are metadata comments (tools in this package write their
 resolved configuration there) and are skipped on load. ``read_text``
-is the one place that opens a text input (CSV, model or config file).
+is the one place that opens a text input (CSV, model or config file),
+``write_text`` the one place that writes an output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
-from datetime import datetime, timedelta
+from datetime import datetime
+from itertools import accumulate, filterfalse, islice, repeat
+from operator import eq, itemgetter, methodcaller
+from typing import NoReturn
 
 import numpy as np
 
-from .errors import DataValidationError, SolarcastError
-from .series import IrradianceSeries
+from .errors import DataValidationError, SolarcastError, UsageError
+from .series import IrradianceSeries, grid_rows
 
 CSV_HEADER = "timestamp,irradiance_wm2"
 
@@ -34,6 +39,33 @@ def read_text(path: str | os.PathLike, error: type[SolarcastError], what: str) -
         raise error(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
+def write_text(path: str | os.PathLike, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` atomically: into a temporary
+    file next to it, then renamed over it, so an interrupted write
+    never leaves a partial file. A symlink is followed; a target that
+    exists but is not a regular file (a device, a pipe) is refused
+    rather than replaced. A failure raises ``UsageError``."""
+    target = os.path.realpath(path)
+    if os.path.lexists(target) and not os.path.isfile(target):
+        raise UsageError(f"cannot write {path}: not a regular file")
+    directory, name = os.path.split(target)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _fields(rows: list[str], which: int):
+    """Field ``which`` (0 or 2) of every data row's partition at its
+    first comma."""
+    return map(itemgetter(which), map(methodcaller("partition", ","), islice(rows, 1, None)))
+
+
 def load_csv(path: str | os.PathLike) -> IrradianceSeries:
     """Load and validate a series from the canonical CSV schema.
 
@@ -41,11 +73,46 @@ def load_csv(path: str | os.PathLike) -> IrradianceSeries:
     with their line number), timestamps that mix naive and UTC-offset
     forms, duplicate or missing sampling slots, and negative irradiance
     values.
+
+    Rows are parsed and checked in whole-column passes; only a file
+    that fails one is searched line by line for the error to report.
     """
     lines = read_text(path, DataValidationError, "input file").splitlines()
+    # the header, then the data rows; blank and comment lines dropped
+    rows = list(filterfalse(methodcaller("startswith", "#"), filter(None, map(str.strip, lines))))
+    try:
+        valid = bool(rows) and rows[0] == CSV_HEADER and len(rows) > 2
+        if valid:
+            values = np.fromiter(map(float, _fields(rows, 2)), np.float64, len(rows) - 1)
+            start, second = map(datetime.fromisoformat, islice(_fields(rows, 0), 2))
+            step_delta = second - start
+            grid = accumulate(repeat(step_delta), initial=start)
+            valid = (
+                bool(np.isfinite(values).all())
+                and not (values < 0).any()
+                and all(map(eq, map(datetime.fromisoformat, _fields(rows, 0)), grid))
+            )
+    except (ValueError, TypeError, OverflowError):
+        valid = False
+    if not valid:
+        _raise_first_error(lines, path)
+    return IrradianceSeries(start=start, values=values, step=_step_minutes(step_delta))
 
+
+def _step_minutes(step_delta) -> int:
+    step_minutes = step_delta.total_seconds() / 60.0
+    if step_minutes <= 0 or step_minutes != int(step_minutes):
+        raise DataValidationError(
+            f"first two rows imply a non-positive or fractional step of {step_minutes} minutes"
+        )
+    return int(step_minutes)
+
+
+def _raise_first_error(lines: list[str], path: str | os.PathLike) -> NoReturn:
+    """Raise the error of a file that failed a whole-column check: the
+    first malformed line in file order, else the first break in the
+    grid."""
     timestamps: list[datetime] = []
-    values: list[float] = []
     header_seen = False
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -82,11 +149,10 @@ def load_csv(path: str | os.PathLike) -> IrradianceSeries:
                 f"line {lineno}: negative irradiance {value} at {ts.isoformat()}"
             )
         timestamps.append(ts)
-        values.append(value)
 
     if not header_seen:
         raise DataValidationError(f"{path}: no header line found")
-    if len(values) < 2:
+    if len(timestamps) < 2:
         raise DataValidationError(f"{path}: need at least two data rows")
 
     try:
@@ -103,24 +169,19 @@ def load_csv(path: str | os.PathLike) -> IrradianceSeries:
         raise DataValidationError(
             f"timestamp {odd.isoformat()} mixes naive and UTC-offset forms"
         ) from None
-    step_minutes = step_delta.total_seconds() / 60.0
-    if step_minutes <= 0 or step_minutes != int(step_minutes):
-        raise DataValidationError(
-            f"first two rows imply a non-positive or fractional step of {step_minutes} minutes"
-        )
-    if off_grid is not None:
-        prev, found = timestamps[off_grid - 1], timestamps[off_grid]
-        if found == prev:
-            raise DataValidationError(f"duplicate timestamp {found.isoformat()}")
-        try:
-            expected = f"sample at {(prev + step_delta).isoformat()}"
-        except OverflowError:  # the previous sample is the calendar's last slot
-            expected = f"no sample after {prev.isoformat()}"
-        raise DataValidationError(
-            f"irregular spacing: expected {expected}, found {found.isoformat()}"
-        )
-
-    return IrradianceSeries(start=timestamps[0], values=np.array(values), step=int(step_minutes))
+    _step_minutes(step_delta)
+    if off_grid is None:  # not reached: each whole-column check has a line-level twin above
+        raise DataValidationError(f"{path}: rows failed validation")
+    prev, found = timestamps[off_grid - 1], timestamps[off_grid]
+    if found == prev:
+        raise DataValidationError(f"duplicate timestamp {found.isoformat()}")
+    try:
+        expected = f"sample at {(prev + step_delta).isoformat()}"
+    except OverflowError:  # the previous sample is the calendar's last slot
+        expected = f"no sample after {prev.isoformat()}"
+    raise DataValidationError(
+        f"irregular spacing: expected {expected}, found {found.isoformat()}"
+    )
 
 
 def write_csv(
@@ -130,14 +191,6 @@ def write_csv(
 ) -> None:
     """Write a series in the canonical schema, with optional
     ``# key=value`` metadata lines before the header."""
-    chunks: list[str] = []
-    for key, value in (header_comments or {}).items():
-        chunks.append(f"# {key}={value}\n")
-    chunks.append(CSV_HEADER + "\n")
-    ts = series.start
-    delta = timedelta(minutes=series.step)
-    for value in series.values:
-        chunks.append(f"{ts.isoformat()},{value:.17g}\n")
-        ts = ts + delta
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(chunks))
+    header = "".join(f"# {key}={value}\n" for key, value in (header_comments or {}).items())
+    body = grid_rows(series.start, series.step, np.arange(len(series)), ",%.17g\n", series.values)
+    write_text(path, f"{header}{CSV_HEADER}\n{body}")

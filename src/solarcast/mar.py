@@ -246,7 +246,9 @@ def forecast(
     return ForecastReport(
         model=name,
         horizon=horizon,
-        timestamps=[test.timestamp(int(i)) for i in targets],
+        start=test.start,
+        step=test.step,
+        sample_index=targets,
         actual=test.values[targets],
         predicted=predicted,
     )

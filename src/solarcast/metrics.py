@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, time
 
 import numpy as np
 
 from .errors import DataValidationError
+from .series import MINUTES_PER_DAY, grid_rows
 
 DEFAULT_MAPE_THRESHOLD = 20.0
 
@@ -56,19 +57,29 @@ def mape(actual, predicted, min_actual: float = DEFAULT_MAPE_THRESHOLD) -> float
 
 @dataclass
 class ForecastReport:
-    """Predicted/actual pairs for one model at one horizon."""
+    """Predicted/actual pairs for one model at one horizon. Row ``r``
+    is the grid slot ``sample_index[r]``, at ``start`` plus that many
+    ``step``-minute steps."""
 
     model: str
     horizon: int
-    timestamps: list[datetime]
+    start: datetime
+    step: int
+    sample_index: np.ndarray
     actual: np.ndarray
     predicted: np.ndarray
 
     def __post_init__(self) -> None:
+        self.sample_index = np.asarray(self.sample_index, dtype=np.int64)
         self.actual = np.asarray(self.actual, dtype=np.float64)
         self.predicted = np.asarray(self.predicted, dtype=np.float64)
-        if not (len(self.timestamps) == self.actual.size == self.predicted.size):
-            raise DataValidationError("report rows must align timestamps, actuals, predictions")
+        if not (self.sample_index.size == self.actual.size == self.predicted.size):
+            raise DataValidationError("report rows must align sample indices, actuals, predictions")
+        if self.start.time() != time(0) or self.step <= 0 or MINUTES_PER_DAY % self.step:
+            raise DataValidationError(
+                f"report grid must start at midnight on a step dividing the day, "
+                f"got {self.start.isoformat()} and step {self.step}"
+            )
 
     def __len__(self) -> int:
         return self.actual.size
@@ -149,8 +160,10 @@ def summary_table(cells: list[SummaryCell], step: int = 10) -> str:
 
 
 def report_rows_csv(reports: list[ForecastReport]) -> str:
-    lines = ["timestamp,model,horizon,actual_wm2,predicted_wm2"]
+    chunks = ["timestamp,model,horizon,actual_wm2,predicted_wm2\n"]
     for report in reports:
-        for ts, a, p in zip(report.timestamps, report.actual, report.predicted):
-            lines.append(f"{ts.isoformat()},{report.model},{report.horizon},{a:.17g},{p:.17g}")
-    return "\n".join(lines) + "\n"
+        tail = f",{report.model.replace('%', '%%')},{report.horizon},%.17g,%.17g\n"
+        chunks.append(grid_rows(
+            report.start, report.step, report.sample_index, tail, report.actual, report.predicted
+        ))
+    return "".join(chunks)

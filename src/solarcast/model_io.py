@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .errors import DataValidationError
-from .io import read_text
+from .io import read_text, write_text
 from .mar import MarModel
 from .series import DaylightWindow, Scaler
 from .stats import EnsembleProfile
@@ -110,8 +110,7 @@ def save_mar_model(model: MarModel, path: str | os.PathLike) -> None:
     ]
     for h in model.horizons:
         lines.append(f"weights {h} {_fmt_vec(model.weights[h])}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_mar_model(path: str | os.PathLike) -> MarModel:
@@ -170,8 +169,7 @@ def save_nn_models(models: list, path: str | os.PathLike) -> None:
             arr = model.params[name]
             shape = ",".join(str(s) for s in arr.shape)
             lines.append(f"param {name} {shape} {_fmt_vec(arr.reshape(-1))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def _parse_param(rest: str, where: str) -> tuple[str, tuple[int, ...], np.ndarray]:
@@ -204,6 +202,10 @@ def load_nn_models(path: str | os.PathLike) -> dict[int, "object"]:
         spec = specs[kind].from_text(spec_text)
     except DataValidationError as exc:
         raise DataValidationError(f"{path}: spec record: {exc}") from None
+    if window != spec.window:
+        raise DataValidationError(
+            f"{path}: window record {window} does not match the spec's window={spec.window}"
+        )
 
     expected = spec.param_shapes()
     models: dict[int, NeuralModel] = {}

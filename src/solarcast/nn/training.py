@@ -271,7 +271,9 @@ def nn_forecast(
     return ForecastReport(
         model=model.kind,
         horizon=model.horizon,
-        timestamps=[test.timestamp(int(i)) for i in windows.sample_index],
+        start=test.start,
+        step=test.step,
+        sample_index=windows.sample_index,
         actual=test.values[windows.sample_index],
         predicted=pred_raw,
     )

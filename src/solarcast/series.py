@@ -11,7 +11,7 @@ the CSV loader is where raw files get validated against this contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime, time, timedelta
+from datetime import datetime, time, timedelta, timezone
 
 import numpy as np
 
@@ -55,6 +55,12 @@ class IrradianceSeries:
         if self.start.time() != time(0, 0) or self.start.second or self.start.microsecond:
             raise DataValidationError(
                 f"series must start at midnight for day alignment, got {self.start.isoformat()}"
+            )
+        if not (self.start.tzinfo is None or isinstance(self.start.tzinfo, timezone)):
+            # a zone with daylight saving would put an hour's gap or
+            # overlap on the wall-clock grid
+            raise DataValidationError(
+                f"series start must be naive or carry a fixed UTC offset, got {self.start.tzinfo!r}"
             )
         values = values.copy()
         values.setflags(write=False)
@@ -146,6 +152,41 @@ class DaylightWindow:
     def slot_count(self, step: int) -> int:
         lo, hi = self.slot_bounds(step)
         return hi - lo + 1
+
+
+def grid_rows(
+    start: datetime, step: int, index: np.ndarray, row_tail: str, *columns: np.ndarray
+) -> str:
+    """Text lines, one per grid slot in ``index``: the slot's timestamp
+    as ``(start + slot * step minutes).isoformat()`` writes it, then
+    ``row_tail`` %-formatted with the row's value from each column.
+
+    No ``datetime`` is made per row. Each run of rows on one day is one
+    template, the day's date prefix before each slot's time-and-offset
+    suffix, filled in by one ``%`` operation. ``start`` is a midnight
+    with a fixed UTC offset or none, as an ``IrradianceSeries`` start
+    is; ``row_tail`` has its literal ``%`` signs doubled."""
+    index = np.asarray(index, dtype=np.int64)
+    if index.size == 0:
+        return ""
+    days, slots = np.divmod(index, MINUTES_PER_DAY // step)
+    offset = start.isoformat()[len("YYYY-MM-DDTHH:MM:SS"):]
+    suffixes = [
+        f"{minute // 60:02d}:{minute % 60:02d}:00{offset}"
+        for minute in range(0, MINUTES_PER_DAY, step)
+    ]
+    cuts = (np.flatnonzero(np.diff(days)) + 1).tolist()
+    chunks = []
+    for lo, hi in zip([0, *cuts], [*cuts, index.size]):
+        prefix = (start.date() + timedelta(days=int(days[lo]))).isoformat() + "T"
+        template = prefix + (row_tail + prefix).join(
+            map(suffixes.__getitem__, slots[lo:hi].tolist())
+        ) + row_tail
+        values = [None] * (len(columns) * (hi - lo))
+        for k, column in enumerate(columns):
+            values[k :: len(columns)] = column[lo:hi].tolist()
+        chunks.append(template % tuple(values))
+    return "".join(chunks)
 
 
 def row_index(

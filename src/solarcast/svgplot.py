@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import os
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .errors import DataValidationError
+from .io import write_text
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -15,6 +15,11 @@ MARGIN_LEFT = 64
 MARGIN_RIGHT = 16
 MARGIN_TOP = 34
 MARGIN_BOTTOM = 46
+
+
+def escape(text: str) -> str:
+    """``&``, ``>`` and ``<`` as XML entities, ``&`` first."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -140,5 +145,4 @@ def render_line_chart(
 
 
 def write_line_chart(path: str | os.PathLike, *args, **kwargs) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_line_chart(*args, **kwargs))
+    write_text(path, render_line_chart(*args, **kwargs))

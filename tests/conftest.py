@@ -6,12 +6,12 @@ never by calling the code paths they check.
 
 from __future__ import annotations
 
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from solarcast import DaylightWindow, IrradianceSeries, generate_synthetic
+from solarcast import DataValidationError, DaylightWindow, IrradianceSeries, generate_synthetic
 
 # AR(4) coefficients with a clean PACF signature: every partial
 # autocorrelation at lags 1..4 stays above 0.2 in magnitude while lags
@@ -113,12 +113,13 @@ def windows_oracle(z: IrradianceSeries, window: int, horizon: int, daylight, dif
 
 
 def forecast_oracle(model, test: IrradianceSeries, horizon: int, recursive: bool):
-    """Timestamps, actuals and predictions of a fitted autoregressive
-    model, one dot product per row (and per step when recursive)."""
+    """Sample indices, actuals and predictions of a fitted
+    autoregressive model, one dot product per row (and per step when
+    recursive)."""
     lo, hi = model.daylight.slot_bounds(test.step)
     mu, sigma, m = model.scaler.mu, model.scaler.sigma, model.order
     means = model.profile.means if model.ensemble_enabled else np.zeros(test.samples_per_day)
-    timestamps, actual, predicted = [], [], []
+    sample_index, actual, predicted = [], [], []
     for d, day in enumerate(test.day_matrix()):
         domain = (day - mu) / sigma - means
         for t in range(lo + m + horizon - 1, hi + 1):
@@ -131,7 +132,111 @@ def forecast_oracle(model, test: IrradianceSeries, horizon: int, recursive: bool
                     state[0] = pred
             else:
                 pred = float(np.dot(model.weights[horizon], state))
-            timestamps.append(test.timestamp(d * test.samples_per_day + t))
+            sample_index.append(d * test.samples_per_day + t)
             actual.append(day[t])
             predicted.append(max((pred + means[t]) * sigma + mu, 0.0))
-    return timestamps, np.array(actual), np.array(predicted)
+    return np.array(sample_index, dtype=np.int64), np.array(actual), np.array(predicted)
+
+
+def load_csv_oracle(path) -> IrradianceSeries:
+    """The canonical CSV loader as one loop over the lines: parse and
+    check each row in file order, then the spacing of every pair."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().splitlines()
+    timestamps, values = [], []
+    header_seen = False
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if not header_seen:
+            if stripped != "timestamp,irradiance_wm2":
+                raise DataValidationError(
+                    f"line {lineno}: expected header 'timestamp,irradiance_wm2', got {stripped!r}"
+                )
+            header_seen = True
+            continue
+        parts = stripped.split(",")
+        if len(parts) != 2:
+            raise DataValidationError(
+                f"line {lineno}: expected two comma-separated fields, got {len(parts)}"
+            )
+        try:
+            ts = datetime.fromisoformat(parts[0])
+        except ValueError:
+            raise DataValidationError(
+                f"line {lineno}: malformed ISO-8601 timestamp {parts[0]!r}"
+            ) from None
+        try:
+            value = float(parts[1])
+        except ValueError:
+            raise DataValidationError(
+                f"line {lineno}: malformed irradiance value {parts[1]!r}"
+            ) from None
+        if not np.isfinite(value):
+            raise DataValidationError(f"line {lineno}: non-finite irradiance value")
+        if value < 0:
+            raise DataValidationError(
+                f"line {lineno}: negative irradiance {value} at {ts.isoformat()}"
+            )
+        timestamps.append(ts)
+        values.append(value)
+    if not header_seen:
+        raise DataValidationError(f"{path}: no header line found")
+    if len(values) < 2:
+        raise DataValidationError(f"{path}: need at least two data rows")
+    try:
+        step_delta = timestamps[1] - timestamps[0]
+        off_grid = None
+        for i in range(2, len(timestamps)):
+            if timestamps[i] - timestamps[i - 1] != step_delta:
+                off_grid = i
+                break
+    except TypeError:
+        first_naive = timestamps[0].tzinfo is None
+        odd = next(ts for ts in timestamps if (ts.tzinfo is None) != first_naive)
+        raise DataValidationError(
+            f"timestamp {odd.isoformat()} mixes naive and UTC-offset forms"
+        ) from None
+    step_minutes = step_delta.total_seconds() / 60.0
+    if step_minutes <= 0 or step_minutes != int(step_minutes):
+        raise DataValidationError(
+            f"first two rows imply a non-positive or fractional step of {step_minutes} minutes"
+        )
+    if off_grid is not None:
+        prev, found = timestamps[off_grid - 1], timestamps[off_grid]
+        if found == prev:
+            raise DataValidationError(f"duplicate timestamp {found.isoformat()}")
+        try:
+            expected = f"sample at {(prev + step_delta).isoformat()}"
+        except OverflowError:
+            expected = f"no sample after {prev.isoformat()}"
+        raise DataValidationError(
+            f"irregular spacing: expected {expected}, found {found.isoformat()}"
+        )
+    return IrradianceSeries(start=timestamps[0], values=np.array(values), step=int(step_minutes))
+
+
+def grid_timestamps_oracle(start: datetime, step: int, index) -> list[datetime]:
+    """One ``datetime`` per grid slot."""
+    return [start + timedelta(minutes=int(i) * step) for i in index]
+
+
+def write_csv_oracle(series: IrradianceSeries, header_comments=None) -> str:
+    """The canonical CSV text, one f-string per row."""
+    lines = [f"# {key}={value}\n" for key, value in (header_comments or {}).items()]
+    lines.append("timestamp,irradiance_wm2\n")
+    stamps = grid_timestamps_oracle(series.start, series.step, range(len(series)))
+    for ts, value in zip(stamps, series.values):
+        lines.append(f"{ts.isoformat()},{value:.17g}\n")
+    return "".join(lines)
+
+
+def report_rows_csv_oracle(reports) -> str:
+    """Forecast rows CSV text, one f-string per row."""
+    lines = ["timestamp,model,horizon,actual_wm2,predicted_wm2"]
+    for report in reports:
+        stamps = grid_timestamps_oracle(report.start, report.step, report.sample_index)
+        for ts, a, p in zip(stamps, report.actual, report.predicted):
+            lines.append(f"{ts.isoformat()},{report.model},{report.horizon},{a:.17g},{p:.17g}")
+    return "\n".join(lines) + "\n"

@@ -356,5 +356,6 @@ def test_nn_rows_align_with_mar_rows():
         cnn_model = train_cnn(train, spec=ConvSpec(epochs=1), horizon=3, seed=1)
         lstm_model = train_lstm(train, spec=LstmSpec(epochs=1), horizon=3, seed=1)
         for report in (nn_forecast(cnn_model, test), nn_forecast(lstm_model, test)):
-            assert report.timestamps == mar_report.timestamps
+            assert (report.start, report.step) == (mar_report.start, mar_report.step)
+            assert np.array_equal(report.sample_index, mar_report.sample_index)
             assert np.array_equal(report.actual, mar_report.actual)

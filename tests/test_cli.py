@@ -325,6 +325,16 @@ class TestNnModelFileValidation:
         assert self.evaluate(mixed_csv, tmp_path, [*lstm_file_lines, "param w_z 1 0.5"]) == 2
         assert "parameter 'w_z'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines", ["cnn_file_lines", "lstm_file_lines"])
+    def test_window_record_must_match_spec(self, request, mixed_csv, tmp_path, capfd, lines):
+        lines = request.getfixturevalue(lines)
+        edited = [ln.replace("window 4", "window 6") for ln in lines]
+        assert edited != lines
+        assert self.evaluate(mixed_csv, tmp_path, edited) == 2
+        err = capfd.readouterr().err
+        assert "window record 6 does not match the spec's window=4" in err
+        assert "Traceback" not in err
+
 
 class TestScalarRecords:
     """A scalar record that does not parse is a data error naming the
@@ -422,6 +432,25 @@ class TestExitCodes:
         err = capfd.readouterr().err
         assert code == 1
         assert "cannot create output directory" in err and "Traceback" not in err
+
+    def test_unwritable_summary_exits_1(self, mixed_csv, mar_file, tmp_path, capfd):
+        out = tmp_path / "o2"
+        (out / "summary.csv").mkdir(parents=True)
+        code = run("evaluate", "--data", str(mixed_csv), "--model-file", str(mar_file),
+                   "--out", str(out))
+        err = capfd.readouterr().err
+        assert code == 1
+        assert f"cannot write {out / 'summary.csv'}" in err and "Traceback" not in err
+        assert sorted(os.listdir(out)) == ["forecasts.csv", "summary.csv"]
+
+    def test_synth_onto_a_directory_exits_1(self, tmp_path, capfd):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code = run("synth", "--days", "2", "--data", str(target), "--out", str(tmp_path))
+        err = capfd.readouterr().err
+        assert code == 1
+        assert f"cannot write {target}" in err and "Traceback" not in err
+        assert os.listdir(target) == [] and sorted(os.listdir(tmp_path)) == ["taken"]
 
     def test_numerical_error_rank_deficient(self, tmp_path):
         # per-day-constant data: every lag column of the deducted

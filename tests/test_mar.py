@@ -204,7 +204,8 @@ class TestForecast:
         report = forecast(model, test, 1)
         # 76-slot window, order 4, horizon 1: 72 rows per day
         assert len(report) == test.n_days * 72
-        assert report.timestamps[0].hour * 60 + report.timestamps[0].minute == 360 + (4 + 1 - 1) * 10
+        first = test.timestamp(int(report.sample_index[0]))
+        assert first.hour * 60 + first.minute == 360 + (4 + 1 - 1) * 10
 
     def test_horizon_degradation_single_seed(self):
         series = generate_synthetic(100, "mixed", seed=10)
@@ -219,7 +220,7 @@ class TestForecast:
         a = forecast(model, test, 3)
         b = forecast(model, test, 3)
         assert np.array_equal(a.predicted, b.predicted)
-        assert a.timestamps == b.timestamps
+        assert np.array_equal(a.sample_index, b.sample_index)
 
     def test_unfitted_horizon(self, mixed_30d):
         train, test = split(mixed_30d, 0.7)
@@ -248,7 +249,7 @@ class TestRecursive:
         model = fit_all_horizons(train)
         direct = forecast(model, test, 6)
         recursive = forecast(model, test, 6, recursive=True)
-        assert recursive.timestamps == direct.timestamps
+        assert np.array_equal(recursive.sample_index, direct.sample_index)
         assert np.all(np.isfinite(recursive.predicted))
 
     def test_recursive_needs_one_step_weights(self, mixed_30d):

@@ -1,6 +1,6 @@
 """Error metrics against naive-loop oracles, plus table shape."""
 
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -113,10 +113,9 @@ def make_report(model, horizon, n=50, seed=0):
     rng = np.random.default_rng(seed)
     actual = rng.uniform(30, 900, n)
     predicted = actual + rng.standard_normal(n) * 40
-    start = datetime(2024, 3, 1, 8, 0)
-    stamps = [start + timedelta(minutes=10 * i) for i in range(n)]
-    return ForecastReport(model=model, horizon=horizon, timestamps=stamps,
-                          actual=actual, predicted=predicted)
+    # 10-minute slots from 08:00 on
+    return ForecastReport(model=model, horizon=horizon, start=datetime(2024, 3, 1), step=10,
+                          sample_index=np.arange(48, 48 + n), actual=actual, predicted=predicted)
 
 
 class TestSummaries:
@@ -152,7 +151,9 @@ class TestSummaries:
         shuffled = ForecastReport(
             model="mar",
             horizon=1,
-            timestamps=[report.timestamps[i] for i in perm],
+            start=report.start,
+            step=report.step,
+            sample_index=report.sample_index[perm],
             actual=report.actual[perm],
             predicted=report.predicted[perm],
         )

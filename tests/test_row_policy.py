@@ -131,8 +131,9 @@ def test_forecast_matches_loop(mixed_30d, order, ensemble, daylight, recursive):
     )
     for horizon in HORIZONS:
         report = forecast(model, test, horizon, recursive=recursive)
-        timestamps, actual, predicted = forecast_oracle(model, test, horizon, recursive)
-        assert report.timestamps == timestamps
+        sample_index, actual, predicted = forecast_oracle(model, test, horizon, recursive)
+        assert (report.start, report.step) == (test.start, test.step)
+        assert np.array_equal(report.sample_index, sample_index)
         assert np.array_equal(report.actual, actual)
         np.testing.assert_allclose(
             report.predicted, predicted, rtol=FORECAST_RTOL, atol=FORECAST_RTOL * model.scaler.mu
