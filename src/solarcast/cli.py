@@ -12,13 +12,15 @@ import argparse
 import contextlib
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
 from . import nn
 from .errors import DataValidationError, NumericalError, UsageError
-from .io import load_csv, read_text, write_csv, write_text
+from .io import comment_lines, load_csv, read_text, write_csv, write_text
 from .mar import MarConfig, MarModel, daylight_values, fit_all_horizons, forecast
 from .metrics import (
     ForecastReport,
@@ -148,6 +150,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         config = replace(config, ensemble=False)
     if config.model not in MODELS:
         raise UsageError(f"unknown model {config.model!r}, expected one of {MODELS}")
+    if config.seed < 0:  # numpy's generators take non-negative seeds only
+        raise UsageError(f"seed must be >= 0, got {config.seed}")
     if config.model == "ar":
         config = replace(config, ensemble=False)
     return config
@@ -159,9 +163,8 @@ def _header_lines(config: RunConfig, command: str) -> dict[str, object]:
     return items
 
 
-def _write_text(path: str, header: dict[str, object], body: str) -> None:
-    comments = "".join(f"# {key}={value}\n" for key, value in header.items())
-    write_text(path, comments + body)
+def _write_text(path: str, header: dict[str, object], chunks: Iterable[str]) -> None:
+    write_text(path, chain(comment_lines(header), chunks))
 
 
 def _ensure_out(config: RunConfig) -> str:
@@ -273,7 +276,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     header = _header_lines(config, "diagnose")
     header["max_lag"] = args.max_lag
     header["domain"] = args.domain
-    _write_text(path, header, "\n".join(body_lines) + "\n")
+    _write_text(path, header, ("\n".join(body_lines) + "\n",))
     print(f"recommended order: {order}")
     print(path)
     return EXIT_OK
@@ -358,7 +361,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         save_nn_models(models, path)
         for m in models:
             curve_path = os.path.join(out_dir, f"{config.model}_h{m.horizon}_loss.csv")
-            _write_text(curve_path, _header_lines(config, "fit"), loss_curve_csv(m))
+            _write_text(curve_path, _header_lines(config, "fit"), (loss_curve_csv(m),))
     print(path)
     return EXIT_OK
 
@@ -393,6 +396,15 @@ def _evaluate_model_file(
             if h not in models:
                 raise UsageError(f"model file has no network for horizon {h}")
             reports.append(nn.nn_forecast(models[h], test))
+    for report in reports:
+        # forecasts whose squared errors overflow have no finite metrics
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.square(report.predicted - report.actual).sum())
+        if not finite:
+            raise DataValidationError(
+                f"{model_file}: horizon {report.horizon} forecasts overflow float64; "
+                f"check its scaler, profile and weights"
+            )
     return reports, config
 
 
@@ -409,7 +421,7 @@ def _write_reports(
         os.path.join(out_dir, f"{prefix}forecasts.csv"), header, report_rows_csv(reports)
     )
     cells = summarize(reports, min_actual=config.mape_threshold)
-    _write_text(os.path.join(out_dir, f"{prefix}summary.csv"), header, summary_csv(cells))
+    _write_text(os.path.join(out_dir, f"{prefix}summary.csv"), header, (summary_csv(cells),))
     print(summary_table(cells, step=step), end="")
 
 
@@ -452,7 +464,7 @@ def _overlay_charts(
         svg = render_line_chart(
             curves, title=title, x_label="hour of day", y_label="irradiance W/m2", comment=comment
         )
-        write_text(os.path.join(out_dir, f"overlay_h{horizon}.svg"), svg)
+        write_text(os.path.join(out_dir, f"overlay_h{horizon}.svg"), (svg,))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -231,16 +231,19 @@ def forecast(
     base_series = ensemble_deduct(z, model.profile) if model.ensemble_enabled else z
     targets, lag_index = row_index(test, model.daylight, model.order, horizon)
     lags = base_series.values[lag_index]
-    if recursive:
-        # feed each 1-step prediction back in as the most recent lag
-        for _ in range(horizon):
-            pred_domain = lags @ model.weights[1]
-            lags = np.column_stack([pred_domain, lags[:, :-1]])
-    else:
-        pred_domain = lags @ model.weights[horizon]
-    if model.ensemble_enabled:
-        pred_domain = pred_domain + model.profile.means[targets % test.samples_per_day]
-    predicted = np.maximum(pred_domain * model.scaler.sigma + model.scaler.mu, 0.0)
+    # a model file's values may overflow here; the caller that knows the
+    # file checks the result, so no RuntimeWarning goes to stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        if recursive:
+            # feed each 1-step prediction back in as the most recent lag
+            for _ in range(horizon):
+                pred_domain = lags @ model.weights[1]
+                lags = np.column_stack([pred_domain, lags[:, :-1]])
+        else:
+            pred_domain = lags @ model.weights[horizon]
+        if model.ensemble_enabled:
+            pred_domain = pred_domain + model.profile.means[targets % test.samples_per_day]
+        predicted = np.maximum(pred_domain * model.scaler.sigma + model.scaler.mu, 0.0)
 
     name = label if label is not None else ("mar" if model.ensemble_enabled else "ar")
     return ForecastReport(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, time
 
@@ -159,11 +160,12 @@ def summary_table(cells: list[SummaryCell], step: int = 10) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_rows_csv(reports: list[ForecastReport]) -> str:
-    chunks = ["timestamp,model,horizon,actual_wm2,predicted_wm2\n"]
+def report_rows_csv(reports: list[ForecastReport]) -> Iterator[str]:
+    """The forecast rows CSV text: the header, then each report's rows,
+    one chunk per day."""
+    yield "timestamp,model,horizon,actual_wm2,predicted_wm2\n"
     for report in reports:
         tail = f",{report.model.replace('%', '%%')},{report.horizon},%.17g,%.17g\n"
-        chunks.append(grid_rows(
+        yield from grid_rows(
             report.start, report.step, report.sample_index, tail, report.actual, report.predicted
-        ))
-    return "".join(chunks)
+        )

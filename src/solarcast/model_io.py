@@ -110,7 +110,7 @@ def save_mar_model(model: MarModel, path: str | os.PathLike) -> None:
     ]
     for h in model.horizons:
         lines.append(f"weights {h} {_fmt_vec(model.weights[h])}")
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, ("\n".join(lines) + "\n",))
 
 
 def load_mar_model(path: str | os.PathLike) -> MarModel:
@@ -169,7 +169,7 @@ def save_nn_models(models: list, path: str | os.PathLike) -> None:
             arr = model.params[name]
             shape = ",".join(str(s) for s in arr.shape)
             lines.append(f"param {name} {shape} {_fmt_vec(arr.reshape(-1))}")
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, ("\n".join(lines) + "\n",))
 
 
 def _parse_param(rest: str, where: str) -> tuple[str, tuple[int, ...], np.ndarray]:

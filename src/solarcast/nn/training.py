@@ -35,7 +35,7 @@ from .adam import Adam
 from .networks import CnnNetwork, ConvSpec, LstmNetwork, LstmSpec
 
 MIN_TRAINING_WINDOWS = 1000
-PREDICT_BLOCK_ROWS = 1024
+PREDICT_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -239,19 +239,13 @@ def train_lstm(
     )
 
 
-def nn_forecast(
-    model: NeuralModel, test: IrradianceSeries, horizon: int | None = None
-) -> ForecastReport:
+def nn_forecast(model: NeuralModel, test: IrradianceSeries) -> ForecastReport:
     """Forecast the test series: apply the model's own pre-processing,
     predict, invert the post-processing, clip at zero.
 
     The windows go through the network in blocks of
     ``PREDICT_BLOCK_ROWS`` rows, so the LSTM's per-step training caches
     never exist for more than one block at a time."""
-    if horizon is not None and horizon != model.horizon:
-        raise UsageError(
-            f"model was trained for horizon {model.horizon}, not {horizon}"
-        )
     if test.step != model.step:
         raise DataValidationError(
             f"test series step {test.step} does not match model step {model.step}"
@@ -261,13 +255,15 @@ def nn_forecast(
         z, model.window, model.horizon, model.daylight, differenced=(model.kind == "cnn")
     )
     network = model.network()
-    pred = np.concatenate([
-        network.predict(windows.inputs[start : start + PREDICT_BLOCK_ROWS])
-        for start in range(0, windows.targets.size, PREDICT_BLOCK_ROWS)
-    ])
-    if windows.differenced:
-        pred = inverse_difference(pred, windows.anchors)
-    pred_raw = np.clip(pred * model.scaler.sigma + model.scaler.mu, 0.0, None)
+    # as in mar.forecast: the caller checks the result for overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = np.concatenate([
+            network.predict(windows.inputs[start : start + PREDICT_BLOCK_ROWS])
+            for start in range(0, windows.targets.size, PREDICT_BLOCK_ROWS)
+        ])
+        if windows.differenced:
+            pred = inverse_difference(pred, windows.anchors)
+        pred_raw = np.clip(pred * model.scaler.sigma + model.scaler.mu, 0.0, None)
     return ForecastReport(
         model=model.kind,
         horizon=model.horizon,

@@ -10,6 +10,7 @@ the CSV loader is where raw files get validated against this contract.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
 
@@ -156,37 +157,38 @@ class DaylightWindow:
 
 def grid_rows(
     start: datetime, step: int, index: np.ndarray, row_tail: str, *columns: np.ndarray
-) -> str:
+) -> Iterator[str]:
     """Text lines, one per grid slot in ``index``: the slot's timestamp
     as ``(start + slot * step minutes).isoformat()`` writes it, then
     ``row_tail`` %-formatted with the row's value from each column.
+    Yields one string per run of rows on one day, so a caller that
+    streams them to a file never holds more than a day of text.
 
-    No ``datetime`` is made per row. Each run of rows on one day is one
-    template, the day's date prefix before each slot's time-and-offset
-    suffix, filled in by one ``%`` operation. ``start`` is a midnight
-    with a fixed UTC offset or none, as an ``IrradianceSeries`` start
-    is; ``row_tail`` has its literal ``%`` signs doubled."""
+    No ``datetime`` is made per row. Each run is one template, the
+    day's date prefix before each slot's time-and-offset suffix, filled
+    in by one ``%`` operation. ``start`` is a midnight with a fixed UTC
+    offset or none, as an ``IrradianceSeries`` start is; ``row_tail``
+    has its literal ``%`` signs doubled."""
     index = np.asarray(index, dtype=np.int64)
     if index.size == 0:
-        return ""
-    days, slots = np.divmod(index, MINUTES_PER_DAY // step)
+        return
+    slots_per_day = MINUTES_PER_DAY // step
+    days = index // slots_per_day
     offset = start.isoformat()[len("YYYY-MM-DDTHH:MM:SS"):]
     suffixes = [
         f"{minute // 60:02d}:{minute % 60:02d}:00{offset}"
         for minute in range(0, MINUTES_PER_DAY, step)
     ]
-    cuts = (np.flatnonzero(np.diff(days)) + 1).tolist()
-    chunks = []
+    cuts = (np.flatnonzero(days[1:] != days[:-1]) + 1).tolist()
     for lo, hi in zip([0, *cuts], [*cuts, index.size]):
         prefix = (start.date() + timedelta(days=int(days[lo]))).isoformat() + "T"
         template = prefix + (row_tail + prefix).join(
-            map(suffixes.__getitem__, slots[lo:hi].tolist())
+            map(suffixes.__getitem__, (index[lo:hi] % slots_per_day).tolist())
         ) + row_tail
         values = [None] * (len(columns) * (hi - lo))
         for k, column in enumerate(columns):
             values[k :: len(columns)] = column[lo:hi].tolist()
-        chunks.append(template % tuple(values))
-    return "".join(chunks)
+        yield template % tuple(values)
 
 
 def row_index(

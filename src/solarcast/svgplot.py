@@ -145,4 +145,4 @@ def render_line_chart(
 
 
 def write_line_chart(path: str | os.PathLike, *args, **kwargs) -> None:
-    write_text(path, render_line_chart(*args, **kwargs))
+    write_text(path, (render_line_chart(*args, **kwargs),))

@@ -462,6 +462,62 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestNegativeSeed:
+    """numpy's generators take non-negative seeds only, so a negative one
+    is a usage error, found before any data is read or worker started."""
+
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--days", "1", "--seed", "-1"),
+        ("fit", "--model", "cnn", "--seed", "-1"),
+        ("fit", "--model", "mar", "--config", "{cfg}"),
+    ], ids=["synth", "fit-cnn", "config-file"])
+    def test_exits_1(self, mixed_csv, tmp_path, capfd, monkeypatch, argv):
+        def no_training(*args):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(cli, "_fit_nn", no_training)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-1\n")
+        argv = [arg.format(cfg=cfg) for arg in argv]
+        out = tmp_path / "out"
+        code = run(*argv, "--data", str(mixed_csv), "--out", str(out))
+        err = capfd.readouterr().err
+        assert code == 1
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+
+class TestOverflowingModelFile:
+    """A model file whose values overflow the forecast is a data error
+    naming the file and the horizon, with no RuntimeWarning on the way."""
+
+    @pytest.mark.parametrize("lines, record, edit", [
+        ("mar_file", "scaler", lambda fields: ["0", "1e308"]),
+        ("mar_file", "weights", lambda fields: [fields[0], "1e308", *fields[2:]]),
+        ("cnn_file_lines", "param", lambda fields: [*fields[:2], "1e308", *fields[3:]]),
+    ], ids=["mar-scaler", "mar-weight", "cnn-param"])
+    def test_exits_2(self, request, mixed_csv, tmp_path, lines, record, edit):
+        lines = request.getfixturevalue(lines)
+        if not isinstance(lines, list):
+            lines = lines.read_text().splitlines()
+        edited_lines = []
+        for line in lines:
+            key, _, rest = line.partition(" ")
+            edited_lines.append(" ".join([key, *edit(rest.split())]) if key == record else line)
+        assert edited_lines != lines
+        path = tmp_path / "edited.model"
+        path.write_text("\n".join(edited_lines) + "\n")
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "solarcast", "evaluate",
+             "--data", str(mixed_csv), "--model-file", str(path), "--horizons", "1",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == f"data error: {path}: horizon 1 forecasts overflow float64; " \
+                                "check its scaler, profile and weights\n"
+
+
 class TestConfigFile:
     def test_config_file_and_flag_override(self, mixed_csv, tmp_path):
         cfg = tmp_path / "run.cfg"

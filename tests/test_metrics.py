@@ -188,7 +188,7 @@ class TestSummaries:
 
     def test_rows_csv_round_trip_values(self):
         report = make_report("mar", 1, n=5, seed=11)
-        text = report_rows_csv([report])
+        text = "".join(report_rows_csv([report]))
         lines = text.strip().split("\n")
         assert lines[0] == "timestamp,model,horizon,actual_wm2,predicted_wm2"
         parsed = [line.split(",") for line in lines[1:]]

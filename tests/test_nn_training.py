@@ -16,6 +16,7 @@ from solarcast import (
     save_nn_models,
     split,
 )
+from solarcast import cli
 from solarcast.nn import Adam, ConvSpec, LstmSpec, nn_forecast, train_cnn, train_lstm
 from solarcast.nn import training
 from solarcast.nn.networks import CnnNetwork, LstmNetwork
@@ -243,11 +244,15 @@ class TestNnForecast:
         model = train_lstm(train, spec=LstmSpec(epochs=2), horizon=1, seed=1)
         assert nn_forecast(model, test).predicted.min() >= 0.0
 
-    def test_horizon_mismatch(self, mixed_40d_split):
+    def test_horizon_mismatch(self, mixed_40d_split, tmp_path):
+        """A file of horizon-3 networks has none for horizon 1; evaluating
+        it there is a usage error, before any forecast."""
         train, test = mixed_40d_split
         model = train_cnn(train, spec=ConvSpec(epochs=1), horizon=3, seed=1)
-        with pytest.raises(UsageError):
-            nn_forecast(model, test, horizon=1)
+        path = tmp_path / "cnn.model"
+        save_nn_models([model], path)
+        with pytest.raises(UsageError, match="no network for horizon 1"):
+            cli._evaluate_model_file(str(path), test, cli.RunConfig(horizons="1"))
 
 
 def untrained_model(kind: str, train: IrradianceSeries) -> NeuralModel:

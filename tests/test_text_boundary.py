@@ -90,7 +90,7 @@ class TestByteIdentity:
     def test_report_rows_match_oracle(self, start, step, days):
         reports = reports_for(series_at(start, step, days))
         assert all(len(r) for r in reports)
-        assert report_rows_csv(reports) == report_rows_csv_oracle(reports)
+        assert "".join(report_rows_csv(reports)) == report_rows_csv_oracle(reports)
 
 
 def test_report_rows_out_of_order_and_empty():
@@ -103,8 +103,8 @@ def test_report_rows_out_of_order_and_empty():
     empty = ForecastReport(model="mar", horizon=1, start=report.start, step=report.step,
                            sample_index=[], actual=[], predicted=[])
     reports = [shuffled, empty, report]
-    assert report_rows_csv(reports) == report_rows_csv_oracle(reports)
-    assert report_rows_csv([]) == report_rows_csv_oracle([])
+    assert "".join(report_rows_csv(reports)) == report_rows_csv_oracle(reports)
+    assert "".join(report_rows_csv([])) == report_rows_csv_oracle([])
 
 
 def test_report_grid_must_start_at_midnight():
@@ -252,6 +252,38 @@ def test_load_peak_memory(tmp_path):
     assert peak < 4.8 * os.path.getsize(path)
 
 
+def daylight_report(days: int) -> ForecastReport:
+    """A report with the rows of a 06:00-18:30 window on ``days`` days."""
+    rng = np.random.default_rng(days)
+    index = (np.arange(days)[:, None] * 144 + np.arange(36, 112)).reshape(-1)
+    return ForecastReport(model="mar", horizon=1, start=datetime(2024, 1, 1), step=10,
+                          sample_index=index, actual=rng.uniform(0, 1000, index.size),
+                          predicted=rng.uniform(0, 1000, index.size))
+
+
+def test_report_write_peak_does_not_grow_with_rows(tmp_path):
+    """Writing streams the rows a day at a time, so a report ten times
+    longer raises the write's peak only by its int64 day numbers: 0.14
+    byte per byte of file. A writer that builds the text as one string
+    holds about 3 bytes per byte of file."""
+    header = {"command": "evaluate"}
+    peaks, sizes = [], []
+    for days in (30, 300):
+        reports = [daylight_report(days)]
+        path = tmp_path / f"forecasts_{days}.csv"
+        cli._write_text(path, header, report_rows_csv(reports))  # warm caches
+        tracemalloc.start()
+        try:
+            cli._write_text(path, header, report_rows_csv(reports))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        text = "".join(io.comment_lines(header)) + report_rows_csv_oracle(reports)
+        assert path.read_text(encoding="utf-8") == text
+        sizes.append(os.path.getsize(path))
+    assert peaks[1] - peaks[0] < 0.5 * (sizes[1] - sizes[0])
+
+
 def test_svg_escape_matches_xml_escape():
     for text in ("a<b & c>d", "&amp;", "<<>>&&", "plain", ""):
         assert escape(text) == xml_escape(text)
@@ -272,14 +304,14 @@ class TestWriteText:
     def test_replaces_existing_file(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_text("old contents that are longer")
-        io.write_text(path, "new\n")
+        io.write_text(path, ("new\n",))
         assert path.read_text() == "new\n"
         assert os.listdir(tmp_path) == ["out.txt"]
 
     def test_follows_a_symlink(self, tmp_path):
         (tmp_path / "real.csv").write_text("old\n")
         os.symlink("real.csv", tmp_path / "link.csv")
-        io.write_text(tmp_path / "link.csv", "new\n")
+        io.write_text(tmp_path / "link.csv", ("new\n",))
         assert os.readlink(tmp_path / "link.csv") == "real.csv"
         assert (tmp_path / "real.csv").read_text() == "new\n"
 
@@ -287,7 +319,7 @@ class TestWriteText:
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
         with pytest.raises(UsageError, match="not a regular file"):
-            io.write_text(fifo, "x")
+            io.write_text(fifo, ("x",))
         assert os.listdir(tmp_path) == ["pipe"]
 
     def test_failed_rename_leaves_no_partial_model(self, tmp_path, monkeypatch):
@@ -314,3 +346,28 @@ class TestWriteText:
             write_csv(series_at(STARTS["naive"], 60, 1), path)
         assert path.read_text() == "previous\n"
         assert os.listdir(tmp_path) == ["data.csv"]
+
+    @pytest.mark.parametrize("error, raised", [
+        (ValueError("bad row"), ValueError),
+        (OSError(28, "No space left on device"), UsageError),
+    ])
+    def test_failing_chunks_keep_the_old_file(self, tmp_path, error, raised):
+        """A chunk source that fails partway leaves no temporary file and
+        the target as it was; its own exception propagates, and only an
+        ``OSError`` becomes a ``UsageError``."""
+        path = tmp_path / "forecasts.csv"
+        path.write_text("previous\n")
+
+        def chunks():
+            yield "timestamp,model,horizon,actual_wm2,predicted_wm2\n"
+            yield "x" * (3 * io.WRITE_BUFFER_BYTES)  # reaches the temporary file
+            raise error
+
+        with pytest.raises(raised) as found:
+            io.write_text(path, chunks())
+        if raised is UsageError:
+            assert str(found.value) == f"cannot write {path}: No space left on device"
+        else:
+            assert found.value is error
+        assert path.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["forecasts.csv"]
