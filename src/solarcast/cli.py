@@ -152,6 +152,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(f"unknown model {config.model!r}, expected one of {MODELS}")
     if config.seed < 0:  # numpy's generators take non-negative seeds only
         raise UsageError(f"seed must be >= 0, got {config.seed}")
+    if not 0 < config.mape_threshold < np.inf:  # at 0, MAPE divides by dawn's near-zero actuals
+        raise UsageError(
+            f"mape threshold must be a positive, finite W/m2 value, got {config.mape_threshold}"
+        )
     if config.model == "ar":
         config = replace(config, ensemble=False)
     return config

@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import os
 from collections.abc import Iterable, Iterator
-from datetime import datetime
+from datetime import datetime, timedelta
 from itertools import accumulate, chain, filterfalse, islice, repeat
 from operator import eq, itemgetter, methodcaller
 from typing import NoReturn
@@ -21,12 +21,15 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DataValidationError, SolarcastError, UsageError
-from .series import IrradianceSeries, grid_rows
+from .series import MINUTES_PER_DAY, IrradianceSeries, grid_rows, grid_text
 
 CSV_HEADER = "timestamp,irradiance_wm2"
 # day-sized chunks through the default 8 KiB buffer take about twice as
 # long to write as through this one
 WRITE_BUFFER_BYTES = 1 << 20
+# where ``str.splitlines`` breaks a line besides "\n"
+OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+MINUTE = timedelta(minutes=1)
 
 
 def read_text(path: str | os.PathLike, error: type[SolarcastError], what: str) -> str:
@@ -83,10 +86,26 @@ def load_csv(path: str | os.PathLike) -> IrradianceSeries:
     forms, duplicate or missing sampling slots, and negative irradiance
     values.
 
-    Rows are parsed and checked in whole-column passes; only a file
-    that fails one is searched line by line for the error to report.
+    A file in ``write_csv``'s layout is checked by comparing its
+    timestamp text with the grid's. Any other file has its rows parsed
+    and checked in whole-column passes; only a file that fails one is
+    searched line by line for the error to report.
     """
-    lines = read_text(path, DataValidationError, "input file").splitlines()
+    text = read_text(path, DataValidationError, "input file")
+    # with no other line break in it, the text splits at "\n" into the
+    # lines splitlines gives, plus an empty last one after a final "\n"
+    plain = not any(map(text.__contains__, OTHER_LINE_BREAKS))
+    lines = text.split("\n") if plain else text.splitlines()
+    del text
+    written = _written_grid(lines) if plain else None
+    if written is not None:
+        # numpy's first calls below make objects that live on; made once
+        # the lines are freed, they keep none of the lines' memory resident
+        del lines
+        start, values, step = written
+        if np.isfinite(values).all() and not (values < 0).any():
+            return IrradianceSeries(start, values, step)
+        lines = read_text(path, DataValidationError, "input file").splitlines()
     # the header, then the data rows; blank and comment lines dropped
     rows = list(filterfalse(methodcaller("startswith", "#"), filter(None, map(str.strip, lines))))
     try:
@@ -106,6 +125,39 @@ def load_csv(path: str | os.PathLike) -> IrradianceSeries:
     if not valid:
         _raise_first_error(lines, path)
     return IrradianceSeries(start=start, values=values, step=_step_minutes(step_delta))
+
+
+def _written_grid(lines: list[str]) -> tuple[datetime, np.ndarray, int] | None:
+    """The start, values and step of a file in ``write_csv``'s layout,
+    split at "\n": ``#`` comment lines, the header, then whole days of
+    rows, each the grid slot's timestamp text, a comma and a value, and
+    an empty last line. The values are parsed but not checked. None for
+    any other lines, even a valid file's: the general path decides."""
+    skip = next((i for i, line in enumerate(lines) if not line.startswith("#")), 0) + 1
+    count = len(lines) - skip - 1
+    if lines[skip - 1] != CSV_HEADER or lines[-1] or count < 2:
+        return None
+    try:
+        first_rows = lines[skip : skip + 2]
+        start, second = (datetime.fromisoformat(row.partition(",")[0]) for row in first_rows)
+        step = (second - start) // MINUTE
+        if second - start != step * MINUTE or step <= 0 or MINUTES_PER_DAY % step:
+            return None
+        day_prefix, suffixes = grid_text(start, step)
+        tails = [f"{suffix}," for suffix in suffixes]
+        if count % len(tails):
+            return None
+        days = map(day_prefix, range(count // len(tails)))
+        expected = chain.from_iterable([prefix + tail for tail in tails] for prefix in days)
+        if not all(map(str.startswith, islice(lines, skip, None), expected)):
+            return None
+        width = len(day_prefix(0)) + len(tails[0])
+        rows = islice(lines, skip, skip + count)
+        fields = map(itemgetter(slice(width, None)), rows)
+        values = np.fromiter(map(float, fields), np.float64, count)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    return start, values, step
 
 
 def _step_minutes(step_delta) -> int:

@@ -151,12 +151,16 @@ def fit_weights(matrix: DesignMatrix) -> np.ndarray:
             f"(condition estimate {cond:.3e})"
         )
     residual = X @ w - y
-    gradient = np.abs(X.T @ residual).max()
+    gradients = np.abs(X.T @ residual)
+    gradient = gradients.max()
     scale = np.abs(X.T @ y).max()
     if scale > 0 and gradient > ORTHOGONALITY_TOL * scale:
+        lag = int(gradients.argmax())
         raise NumericalError(
-            f"normal-equation optimality violated: |X'r| = {gradient:.3e} "
-            f"exceeds {ORTHOGONALITY_TOL} * |X'y| = {ORTHOGONALITY_TOL * scale:.3e}"
+            f"horizon {matrix.horizon}: normal-equation optimality violated: "
+            f"|X'r| = {gradient:.3e} exceeds {ORTHOGONALITY_TOL} * |X'y| = "
+            f"{ORTHOGONALITY_TOL * scale:.3e}; "
+            f"lag {lag + 1} column peaks at |x| = {np.abs(X[:, lag]).max():.3e}"
         )
     return w
 

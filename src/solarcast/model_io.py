@@ -96,6 +96,14 @@ class _RecordReader:
         return _parse_values(self.path, key, self.take(key), parse, count, sep)
 
 
+def _take_scaler(reader: _RecordReader) -> Scaler:
+    mu, sigma = reader.take_values("scaler", float, 2)
+    try:
+        return Scaler(mu=mu, sigma=sigma)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{reader.path}: scaler record: {exc}") from None
+
+
 def save_mar_model(model: MarModel, path: str | os.PathLike) -> None:
     lines = [
         MAR_MAGIC,
@@ -120,7 +128,7 @@ def load_mar_model(path: str | os.PathLike) -> MarModel:
     horizons = tuple(reader.take_values("horizons", int, sep=","))
     [ensemble] = reader.take_values("ensemble", int, 1)
     day_lo, day_hi = reader.take_values("daylight", int, 2)
-    mu, sigma = reader.take_values("scaler", float, 2)
+    scaler = _take_scaler(reader)
     means = np.array(reader.take_values("profile_means", float))
     support = np.array(reader.take_values("profile_support", np.int64), dtype=np.int64)
     weights: dict[int, np.ndarray] = {}
@@ -135,7 +143,7 @@ def load_mar_model(path: str | os.PathLike) -> MarModel:
         order=order,
         horizons=horizons,
         weights=weights,
-        scaler=Scaler(mu=mu, sigma=sigma),
+        scaler=scaler,
         profile=EnsembleProfile(means=means, support_counts=support),
         daylight=DaylightWindow(start_minute=day_lo, end_minute=day_hi),
         step=step,
@@ -193,7 +201,7 @@ def load_nn_models(path: str | os.PathLike) -> dict[int, "object"]:
     [step] = reader.take_values("step", int, 1)
     [window] = reader.take_values("window", int, 1)
     day_lo, day_hi = reader.take_values("daylight", int, 2)
-    mu, sigma = reader.take_values("scaler", float, 2)
+    scaler = _take_scaler(reader)
     spec_text = reader.take("spec")
     specs = {"cnn": ConvSpec, "lstm": LstmSpec}
     if kind not in specs:
@@ -231,7 +239,7 @@ def load_nn_models(path: str | os.PathLike) -> dict[int, "object"]:
             spec=spec,
             horizon=horizon,
             params=params,
-            scaler=Scaler(mu=mu, sigma=sigma),
+            scaler=scaler,
             daylight=DaylightWindow(start_minute=day_lo, end_minute=day_hi),
             step=step,
             window=window,

@@ -10,7 +10,7 @@ the CSV loader is where raw files get validated against this contract.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
 
@@ -107,6 +107,8 @@ class Scaler:
             raise DataValidationError("scaler parameters must be finite")
         if self.sigma <= 0:
             raise DataValidationError(f"scaler sigma must be positive, got {self.sigma}")
+        if np.isinf(1.0 / float(self.sigma)):  # standardizing would overflow
+            raise DataValidationError(f"scaler sigma {self.sigma} has no finite reciprocal")
 
 
 @dataclass(frozen=True)
@@ -150,9 +152,24 @@ class DaylightWindow:
             )
         return self.start_minute // step, self.end_minute // step
 
-    def slot_count(self, step: int) -> int:
-        lo, hi = self.slot_bounds(step)
-        return hi - lo + 1
+
+def grid_text(start: datetime, step: int) -> tuple[Callable[[int], str], list[str]]:
+    """The two parts of the text ``(start + slot * step minutes).isoformat()``
+    writes for each grid slot: a function from a day number to that
+    day's date prefix ``YYYY-MM-DDT``, and the time-and-offset suffix of
+    each slot of a day. ``start`` is a midnight with a fixed UTC offset
+    or none, as an ``IrradianceSeries`` start is."""
+    first_day = start.date()
+    offset = start.isoformat()[len("YYYY-MM-DDTHH:MM:SS"):]
+    suffixes = [
+        f"{minute // 60:02d}:{minute % 60:02d}:00{offset}"
+        for minute in range(0, MINUTES_PER_DAY, step)
+    ]
+
+    def day_prefix(day: int) -> str:
+        return (first_day + timedelta(days=day)).isoformat() + "T"
+
+    return day_prefix, suffixes
 
 
 def grid_rows(
@@ -172,16 +189,12 @@ def grid_rows(
     index = np.asarray(index, dtype=np.int64)
     if index.size == 0:
         return
-    slots_per_day = MINUTES_PER_DAY // step
+    day_prefix, suffixes = grid_text(start, step)
+    slots_per_day = len(suffixes)
     days = index // slots_per_day
-    offset = start.isoformat()[len("YYYY-MM-DDTHH:MM:SS"):]
-    suffixes = [
-        f"{minute // 60:02d}:{minute % 60:02d}:00{offset}"
-        for minute in range(0, MINUTES_PER_DAY, step)
-    ]
     cuts = (np.flatnonzero(days[1:] != days[:-1]) + 1).tolist()
     for lo, hi in zip([0, *cuts], [*cuts, index.size]):
-        prefix = (start.date() + timedelta(days=int(days[lo]))).isoformat() + "T"
+        prefix = day_prefix(int(days[lo]))
         template = prefix + (row_tail + prefix).join(
             map(suffixes.__getitem__, (index[lo:hi] % slots_per_day).tolist())
         ) + row_tail

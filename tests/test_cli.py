@@ -1,6 +1,7 @@
 """Command-line surface: each subcommand, exit codes, output headers."""
 
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -462,6 +463,42 @@ class TestExitCodes:
         assert code == 3
 
 
+    def test_numerical_error_names_horizon_and_lag_scale(self, tmp_path, capfd):
+        """The 06:00 slot reads 0 W/m2 on every training day, so the
+        standardized, deducted lag column is rounding noise."""
+        assert run("synth", "--days", "30", "--regime", "mixed", "--seed", "7",
+                   "--out", str(tmp_path)) == 0
+        code = run("fit", "--model", "mar", "--daylight", "06:00-06:30", "--order", "1",
+                   "--data", str(tmp_path / "synthetic_mixed_30d.csv"), "--out", str(tmp_path))
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical error: horizon 3: normal-equation optimality violated")
+        match = re.search(r"; lag 1 column peaks at \|x\| = (\S+)\n$", err)
+        assert match and 0 < float(match.group(1)) < 1e-12
+
+
+class TestMapeThreshold:
+    """At a threshold of 0 or below, MAPE divides by dawn's near-zero
+    actuals, so such a threshold is a usage error."""
+
+    @pytest.mark.parametrize("argv, shown", [
+        (("--mape-threshold", "0"), "0.0"),
+        (("--mape-threshold", "-5"), "-5.0"),
+        (("--mape-threshold", "nan"), "nan"),
+        (("--config", "{cfg}"), "0.0"),
+    ], ids=["zero", "negative", "nan", "config-file"])
+    def test_exits_1(self, mixed_csv, mar_file, tmp_path, capfd, argv, shown):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mape_threshold=0\n")
+        out = tmp_path / "out"
+        code = run("evaluate", "--data", str(mixed_csv), "--model-file", str(mar_file),
+                   "--out", str(out), *(arg.format(cfg=cfg) for arg in argv))
+        err = capfd.readouterr().err
+        assert code == 1
+        assert err == f"error: mape threshold must be a positive, finite W/m2 value, got {shown}\n"
+        assert not out.exists()
+
+
 class TestNegativeSeed:
     """numpy's generators take non-negative seeds only, so a negative one
     is a usage error, found before any data is read or worker started."""
@@ -516,6 +553,30 @@ class TestOverflowingModelFile:
         assert result.returncode == 2
         assert result.stderr == f"data error: {path}: horizon 1 forecasts overflow float64; " \
                                 "check its scaler, profile and weights\n"
+
+
+class TestSubnormalScaler:
+    """A scaler sigma whose reciprocal overflows is a data error naming
+    the file and the record, found at load with no RuntimeWarning."""
+
+    @pytest.mark.parametrize("lines", ["mar_file", "cnn_file_lines"])
+    def test_exits_2(self, request, mixed_csv, tmp_path, lines):
+        lines = request.getfixturevalue(lines)
+        if not isinstance(lines, list):
+            lines = lines.read_text().splitlines()
+        edited_lines = ["scaler 0 1e-320" if ln.startswith("scaler ") else ln for ln in lines]
+        assert edited_lines != lines
+        path = tmp_path / "edited.model"
+        path.write_text("\n".join(edited_lines) + "\n")
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "solarcast", "evaluate",
+             "--data", str(mixed_csv), "--model-file", str(path), "--horizons", "1",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr == (f"data error: {path}: scaler record: "
+                                 "scaler sigma 1e-320 has no finite reciprocal\n")
 
 
 class TestConfigFile:

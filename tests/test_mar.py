@@ -29,7 +29,8 @@ class TestBuildDesignMatrix:
         # 06:00-18:20 spans 75 slots on the 10-minute grid
         window = DaylightWindow(360, 1100)
         series = make_series(np.random.default_rng(0).uniform(0, 1, 144 * 2))
-        assert window.slot_count(10) == 75
+        lo, hi = window.slot_bounds(10)
+        assert hi - lo + 1 == 75
         assert build_design_matrix(series, 4, 1, window).n_rows == 2 * 71
         assert build_design_matrix(series, 4, 6, window).n_rows == 2 * 66
 

@@ -207,6 +207,11 @@ class TestScaler:
         with pytest.raises(DataValidationError):
             Scaler(mu=1.0, sigma=0.0)
 
+    def test_sigma_needs_a_finite_reciprocal(self):
+        with pytest.raises(DataValidationError, match="no finite reciprocal"):
+            Scaler(mu=0.0, sigma=1e-320)
+        assert Scaler(mu=0.0, sigma=1e-300).sigma == 1e-300
+
 
 class TestStandardize:
     def test_mean_maps_to_zero(self):
@@ -329,8 +334,9 @@ class TestDaylightWindow:
         assert str(window) == "06:00-18:30"
 
     def test_slot_bounds(self):
-        assert DaylightWindow().slot_bounds(10) == (36, 111)
-        assert DaylightWindow().slot_count(10) == 76
+        lo, hi = DaylightWindow().slot_bounds(10)
+        assert (lo, hi) == (36, 111)
+        assert hi - lo + 1 == 76
 
     def test_off_grid_rejected(self):
         with pytest.raises(DataValidationError):

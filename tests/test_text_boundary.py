@@ -3,6 +3,7 @@ overlay charts, checked byte for byte against plain-loop oracles in
 ``conftest.py``; atomic output writes; start-up imports."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -156,7 +157,8 @@ def valid_csv_lines() -> list[str]:
 
 
 EDGE_TOKENS = ("", ",", "#", " ", "nan", "-1", "-0.0", "1e999", "2024-03-30T00:00:00",
-               "2024-03-30T01:00:00+05:30", "2024-03-29T19:30:00+00:00", "9999-12-31T23:00:00")
+               "2024-03-30T01:00:00+05:30", "2024-03-29T19:30:00+00:00", "9999-12-31T23:00:00",
+               "\x0c", "\x1c", "\u2028", "\r")
 
 
 @st.composite
@@ -196,6 +198,83 @@ def test_edited_files_load_like_the_oracle(tmp_path, text):
     path = tmp_path / "edited.csv"
     path.write_text(text, encoding="utf-8")
     assert outcome(load_csv, path) == outcome(load_csv_oracle, path)
+
+
+def edit_rows(edit):
+    """A naive two-day, 10-minute file as ``write_csv`` writes it, with
+    ``edit`` applied to the list of its data rows."""
+    lines = write_csv_oracle(series_at(STARTS["naive"], 10, 2), {"seed": 3}).split("\n")
+    head = lines.index(io.CSV_HEADER) + 1
+    rows = lines[head:-1]
+    edit(rows)
+    return "\n".join(lines[:head] + rows) + "\n"
+
+
+def set_value(row, value):
+    def edit(rows):
+        rows[row] = rows[row].partition(",")[0] + "," + value
+    return edit
+
+
+def drop_rows(*indices):
+    def edit(rows):
+        for i in sorted(indices, reverse=True):
+            del rows[i]
+    return edit
+
+
+def rewrite(pattern, replacement):
+    def edit(rows):
+        rows[:] = [re.sub(pattern, replacement, row) for row in rows]
+    return edit
+
+
+WRITTEN = edit_rows(lambda rows: None)
+
+# files that are not in write_csv's layout, or hold a value it never
+# writes, so that they take the general path
+FALL_THROUGH = {
+    "space-separated": edit_rows(rewrite("T", " ")),
+    "Z offset": edit_rows(rewrite(",", "Z,")),
+    "+00:00 offset": edit_rows(rewrite(",", "+00:00,")),
+    "CRLF": WRITTEN.replace("\n", "\r\n"),
+    "trailing blank line": WRITTEN + "\n",
+    "no final newline": WRITTEN[:-1],
+    "comment between rows": edit_rows(lambda rows: rows.insert(40, "# cloud")),
+    "spaces around a value": edit_rows(set_value(50, " 12.5 ")),
+    "\\x0c before a value": edit_rows(set_value(50, "\x0c12.5")),
+    "\\x1c before a value": edit_rows(set_value(50, "\x1c12.5")),
+    "\\u2028 before a value": edit_rows(set_value(50, "\u202812.5")),
+    "second comma": edit_rows(set_value(50, "12.5,0")),
+    "nan": edit_rows(set_value(50, "nan")),
+    "inf": edit_rows(set_value(50, "inf")),
+    "negative": edit_rows(set_value(50, "-12.5")),
+    "cut off mid-day": edit_rows(drop_rows(*range(200, 288))),
+    "cut off mid-day with a gap": edit_rows(drop_rows(*range(200, 288), 180)),
+}
+
+
+@pytest.mark.parametrize("text", FALL_THROUGH.values(), ids=FALL_THROUGH.keys())
+def test_other_layouts_load_like_the_oracle(tmp_path, text):
+    path = tmp_path / "other.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(load_csv, path) == outcome(load_csv_oracle, path)
+
+
+@pytest.mark.parametrize("step", (5, 60))
+@pytest.mark.parametrize("start", STARTS.values(), ids=STARTS.keys())
+def test_written_files_take_the_fast_path(tmp_path, monkeypatch, start, step):
+    """Files that write_csv writes never reach the general path."""
+    def general_path(*args):
+        raise AssertionError("a written file took the general path")
+
+    monkeypatch.setattr(io, "_fields", general_path)
+    series = series_at(start, step, 3)
+    path = tmp_path / "written.csv"
+    write_csv(series, path, header_comments={"command": "synth", "seed": 3})
+    loaded = load_csv(path)
+    assert (loaded.start, loaded.step) == (start, step)
+    assert np.array_equal(loaded.values, series.values)
 
 
 @pytest.mark.parametrize("case, lines", [
