@@ -13,7 +13,8 @@ import os
 import numpy as np
 
 from solarcast import DaylightWindow, generate_synthetic, write_csv
-from solarcast.svgplot import write_line_chart
+from solarcast.io import write_text
+from solarcast.svgplot import render_line_chart
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -34,8 +35,9 @@ for regime in ("clear", "cloudy", "mixed"):
     day = generate_synthetic(days=3, regime=regime, seed=7).day_matrix()[2]
     curves.append((regime, hours, day))
 chart = os.path.join(OUT, "regimes.svg")
-write_line_chart(chart, curves, title="One synthetic day per regime",
-                 x_label="hour of day", y_label="irradiance W/m2")
+svg = render_line_chart(curves, title="One synthetic day per regime",
+                        x_label="hour of day", y_label="irradiance W/m2")
+write_text(chart, (svg,))
 print(f"\nwrote {chart}")
 
 # determinism: the same seed always yields the same series

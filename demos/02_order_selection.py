@@ -25,7 +25,8 @@ from solarcast import (
     standardize,
 )
 from solarcast.mar import daylight_values
-from solarcast.svgplot import write_line_chart
+from solarcast.io import write_text
+from solarcast.svgplot import render_line_chart
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -70,11 +71,11 @@ pacf_solar = show("mixed-regime synthetic, ensemble-deducted daylight residuals"
 
 lags = np.arange(MAX_LAG + 1, dtype=float)
 chart = os.path.join(OUT, "pacf.svg")
-write_line_chart(
-    chart,
+svg = render_line_chart(
     [("AR(4) reference", lags, pacf_ar4.values),
      ("solar residuals", lags, pacf_solar.values)],
     title="Partial autocorrelation by lag",
     x_label="lag", y_label="PACF",
 )
+write_text(chart, (svg,))
 print(f"\nwrote {chart}")

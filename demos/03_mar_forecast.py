@@ -24,7 +24,8 @@ from solarcast import (
     summarize,
     summary_table,
 )
-from solarcast.svgplot import write_line_chart
+from solarcast.io import write_text
+from solarcast.svgplot import render_line_chart
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -68,6 +69,7 @@ for report in reports:
     label = f"{report.horizon * test.step} min ahead"
     curves.append((label, report.sample_index[m] * test.step / 60, report.predicted[m]))
 chart = os.path.join(OUT, "mar_day.svg")
-write_line_chart(chart, curves, title=f"Observed vs predicted, {first_day}",
-                 x_label="hour of day", y_label="irradiance W/m2")
+svg = render_line_chart(curves, title=f"Observed vs predicted, {first_day}",
+                        x_label="hour of day", y_label="irradiance W/m2")
+write_text(chart, (svg,))
 print(f"wrote {chart}")

@@ -26,7 +26,8 @@ from solarcast.nn import (
 )
 from solarcast.nn.networks import CnnNetwork
 from solarcast.nn.training import mse_loss
-from solarcast.svgplot import write_line_chart
+from solarcast.io import write_text
+from solarcast.svgplot import render_line_chart
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -63,6 +64,7 @@ for horizon in (1, 3, 6):
 print("\n" + summary_table(summarize(reports), step=test.step))
 
 chart = os.path.join(OUT, "loss_curves.svg")
-write_line_chart(chart, curves, title="Training loss, 1-step models",
-                 x_label="epoch", y_label="MSE (model target domain)")
+svg = render_line_chart(curves, title="Training loss, 1-step models",
+                        x_label="epoch", y_label="MSE (model target domain)")
+write_text(chart, (svg,))
 print(f"wrote {chart}")

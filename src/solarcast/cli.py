@@ -306,8 +306,8 @@ def _train_network(
 @contextlib.contextmanager
 def _one_blas_thread():
     """Processes started inside the block run BLAS on one thread: the
-    pool already puts one worker on each CPU, and OpenBLAS reads these
-    variables when it loads."""
+    pool already puts at least one worker on each CPU, and OpenBLAS
+    reads these variables when it loads."""
     saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     try:
@@ -337,7 +337,12 @@ def _fit_nn(train: IrradianceSeries, config: RunConfig, kinds: tuple[str, ...]) 
 
     daylight = config.daylight_window()
     jobs = [(kind, h) for kind in kinds for h in config.horizon_list()]
-    workers = min(len(jobs), _usable_cpus())
+    # an LSTM fit costs ~15 CNN fits, so each gets its own worker and the
+    # OS shares the CPUs among them; queued behind a second LSTM fit, a
+    # worker would leave the other CPUs idle at the end
+    cpus = _usable_cpus()
+    lstm_jobs = sum(kind == "lstm" for kind, _ in jobs)
+    workers = min(len(jobs), cpus if cpus == 1 else max(cpus, lstm_jobs))
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
     try:
         # workers start on submit; LSTM fits take longest, so they go first

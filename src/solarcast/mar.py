@@ -124,10 +124,16 @@ def build_design_matrix(
         raise DataValidationError(f"order must be >= 1, got {order}")
     if horizon < 1:
         raise DataValidationError(f"horizon must be >= 1, got {horizon}")
-    targets, lag_index = row_index(train, daylight or DaylightWindow(), order, horizon)
+    daylight = daylight or DaylightWindow()
+    targets, lag_index = row_index(train, daylight, order, horizon)
     if targets.size < MIN_ROWS_PER_COLUMN * order:
+        lo, hi = daylight.slot_bounds(train.step)
+        slots = hi - lo + 1
         raise DataValidationError(
-            f"only {targets.size} design rows for order {order}; need at least "
+            f"horizon {horizon}: only {targets.size} design rows for order {order} "
+            f"({train.n_days} days x {max(slots - order - horizon + 1, 0)} rows per day); "
+            f"a row spans order + horizon = {order + horizon} slots and daylight window "
+            f"{daylight} holds {slots} at {train.step}-minute steps; need at least "
             f"{MIN_ROWS_PER_COLUMN * order} for a stable fit"
         )
     return DesignMatrix(

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .errors import DataValidationError
-from .io import write_text
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -142,7 +139,3 @@ def render_line_chart(
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_line_chart(path: str | os.PathLike, *args, **kwargs) -> None:
-    write_text(path, (render_line_chart(*args, **kwargs),))

@@ -46,6 +46,12 @@ def sinusoid_recurrence(n: int, w1: float = 0.7, w2: float = 1.9) -> tuple[np.nd
     return signal, coeffs
 
 
+def data_lines(path) -> list[str]:
+    """The lines of a solarcast output file without its ``#`` header."""
+    lines = path.read_text().splitlines()
+    return [ln for ln in lines if ln and not ln.startswith("#")]
+
+
 def make_series(values, step: int = 10, start: datetime | None = None) -> IrradianceSeries:
     return IrradianceSeries(start or datetime(2024, 1, 1), np.asarray(values, dtype=np.float64), step)
 

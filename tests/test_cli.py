@@ -1,5 +1,6 @@
 """Command-line surface: each subcommand, exit codes, output headers."""
 
+import concurrent.futures
 import os
 import re
 import subprocess
@@ -27,16 +28,11 @@ from solarcast.cli import main
 from solarcast.nn import CnnNetwork, ConvSpec, LstmNetwork, LstmSpec, NeuralModel, train_lstm
 from solarcast.series import IrradianceSeries
 
-from conftest import AR4_COEFFS, simulate_ar
+from conftest import AR4_COEFFS, data_lines, simulate_ar
 
 
 def run(*argv) -> int:
     return main(list(argv))
-
-
-def data_lines(path):
-    lines = path.read_text().splitlines()
-    return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
 @pytest.fixture(scope="module")
@@ -476,6 +472,18 @@ class TestExitCodes:
         match = re.search(r"; lag 1 column peaks at \|x\| = (\S+)\n$", err)
         assert match and 0 < float(match.group(1)) < 1e-12
 
+    def test_horizon_wider_than_window_names_the_slot_arithmetic(self, mixed_csv, tmp_path, capfd):
+        """h=6 at order 1 needs 7 slots; 06:00-06:30 holds 4."""
+        code = run("fit", "--model", "mar", "--daylight", "06:00-06:30", "--order", "1",
+                   "--data", str(mixed_csv), "--out", str(tmp_path))
+        err = capfd.readouterr().err
+        assert code == 2
+        assert err == (
+            "data error: horizon 6: only 0 design rows for order 1 (28 days x 0 rows per "
+            "day); a row spans order + horizon = 7 slots and daylight window 06:00-06:30 "
+            "holds 4 at 10-minute steps; need at least 10 for a stable fit\n"
+        )
+
 
 class TestMapeThreshold:
     """At a threshold of 0 or below, MAPE divides by dawn's near-zero
@@ -604,6 +612,51 @@ def test_blas_pinned_only_while_workers_start(monkeypatch):
         assert [os.environ[name] for name in cli.BLAS_THREAD_VARS] == ["1"] * 3
     assert os.environ["OMP_NUM_THREADS"] == "3"
     assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+class TestPoolSize:
+    """The pool gets one worker per LSTM fit even past the CPU count,
+    and never more workers than jobs; no network is trained here."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                self.max_workers = max_workers
+                self.submitted = []
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                self.submitted.append((args[0], args[2], os.environ.get("OPENBLAS_NUM_THREADS")))
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli, "_train_network", lambda kind, train, h, daylight, seed: (kind, h))
+        return pools
+
+    @pytest.mark.parametrize("cpus, kinds, workers", [
+        (2, ("cnn", "lstm"), 3),
+        (2, ("cnn",), 2),
+        (1, ("cnn", "lstm"), 1),
+        (8, ("cnn", "lstm"), 6),
+    ], ids=["compare-2-cpus", "fit-cnn-2-cpus", "compare-1-cpu", "compare-8-cpus"])
+    def test_workers(self, pools, monkeypatch, cpus, kinds, workers):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        models = cli._fit_nn(None, cli.RunConfig(), kinds)
+        assert [pool.max_workers for pool in pools] == [workers]
+        assert models == [(kind, h) for kind in kinds for h in (1, 3, 6)]
+        # LSTM fits go first, and every worker starts with BLAS pinned
+        submitted = pools[0].submitted
+        lstm_first = sorted(models, key=lambda job: job[0] != "lstm")
+        assert [(kind, h) for kind, h, _ in submitted] == lstm_first
+        assert {threads for _, _, threads in submitted} == {"1"}
 
 
 def test_installed_entry_point(tmp_path):

@@ -1,5 +1,7 @@
 """Design matrix construction, least-squares fitting, forecasting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,10 @@ class TestBuildDesignMatrix:
     def test_insufficient_rows(self):
         window = DaylightWindow(0, 1260)
         series = make_series(np.arange(8.0), step=180)
-        with pytest.raises(DataValidationError, match="design rows"):
+        message = ("horizon 1: only 6 design rows for order 2 (1 days x 6 rows per day); "
+                   "a row spans order + horizon = 3 slots and daylight window 00:00-21:00 "
+                   "holds 8 at 180-minute steps; need at least 20 for a stable fit")
+        with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
             build_design_matrix(series, 2, 1, window)  # 6 rows < 20
 
     def test_bad_order_and_horizon(self):

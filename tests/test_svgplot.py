@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from solarcast import DataValidationError
-from solarcast.svgplot import render_line_chart, write_line_chart
+from solarcast.io import write_text
+from solarcast.svgplot import render_line_chart
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -49,8 +50,11 @@ def test_comment_metadata_included():
 
 
 def test_write_to_file(tmp_path):
+    # the CLI and the demos write a rendered chart through io.write_text
     path = tmp_path / "chart.svg"
-    write_line_chart(path, sample_curves(), title="t")
+    svg = render_line_chart(sample_curves(), title="t")
+    write_text(path, (svg,))
+    assert path.read_text(encoding="utf-8") == svg
     ET.parse(path)
 
 
