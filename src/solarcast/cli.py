@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from collections.abc import Iterable
@@ -38,7 +39,7 @@ from .model_io import (
 )
 from .nn.training import loss_curve_csv
 from .series import DaylightWindow, IrradianceSeries, fit_scaler, split, standardize
-from .stats import autocorrelation, ensemble_deduct, ensemble_profile, pacf_from_autocorrelation, select_order
+from .stats import autocorrelation, ensemble_profile, pacf_from_autocorrelation, select_order, training_residual
 from .svgplot import render_line_chart
 from .synthetic import generate_synthetic
 
@@ -264,7 +265,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     scaler = fit_scaler(train)
     z = standardize(train, scaler)
     if args.domain == "ens":
-        domain_series = ensemble_deduct(z, ensemble_profile(z))
+        domain_series = training_residual(z, ensemble_profile(z))
     else:
         domain_series = z
     values = daylight_values(domain_series, daylight)
@@ -381,7 +382,6 @@ def _evaluate_model_file(
     """Forecast with a saved model. Also returns the config with the
     settings the model file fixes in place of the flags, so output
     headers record what actually ran."""
-    reports: list[ForecastReport] = []
     if detect_model_kind(model_file) == "mar":
         model = load_mar_model(model_file)
         config = replace(
@@ -394,7 +394,7 @@ def _evaluate_model_file(
         for h in config.horizon_list():
             if not config.recursive and h not in model.weights:
                 raise UsageError(f"model file has no weights for horizon {h}")
-            reports.append(forecast(model, test, h, recursive=config.recursive))
+        predict = functools.partial(forecast, model, test, recursive=config.recursive)
     else:
         if config.recursive:
             raise UsageError("recursive mode applies to mar/ar models only")
@@ -404,7 +404,11 @@ def _evaluate_model_file(
         for h in config.horizon_list():
             if h not in models:
                 raise UsageError(f"model file has no network for horizon {h}")
-            reports.append(nn.nn_forecast(models[h], test))
+        predict = lambda h: nn.nn_forecast(models[h], test)  # noqa: E731
+    try:
+        reports = [predict(h) for h in config.horizon_list()]
+    except DataValidationError as exc:  # the file's values do not fit the data
+        raise DataValidationError(f"{model_file}: {exc}") from None
     for report in reports:
         # forecasts whose squared errors overflow have no finite metrics
         with np.errstate(over="ignore"):

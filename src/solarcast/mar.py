@@ -34,6 +34,7 @@ from .stats import (
     ensemble_profile,
     partial_autocorrelation,
     select_order,
+    training_residual,
 )
 
 DEFAULT_HORIZONS = (1, 3, 6)
@@ -180,7 +181,7 @@ def fit_all_horizons(train: IrradianceSeries, config: MarConfig | None = None) -
     scaler = fit_scaler(train)
     z = standardize(train, scaler)
     profile = ensemble_profile(z)
-    domain = ensemble_deduct(z, profile) if config.ensemble_enabled else z
+    domain = training_residual(z, profile) if config.ensemble_enabled else z
 
     order = config.order
     if order is None:
@@ -252,8 +253,8 @@ def forecast(
         else:
             pred_domain = lags @ model.weights[horizon]
         if model.ensemble_enabled:
-            pred_domain = pred_domain + model.profile.means[targets % test.samples_per_day]
-        predicted = np.maximum(pred_domain * model.scaler.sigma + model.scaler.mu, 0.0)
+            pred_domain = model.profile.add(pred_domain, targets % test.samples_per_day)
+        predicted = np.maximum(model.scaler.inverse(pred_domain), 0.0)
 
     name = label if label is not None else ("mar" if model.ensemble_enabled else "ar")
     return ForecastReport(

@@ -193,6 +193,7 @@ def _parse_param(rest: str, where: str) -> tuple[str, tuple[int, ...], np.ndarra
 def load_nn_models(path: str | os.PathLike) -> dict[int, "object"]:
     """Load every horizon section from an ``nn-model v1`` file; returns
     {horizon: NeuralModel}."""
+    from .nn.flat import FlatParams
     from .nn.networks import ConvSpec, LstmSpec
     from .nn.training import NeuralModel
 
@@ -238,7 +239,7 @@ def load_nn_models(path: str | os.PathLike) -> dict[int, "object"]:
             kind=kind,
             spec=spec,
             horizon=horizon,
-            params=params,
+            params=FlatParams(expected, params),
             scaler=scaler,
             daylight=DaylightWindow(start_minute=day_lo, end_minute=day_hi),
             step=step,

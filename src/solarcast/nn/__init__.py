@@ -4,6 +4,7 @@ gradient verification. Arrays are plain float64 numpy ndarrays of rank
 at most 3 (batch, length, channels)."""
 
 from .adam import Adam
+from .flat import FlatParams
 from .gradcheck import finite_difference_gradients, max_relative_error
 from .layers import (
     avg_pool_backward,
@@ -27,6 +28,7 @@ __all__ = [
     "Adam",
     "CnnNetwork",
     "ConvSpec",
+    "FlatParams",
     "LstmNetwork",
     "LstmSpec",
     "NeuralModel",

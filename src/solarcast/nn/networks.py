@@ -25,7 +25,14 @@ from .layers import (
     dense_backward,
     dense_forward,
 )
-from .lstm import GATE_PARAMS, lstm_sequence_backward, lstm_sequence_forward
+from .flat import FlatParams
+from .lstm import (
+    GATE_PARAMS,
+    Workspace,
+    gate_shapes,
+    lstm_sequence_backward,
+    lstm_sequence_forward,
+)
 
 
 def _spec_to_text(spec) -> str:
@@ -122,8 +129,8 @@ class LstmSpec:
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Name and shape of every parameter of a network of this spec."""
         h, dense = self.units, self.dense_hidden
-        gates = {name: (h, h + 1) if name.startswith("w") else (h,) for name in GATE_PARAMS}
-        return {**gates, "fc_w": (h, dense), "fc_b": (dense,), "out_w": (dense, 1), "out_b": (1,)}
+        head = {"fc_w": (h, dense), "fc_b": (dense,), "out_w": (dense, 1), "out_b": (1,)}
+        return {**gate_shapes(h, 1), **head}
 
     def to_text(self) -> str:
         return _spec_to_text(self)
@@ -138,35 +145,37 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_cnn_params(spec: ConvSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
+def init_cnn_params(spec: ConvSpec, rng: np.random.Generator) -> FlatParams:
+    """Glorot-uniform weights and zero biases."""
     k, f = spec.kernel_size, spec.kernel_count
-    flat = spec.flat_units
-    return {
-        "conv_w": glorot_uniform(rng, (k, 1, f), fan_in=k, fan_out=k * f),
-        "conv_b": np.zeros(f),
-        "fc1_w": glorot_uniform(rng, (flat, spec.fc1_units), flat, spec.fc1_units),
-        "fc1_b": np.zeros(spec.fc1_units),
-        "fc2_w": glorot_uniform(rng, (spec.fc1_units, spec.fc2_units), spec.fc1_units, spec.fc2_units),
-        "fc2_b": np.zeros(spec.fc2_units),
-        "out_w": glorot_uniform(rng, (spec.fc2_units, 1), spec.fc2_units, 1),
-        "out_b": np.zeros(1),
-    }
-
-
-def init_lstm_params(spec: LstmSpec, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    h = spec.units
-    concat = h + 1  # scalar input per step
-    params: dict[str, np.ndarray] = {}
-    for name in GATE_PARAMS:
-        if name.startswith("w"):
-            params[name] = glorot_uniform(rng, (h, concat), fan_in=concat, fan_out=h)
-        else:
-            params[name] = np.zeros(h)
-    params["fc_w"] = glorot_uniform(rng, (h, spec.dense_hidden), h, spec.dense_hidden)
-    params["fc_b"] = np.zeros(spec.dense_hidden)
-    params["out_w"] = glorot_uniform(rng, (spec.dense_hidden, 1), spec.dense_hidden, 1)
-    params["out_b"] = np.zeros(1)
+    flat, fc1, fc2 = spec.flat_units, spec.fc1_units, spec.fc2_units
+    params = FlatParams(spec.param_shapes())
+    params["conv_w"] = glorot_uniform(rng, (k, 1, f), fan_in=k, fan_out=k * f)
+    params["fc1_w"] = glorot_uniform(rng, (flat, fc1), flat, fc1)
+    params["fc2_w"] = glorot_uniform(rng, (fc1, fc2), fc1, fc2)
+    params["out_w"] = glorot_uniform(rng, (fc2, 1), fc2, 1)
     return params
+
+
+def init_lstm_params(spec: LstmSpec, rng: np.random.Generator) -> FlatParams:
+    """Glorot-uniform weights and zero biases."""
+    h, dense = spec.units, spec.dense_hidden
+    concat = h + 1  # scalar input per step
+    params = FlatParams(spec.param_shapes())
+    for name in GATE_PARAMS[:4]:
+        params[name] = glorot_uniform(rng, (h, concat), fan_in=concat, fan_out=h)
+    params["fc_w"] = glorot_uniform(rng, (h, dense), h, dense)
+    params["out_w"] = glorot_uniform(rng, (dense, 1), dense, 1)
+    return params
+
+
+def _flat_params(spec, params) -> FlatParams:
+    """``params`` itself when it already has the spec's layout, else a
+    copy of its values in that layout."""
+    shapes = spec.param_shapes()
+    if isinstance(params, FlatParams) and list(params.shapes.items()) == list(shapes.items()):
+        return params
+    return FlatParams(shapes, params)
 
 
 class CnnNetwork:
@@ -174,11 +183,11 @@ class CnnNetwork:
 
     kind = "cnn"
 
-    def __init__(self, spec: ConvSpec | None = None, seed: int = 0, params: dict | None = None):
+    def __init__(self, spec: ConvSpec | None = None, seed: int = 0, params=None):
         self.spec = spec or ConvSpec()
-        self.params = params if params is not None else init_cnn_params(
-            self.spec, np.random.default_rng(seed)
-        )
+        if params is None:
+            params = init_cnn_params(self.spec, np.random.default_rng(seed))
+        self.params = _flat_params(self.spec, params)
 
     def forward_with_cache(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         p = self.params
@@ -201,24 +210,17 @@ class CnnNetwork:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward_with_cache(x)[0]
 
-    def backward(self, cache: dict, grad_pred: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, cache: dict, grad_pred: np.ndarray) -> FlatParams:
+        """Parameter gradients, in the layout of ``params``."""
+        grads = FlatParams(self.params.shapes)
         grad_out = grad_pred[:, None]
-        grad_fc2, out_w_g, out_b_g = dense_backward(grad_out, cache["out"])
-        grad_fc1, fc2_w_g, fc2_b_g = dense_backward(grad_fc2, cache["fc2"])
-        grad_flat, fc1_w_g, fc1_b_g = dense_backward(grad_fc1, cache["fc1"])
+        grad_fc2, grads["out_w"], grads["out_b"] = dense_backward(grad_out, cache["out"])
+        grad_fc1, grads["fc2_w"], grads["fc2_b"] = dense_backward(grad_fc2, cache["fc2"])
+        grad_flat, grads["fc1_w"], grads["fc1_b"] = dense_backward(grad_fc1, cache["fc1"])
         grad_pool = grad_flat.reshape(cache["pool_shape"])
         grad_conv = avg_pool_backward(grad_pool, cache["pool"])
-        _, conv_w_g, conv_b_g = conv1d_backward(grad_conv, cache["conv"])
-        return {
-            "conv_w": conv_w_g,
-            "conv_b": conv_b_g,
-            "fc1_w": fc1_w_g,
-            "fc1_b": fc1_b_g,
-            "fc2_w": fc2_w_g,
-            "fc2_b": fc2_b_g,
-            "out_w": out_w_g,
-            "out_b": out_b_g,
-        }
+        _, grads["conv_w"], grads["conv_b"] = conv1d_backward(grad_conv, cache["conv"])
+        return grads
 
 
 class LstmNetwork:
@@ -227,26 +229,39 @@ class LstmNetwork:
 
     kind = "lstm"
 
-    def __init__(self, spec: LstmSpec | None = None, seed: int = 0, params: dict | None = None):
+    def __init__(self, spec: LstmSpec | None = None, seed: int = 0, params=None):
         self.spec = spec or LstmSpec()
-        self.params = params if params is not None else init_lstm_params(
-            self.spec, np.random.default_rng(seed)
-        )
+        if params is None:
+            params = init_lstm_params(self.spec, np.random.default_rng(seed))
+        self.params = _flat_params(self.spec, params)
+        # step state and backward scratch, reused batch after batch
+        self._forward_space, self._backward_space = Workspace(), Workspace()
 
     def forward_with_cache(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        p = self.params
-        h_final, caches = lstm_sequence_forward(x, p, self.spec.units)
-        fc_out, fc_cache = dense_forward(h_final, p["fc_w"], p["fc_b"], activation="relu")
-        out, out_cache = dense_forward(fc_out, p["out_w"], p["out_b"], activation="identity")
-        return out[:, 0], {"lstm": caches, "fc": fc_cache, "out": out_cache}
+        """Predictions and the cache ``backward`` takes. The LSTM step
+        state lives in this network's workspace, so the next
+        ``forward_with_cache`` overwrites the cache."""
+        return self._forward(x, self._forward_space)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_with_cache(x)[0]
+        # memory of its own, freed on return: a forecast's few large
+        # blocks gain nothing from reuse, and held across them its peak
+        # RSS rose by 1 MB on a 657-day test split
+        return self._forward(x, None)[0]
 
-    def backward(self, cache: dict, grad_pred: np.ndarray) -> dict[str, np.ndarray]:
+    def _forward(self, x: np.ndarray, workspace: Workspace | None) -> tuple[np.ndarray, dict]:
+        p = self.params
+        h_final, state = lstm_sequence_forward(x, p, self.spec.units, workspace)
+        fc_out, fc_cache = dense_forward(h_final, p["fc_w"], p["fc_b"], activation="relu")
+        out, out_cache = dense_forward(fc_out, p["out_w"], p["out_b"], activation="identity")
+        return out[:, 0], {"lstm": state, "fc": fc_cache, "out": out_cache}
+
+    def backward(self, cache: dict, grad_pred: np.ndarray) -> FlatParams:
+        """Parameter gradients, in the layout of ``params``."""
+        grads = FlatParams(self.params.shapes)
         grad_out = grad_pred[:, None]
-        grad_fc, out_w_g, out_b_g = dense_backward(grad_out, cache["out"])
-        grad_h, fc_w_g, fc_b_g = dense_backward(grad_fc, cache["fc"])
-        grads = lstm_sequence_backward(grad_h, cache["lstm"], self.params)
-        grads.update({"fc_w": fc_w_g, "fc_b": fc_b_g, "out_w": out_w_g, "out_b": out_b_g})
-        return grads
+        grad_fc, grads["out_w"], grads["out_b"] = dense_backward(grad_out, cache["out"])
+        grad_h, grads["fc_w"], grads["fc_b"] = dense_backward(grad_fc, cache["fc"])
+        return lstm_sequence_backward(
+            grad_h, cache["lstm"], self.params, grads, self._backward_space
+        )

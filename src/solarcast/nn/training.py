@@ -32,6 +32,7 @@ from ..series import (
     standardize,
 )
 from .adam import Adam
+from .flat import FlatParams
 from .networks import CnnNetwork, ConvSpec, LstmNetwork, LstmSpec
 
 MIN_TRAINING_WINDOWS = 1000
@@ -95,7 +96,7 @@ class NeuralModel:
     kind: str
     spec: ConvSpec | LstmSpec
     horizon: int
-    params: dict[str, np.ndarray]
+    params: FlatParams
     scaler: Scaler
     daylight: DaylightWindow
     step: int
@@ -129,6 +130,8 @@ def _train(
 ) -> list[float]:
     rng = np.random.default_rng(seed)
     optimizer = Adam(learning_rate=lr_schedule(0))
+    # one entry: Adam updates every parameter in one pass over the buffer
+    params = {"flat": network.params.flat}
     n = windows.targets.size
     loss_curve: list[float] = []
     for epoch in range(epochs):
@@ -142,7 +145,7 @@ def _train(
             pred, cache = network.forward_with_cache(x)
             loss, grad_pred = mse_loss(pred, y)
             grads = network.backward(cache, grad_pred)
-            optimizer.step(network.params, grads)
+            optimizer.step(params, {"flat": grads.flat})
             epoch_loss += loss * batch.size
         epoch_loss /= n
         if not np.isfinite(epoch_loss):
@@ -263,7 +266,7 @@ def nn_forecast(model: NeuralModel, test: IrradianceSeries) -> ForecastReport:
         ])
         if windows.differenced:
             pred = inverse_difference(pred, windows.anchors)
-        pred_raw = np.clip(pred * model.scaler.sigma + model.scaler.mu, 0.0, None)
+        pred_raw = np.clip(model.scaler.inverse(pred), 0.0, None)
     return ForecastReport(
         model=model.kind,
         horizon=model.horizon,

@@ -110,6 +110,10 @@ class Scaler:
         if np.isinf(1.0 / float(self.sigma)):  # standardizing would overflow
             raise DataValidationError(f"scaler sigma {self.sigma} has no finite reciprocal")
 
+    def inverse(self, z: np.ndarray) -> np.ndarray:
+        """Standardized values back on the original scale."""
+        return z * self.sigma + self.mu
+
 
 @dataclass(frozen=True)
 class DaylightWindow:
@@ -283,11 +287,19 @@ def fit_scaler(train: IrradianceSeries | np.ndarray) -> Scaler:
 
 
 def standardize(series: IrradianceSeries, scaler: Scaler) -> IrradianceSeries:
-    return series.with_values((series.values - scaler.mu) / scaler.sigma)
+    # a scaler read from a file may take the data past float64
+    with np.errstate(over="ignore"):
+        z = (series.values - scaler.mu) / scaler.sigma
+    if not np.isfinite(z).all():
+        raise DataValidationError(
+            f"standardizing with scaler mu {scaler.mu:.17g}, sigma {scaler.sigma:.17g} "
+            "overflows float64"
+        )
+    return series.with_values(z)
 
 
 def destandardize(series: IrradianceSeries, scaler: Scaler) -> IrradianceSeries:
-    return series.with_values(series.values * scaler.sigma + scaler.mu)
+    return series.with_values(scaler.inverse(series.values))
 
 
 def difference_transform(series: IrradianceSeries | np.ndarray) -> DifferencedSeries:

@@ -42,6 +42,11 @@ class EnsembleProfile:
     def __len__(self) -> int:
         return self.means.size
 
+    def add(self, values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """``values`` plus the expected value of each one's time-of-day
+        slot: the inverse of deducting the profile."""
+        return values + self.means[slots]
+
 
 @dataclass(frozen=True)
 class CorrelationSequence:
@@ -92,7 +97,21 @@ def ensemble_deduct(series: IrradianceSeries, profile: EnsembleProfile) -> Irrad
 def ensemble_add(series: IrradianceSeries, profile: EnsembleProfile) -> IrradianceSeries:
     """Exact inverse of :func:`ensemble_deduct`."""
     _check_alignment(series, profile)
-    return series.with_values(series.values + np.tile(profile.means, series.n_days))
+    slots = np.arange(series.values.size) % series.samples_per_day
+    return series.with_values(profile.add(series.values, slots))
+
+
+def training_residual(z: IrradianceSeries, profile: EnsembleProfile) -> IrradianceSeries:
+    """``z`` less the ensemble profile fitted on it: the signal an
+    ensemble model fits. Raises when no signal is left, as after a
+    training split of one day, whose profile is that day."""
+    residual = ensemble_deduct(z, profile)
+    if not residual.values.any():
+        raise DataValidationError(
+            "the ensemble-deducted training series is all zero: every training day equals "
+            "the ensemble profile, as the only day of a one-day training split does"
+        )
+    return residual
 
 
 def autocorrelation(

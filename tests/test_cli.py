@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from datetime import datetime
 
@@ -485,6 +486,28 @@ class TestExitCodes:
         )
 
 
+class TestOneDayTrainingSplit:
+    """The ensemble profile of a one-day training split is that day, so
+    the ensemble-deducted series is zero: one data error, whichever
+    command fits on it. The plain AR model deducts nothing and fits."""
+
+    MESSAGE = ("data error: the ensemble-deducted training series is all zero: every "
+               "training day equals the ensemble profile, as the only day of a one-day "
+               "training split does\n")
+
+    @pytest.mark.parametrize("command", [
+        ("diagnose",), ("fit", "--model", "mar"), ("compare",),
+    ], ids=["diagnose", "fit-mar", "compare"])
+    def test_exits_2_naming_the_cause(self, mixed_csv, tmp_path, capfd, command):
+        code = run(*command, "--data", str(mixed_csv), "--split", "0.04",
+                   "--out", str(tmp_path))
+        assert (code, capfd.readouterr().err) == (2, self.MESSAGE)
+
+    def test_ar_fits(self, mixed_csv, tmp_path):
+        assert run("fit", "--model", "ar", "--data", str(mixed_csv), "--split", "0.04",
+                   "--out", str(tmp_path)) == 0
+
+
 class TestMapeThreshold:
     """At a threshold of 0 or below, MAPE divides by dawn's near-zero
     actuals, so such a threshold is a usage error."""
@@ -585,6 +608,28 @@ class TestSubnormalScaler:
         assert result.returncode == 2
         assert result.stderr == (f"data error: {path}: scaler record: "
                                  "scaler sigma 1e-320 has no finite reciprocal\n")
+
+
+class TestScalerOverflowingTheData:
+    """A scaler whose sigma has a finite reciprocal can still take the
+    data past float64: a data error naming the file, with no
+    RuntimeWarning."""
+
+    @pytest.mark.parametrize("lines", ["mar_file", "cnn_file_lines"])
+    def test_exits_2(self, request, mixed_csv, tmp_path, capfd, lines):
+        lines = request.getfixturevalue(lines)
+        if not isinstance(lines, list):
+            lines = lines.read_text().splitlines()
+        path = tmp_path / "edited.model"
+        path.write_text("\n".join("scaler 0 2.2250738585072014e-308" if ln.startswith("scaler ")
+                                  else ln for ln in lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("evaluate", "--data", str(mixed_csv), "--model-file", str(path),
+                       "--horizons", "1", "--out", str(tmp_path / "out"))
+        assert (code, capfd.readouterr().err) == (2, (
+            f"data error: {path}: standardizing with scaler mu 0, "
+            "sigma 2.2250738585072014e-308 overflows float64\n"))
 
 
 class TestConfigFile:

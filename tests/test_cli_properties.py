@@ -168,3 +168,45 @@ def test_evaluate(root, data_files, mar_file, data, recursive, flags):
         lines = data_lines(out / "summary.csv")
         assert lines[0] == "model,horizon,rmse,mae,mape"
         assert all(math.isfinite(float(cell)) for ln in lines[1:] for cell in ln.split(",")[2:])
+
+
+@pytest.fixture(scope="module")
+def mar_lines(mar_file):
+    return Path(mar_file).read_text().splitlines()
+
+
+edge_values = st.one_of(
+    odd_floats,
+    st.sampled_from([-0.0, 1e150, -1e150, 1e-160, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1e308]),
+)
+
+
+@SETTINGS
+@given(record=st.sampled_from(["scaler", "profile_means", "weights"]),
+       line=st.integers(0, 2),
+       edits=st.lists(st.tuples(st.integers(0, 200), edge_values), min_size=1, max_size=3))
+@example(record="scaler", line=0, edits=[(1, 1e-320)])
+@example(record="scaler", line=0, edits=[(1, 2.2250738585072014e-308)])
+@example(record="weights", line=2, edits=[(0, 1e308)])
+def test_evaluate_edited_model_file(root, data_files, mar_lines, record, line, edits):
+    """``evaluate`` on a ``mar.model`` that parses but carries edge values
+    in one record: the scaler, the profile means or one horizon's weights."""
+    lines = list(mar_lines)
+    rows = [i for i, ln in enumerate(lines) if ln.split(" ", 1)[0] == record]
+    row = rows[line % len(rows)]
+    key, *fields = lines[row].split(" ")
+    first = 1 if record == "weights" else 0  # a weights record starts with its horizon
+    for index, value in edits:
+        fields[first + index % (len(fields) - first)] = repr(value)
+    lines[row] = " ".join([key, *fields])
+    path = Path(tempfile.mkdtemp(dir=root)) / "edited.model"
+    path.write_text("\n".join(lines) + "\n")
+    # every floating-point error raises but underflow: a weight of 5e-324
+    # underflows in the first product, and a result rounded to a
+    # subnormal or to zero is exact IEEE behaviour, not a fault
+    with np.errstate(all="raise", under="ignore"):
+        code, out = run(root, ["evaluate", f"--model-file={path}", f"--data={data_files[0]}"], {})
+    if code == 0:
+        lines = data_lines(out / "summary.csv")
+        assert all(math.isfinite(float(cell)) for ln in lines[1:] for cell in ln.split(",")[2:])

@@ -19,6 +19,7 @@ from solarcast import (
 from solarcast import cli
 from solarcast.nn import Adam, ConvSpec, LstmSpec, nn_forecast, train_cnn, train_lstm
 from solarcast.nn import training
+from solarcast.nn.flat import FlatParams
 from solarcast.nn.networks import CnnNetwork, LstmNetwork
 from solarcast.nn.training import NeuralModel, build_windows, loss_curve_csv, mse_loss, _train
 from solarcast.series import (
@@ -156,7 +157,7 @@ class _ExplodingNetwork:
     """Stub whose loss goes non-finite on the second epoch."""
 
     def __init__(self):
-        self.params = {"w": np.array([1.0])}
+        self.params = FlatParams({"w": (1,)}, {"w": np.array([1.0])})
         self.calls = 0
 
     def forward_with_cache(self, x):
@@ -165,7 +166,7 @@ class _ExplodingNetwork:
         return np.full(x.shape[0], value), None
 
     def backward(self, cache, grad_pred):
-        return {"w": np.zeros(1)}
+        return FlatParams(self.params.shapes)
 
 
 class TestDivergenceGuard:
