@@ -76,6 +76,8 @@ class RunConfig:
             raise UsageError(f"cannot parse horizons {self.horizons!r}") from None
         if not horizons or any(h < 1 for h in horizons):
             raise UsageError(f"horizons must be positive step counts, got {self.horizons!r}")
+        if len(set(horizons)) < len(horizons):
+            raise UsageError(f"horizons must not repeat, got {self.horizons!r}")
         return horizons
 
     def order_value(self) -> int | None:
@@ -131,22 +133,10 @@ def load_config_file(path: str) -> RunConfig:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     config = load_config_file(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = {
-        "data": args.data if getattr(args, "data", None) is not None else None,
-        "split": getattr(args, "split", None),
-        "order": getattr(args, "order", None),
-        "horizons": getattr(args, "horizons", None),
-        "daylight": getattr(args, "daylight", None),
-        "model": getattr(args, "model", None),
-        "seed": getattr(args, "seed", None),
-        "out": getattr(args, "out", None),
-        "mape_threshold": getattr(args, "mape_threshold", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            config = replace(config, **{key: value})
-    if getattr(args, "recursive", False):
-        config = replace(config, recursive=True)
+    # every field with a flag of its own name; a store_true flag left
+    # off reads False and keeps the config file's value
+    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    config = replace(config, **{k: v for k, v in flags.items() if v is not None and v is not False})
     if getattr(args, "no_ensemble", False):
         config = replace(config, ensemble=False)
     if config.model not in MODELS:
@@ -157,6 +147,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(
             f"mape threshold must be a positive, finite W/m2 value, got {config.mape_threshold}"
         )
+    if not 0 < config.split < 1:
+        raise UsageError(f"split fraction must lie in (0, 1), got {config.split}")
+    try:
+        config.daylight_window()
+    except DataValidationError as exc:  # the text itself, not how it meets the data
+        raise UsageError(str(exc)) from None
     if config.model == "ar":
         config = replace(config, ensemble=False)
     return config
@@ -259,6 +255,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
     config = resolve_config(args)
+    if args.max_lag < 1:  # the PACF starts at lag 1
+        raise UsageError(f"--max-lag must be >= 1, got {args.max_lag}")
     series = _require_data(config)
     daylight = config.daylight_window()
     train, _ = split(series, config.split)

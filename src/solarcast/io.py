@@ -11,12 +11,12 @@ is the one place that opens a text input (CSV, model or config file),
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from collections.abc import Iterable, Iterator
 from datetime import datetime, timedelta
-from itertools import accumulate, chain, filterfalse, islice, repeat
-from operator import eq, itemgetter, methodcaller
-from typing import NoReturn
+from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -72,12 +72,6 @@ def write_text(path: str | os.PathLike, chunks: Iterable[str]) -> None:
         raise
 
 
-def _fields(rows: list[str], which: int):
-    """Field ``which`` (0 or 2) of every data row's partition at its
-    first comma."""
-    return map(itemgetter(which), map(methodcaller("partition", ","), islice(rows, 1, None)))
-
-
 def load_csv(path: str | os.PathLike) -> IrradianceSeries:
     """Load and validate a series from the canonical CSV schema.
 
@@ -87,9 +81,8 @@ def load_csv(path: str | os.PathLike) -> IrradianceSeries:
     values.
 
     A file in ``write_csv``'s layout is checked by comparing its
-    timestamp text with the grid's. Any other file has its rows parsed
-    and checked in whole-column passes; only a file that fails one is
-    searched line by line for the error to report.
+    timestamp text with the grid's. Any other file is parsed and
+    checked line by line.
     """
     text = read_text(path, DataValidationError, "input file")
     # with no other line break in it, the text splits at "\n" into the
@@ -106,25 +99,7 @@ def load_csv(path: str | os.PathLike) -> IrradianceSeries:
         if np.isfinite(values).all() and not (values < 0).any():
             return IrradianceSeries(start, values, step)
         lines = read_text(path, DataValidationError, "input file").splitlines()
-    # the header, then the data rows; blank and comment lines dropped
-    rows = list(filterfalse(methodcaller("startswith", "#"), filter(None, map(str.strip, lines))))
-    try:
-        valid = bool(rows) and rows[0] == CSV_HEADER and len(rows) > 2
-        if valid:
-            values = np.fromiter(map(float, _fields(rows, 2)), np.float64, len(rows) - 1)
-            start, second = map(datetime.fromisoformat, islice(_fields(rows, 0), 2))
-            step_delta = second - start
-            grid = accumulate(repeat(step_delta), initial=start)
-            valid = (
-                bool(np.isfinite(values).all())
-                and not (values < 0).any()
-                and all(map(eq, map(datetime.fromisoformat, _fields(rows, 0)), grid))
-            )
-    except (ValueError, TypeError, OverflowError):
-        valid = False
-    if not valid:
-        _raise_first_error(lines, path)
-    return IrradianceSeries(start=start, values=values, step=_step_minutes(step_delta))
+    return _parse_lines(lines, path)
 
 
 def _written_grid(lines: list[str]) -> tuple[datetime, np.ndarray, int] | None:
@@ -132,7 +107,7 @@ def _written_grid(lines: list[str]) -> tuple[datetime, np.ndarray, int] | None:
     split at "\n": ``#`` comment lines, the header, then whole days of
     rows, each the grid slot's timestamp text, a comma and a value, and
     an empty last line. The values are parsed but not checked. None for
-    any other lines, even a valid file's: the general path decides."""
+    any other lines, even a valid file's: the line parser decides."""
     skip = next((i for i, line in enumerate(lines) if not line.startswith("#")), 0) + 1
     count = len(lines) - skip - 1
     if lines[skip - 1] != CSV_HEADER or lines[-1] or count < 2:
@@ -169,11 +144,11 @@ def _step_minutes(step_delta) -> int:
     return int(step_minutes)
 
 
-def _raise_first_error(lines: list[str], path: str | os.PathLike) -> NoReturn:
-    """Raise the error of a file that failed a whole-column check: the
-    first malformed line in file order, else the first break in the
-    grid."""
+def _parse_lines(lines: list[str], path: str | os.PathLike) -> IrradianceSeries:
+    """The series the lines hold. A file with an error raises the first
+    malformed line in file order, else the first break in the grid."""
     timestamps: list[datetime] = []
+    values: list[float] = []
     header_seen = False
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -203,13 +178,14 @@ def _raise_first_error(lines: list[str], path: str | os.PathLike) -> NoReturn:
             raise DataValidationError(
                 f"line {lineno}: malformed irradiance value {parts[1]!r}"
             ) from None
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DataValidationError(f"line {lineno}: non-finite irradiance value")
         if value < 0:
             raise DataValidationError(
                 f"line {lineno}: negative irradiance {value} at {ts.isoformat()}"
             )
         timestamps.append(ts)
+        values.append(value)
 
     if not header_seen:
         raise DataValidationError(f"{path}: no header line found")
@@ -230,9 +206,9 @@ def _raise_first_error(lines: list[str], path: str | os.PathLike) -> NoReturn:
         raise DataValidationError(
             f"timestamp {odd.isoformat()} mixes naive and UTC-offset forms"
         ) from None
-    _step_minutes(step_delta)
-    if off_grid is None:  # not reached: each whole-column check has a line-level twin above
-        raise DataValidationError(f"{path}: rows failed validation")
+    step = _step_minutes(step_delta)
+    if off_grid is None:
+        return IrradianceSeries(start=timestamps[0], values=np.array(values), step=step)
     prev, found = timestamps[off_grid - 1], timestamps[off_grid]
     if found == prev:
         raise DataValidationError(f"duplicate timestamp {found.isoformat()}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataValidationError, NumericalError, UsageError
-from .metrics import ForecastReport
+from .metrics import ForecastReport, check_step
 from .series import (
     DaylightWindow,
     IrradianceSeries,
@@ -178,6 +178,8 @@ def fit_all_horizons(train: IrradianceSeries, config: MarConfig | None = None) -
     config = config or MarConfig()
     if not config.horizons:
         raise DataValidationError("need at least one horizon")
+    if len(set(config.horizons)) < len(config.horizons):  # one weights record per horizon
+        raise DataValidationError(f"horizons must not repeat, got {tuple(config.horizons)}")
     scaler = fit_scaler(train)
     z = standardize(train, scaler)
     profile = ensemble_profile(z)
@@ -228,10 +230,7 @@ def forecast(
     ``recursive`` iterates the 1-step weights instead of using the
     horizon's own direct weights; the emitted row set is identical.
     """
-    if test.step != model.step:
-        raise DataValidationError(
-            f"test series step {test.step} does not match model step {model.step}"
-        )
+    check_step(test, model.step)
     if recursive:
         if 1 not in model.weights:
             raise UsageError("recursive forecasting needs a fitted 1-step horizon")
@@ -257,12 +256,4 @@ def forecast(
         predicted = np.maximum(model.scaler.inverse(pred_domain), 0.0)
 
     name = label if label is not None else ("mar" if model.ensemble_enabled else "ar")
-    return ForecastReport(
-        model=name,
-        horizon=horizon,
-        start=test.start,
-        step=test.step,
-        sample_index=targets,
-        actual=test.values[targets],
-        predicted=predicted,
-    )
+    return ForecastReport.over(test, name, horizon, targets, predicted)

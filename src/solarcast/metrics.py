@@ -9,7 +9,7 @@ from datetime import datetime, time
 import numpy as np
 
 from .errors import DataValidationError
-from .series import MINUTES_PER_DAY, grid_rows
+from .series import MINUTES_PER_DAY, IrradianceSeries, grid_rows
 
 DEFAULT_MAPE_THRESHOLD = 20.0
 
@@ -82,6 +82,14 @@ class ForecastReport:
                 f"got {self.start.isoformat()} and step {self.step}"
             )
 
+    @classmethod
+    def over(
+        cls, test: IrradianceSeries, model: str, horizon: int, sample_index, predicted
+    ) -> "ForecastReport":
+        """The report of ``predicted`` at the test series' slots ``sample_index``."""
+        actual = test.values[sample_index]
+        return cls(model, horizon, test.start, test.step, sample_index, actual, predicted)
+
     def __len__(self) -> int:
         return self.actual.size
 
@@ -92,6 +100,14 @@ class ForecastReport:
             rmse=rmse(self.actual, self.predicted),
             mae=mae(self.actual, self.predicted),
             mape=mape(self.actual, self.predicted, min_actual=min_actual),
+        )
+
+
+def check_step(test: IrradianceSeries, model_step: int) -> None:
+    """Refuse a test series sampled at another step than the model's."""
+    if test.step != model_step:
+        raise DataValidationError(
+            f"test series step {test.step} does not match model step {model_step}"
         )
 
 

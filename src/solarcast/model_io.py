@@ -126,6 +126,9 @@ def load_mar_model(path: str | os.PathLike) -> MarModel:
     [step] = reader.take_values("step", int, 1)
     [order] = reader.take_values("order", int, 1)
     horizons = tuple(reader.take_values("horizons", int, sep=","))
+    repeated = [h for i, h in enumerate(horizons) if h in horizons[:i]]
+    if repeated:
+        raise DataValidationError(f"{path}: horizons record repeats horizon {repeated[0]}")
     [ensemble] = reader.take_values("ensemble", int, 1)
     day_lo, day_hi = reader.take_values("daylight", int, 2)
     scaler = _take_scaler(reader)
@@ -135,6 +138,8 @@ def load_mar_model(path: str | os.PathLike) -> MarModel:
     while not reader.done():
         h_text, _, vec_text = reader.take("weights").partition(" ")
         [h] = _parse_values(path, "weights", h_text, int, 1)
+        if h in weights:
+            raise DataValidationError(f"{path}: a second weights record for horizon {h}")
         weights[h] = np.array(_parse_values(path, "weights", vec_text, float))
     missing = [h for h in horizons if h not in weights]
     if missing:
@@ -220,6 +225,8 @@ def load_nn_models(path: str | os.PathLike) -> dict[int, "object"]:
     models: dict[int, NeuralModel] = {}
     while not reader.done():
         [horizon] = reader.take_values("horizon", int, 1)
+        if horizon in models:
+            raise DataValidationError(f"{path}: a second section for horizon {horizon}")
         where = f"{path}: horizon {horizon}"
         params: dict[str, np.ndarray] = {}
         while reader.peek_key() == "param":

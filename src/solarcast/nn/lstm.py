@@ -21,8 +21,7 @@ laid out in ``GATE_PARAMS`` order, so the stacked matrix and bias are
 views of its buffer: an optimizer's in-place update or a gradient
 check's perturbation reaches them with no copy, and the gate gradients
 accumulate straight into the same blocks of a ``FlatParams`` of
-gradients. Per-gate arrays held any other way are stacked into a copy
-on every call.
+gradients. Parameters held any other way are rejected.
 
 A call keeps the step state of the whole window in a few buffers,
 indexed by step and held feature-major, as (steps, features, batch):
@@ -63,32 +62,18 @@ def gate_shapes(hidden: int, n_in: int) -> dict[str, tuple[int, ...]]:
     return {name: (hidden, hidden + n_in) if name[0] == "w" else (hidden,) for name in GATE_PARAMS}
 
 
-def _packed(params, hidden: int, n_in: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The stacked (4 * hidden, hidden + n_in) weight and 4 * hidden
-    bias as views of a ``FlatParams`` buffer, or None when ``params``
-    does not hold the gates that way."""
-    if not isinstance(params, FlatParams):
-        return None
-    weights, biases = params.span(_WEIGHTS), params.span(_BIASES)
-    if weights is None or biases is None:
-        return None
-    return weights.reshape(4 * hidden, hidden + n_in), biases
-
-
-def _stacked(params, hidden: int, n_in: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validate the per-gate parameters and return the stacked weight
-    and bias: views when ``params`` packs them, copies otherwise."""
+def _stacked(params: FlatParams, hidden: int, n_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the gate parameters and return the stacked
+    (4 * hidden, hidden + n_in) weight and 4 * hidden bias, views of
+    the buffer of ``params``."""
+    if not isinstance(params, FlatParams) or params.span(GATE_PARAMS) is None:
+        raise DataValidationError("LSTM gates need a FlatParams laid out in GATE_PARAMS order")
     for name, expected in gate_shapes(hidden, n_in).items():
-        if name not in params:
-            raise DataValidationError(f"missing LSTM parameter {name!r}")
         if params[name].shape != expected:
             raise DataValidationError(
                 f"LSTM parameter {name} has shape {params[name].shape}, expected {expected}"
             )
-    return _packed(params, hidden, n_in) or (
-        np.concatenate([params[name] for name in _WEIGHTS]),
-        np.concatenate([params[name] for name in _BIASES]),
-    )
+    return params.span(_WEIGHTS).reshape(4 * hidden, hidden + n_in), params.span(_BIASES)
 
 
 class Workspace:
@@ -166,7 +151,7 @@ def _backward(
     grad_h: np.ndarray,
     grad_c: np.ndarray,
     state: dict,
-    params,
+    params: FlatParams,
     grads: FlatParams,
     workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -180,10 +165,7 @@ def _backward(
     hidden = c.shape[1]
     n_in = concat.shape[1] - hidden
     w, _ = _stacked(params, hidden, n_in)
-    grad_blocks = _packed(grads, hidden, n_in)
-    if grad_blocks is None:
-        raise DataValidationError("gate gradients need a FlatParams laid out in GATE_PARAMS order")
-    grad_w, grad_b = grad_blocks
+    grad_w, grad_b = _stacked(grads, hidden, n_in)
     # d is the loss gradient at the gate pre-activations; every other
     # intermediate has a buffer too, so no step allocates an array
     batch = gates.shape[2]
@@ -219,7 +201,7 @@ def _backward(
 
 
 def lstm_cell_forward(
-    x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params
+    x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, params: FlatParams
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """One step. x_t: (batch, n_in); h_prev, c_prev: (batch, hidden).
     Returns (h_t, c_t, cache); the cache also holds the gates by name."""
@@ -236,7 +218,7 @@ def lstm_cell_forward(
 
 
 def lstm_cell_backward(
-    grad_h: np.ndarray, grad_c: np.ndarray, cache: dict, params
+    grad_h: np.ndarray, grad_c: np.ndarray, cache: dict, params: FlatParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, FlatParams]:
     """Backward through one step.
 
@@ -250,7 +232,7 @@ def lstm_cell_backward(
 
 
 def lstm_sequence_forward(
-    x_seq: np.ndarray, params, hidden: int, workspace: Workspace | None = None
+    x_seq: np.ndarray, params: FlatParams, hidden: int, workspace: Workspace | None = None
 ) -> tuple[np.ndarray, dict]:
     """Unroll over x_seq of shape (batch, steps, n_in) from zero
     initial states; returns the final hidden state and the step state.
@@ -267,7 +249,7 @@ def lstm_sequence_forward(
 def lstm_sequence_backward(
     grad_h_final: np.ndarray,
     state: dict,
-    params,
+    params: FlatParams,
     grads: FlatParams | None = None,
     workspace: Workspace | None = None,
 ) -> FlatParams:

@@ -35,28 +35,32 @@ from .lstm import (
 )
 
 
-def _spec_to_text(spec) -> str:
-    return " ".join(f"{f.name}={getattr(spec, f.name)}" for f in fields(spec))
+class _TextSpec:
+    """The ``name=value`` text of a spec's fields, as a model file's
+    ``spec`` record holds it."""
 
+    def to_text(self) -> str:
+        return " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
 
-def _spec_from_text(cls, text: str):
-    kwargs = {}
-    types = {f.name: f.type for f in fields(cls)}
-    for token in text.split():
-        name, _, raw = token.partition("=")
-        if name not in types:
-            raise DataValidationError(f"unknown {cls.__name__} field {name!r}")
-        try:
-            kwargs[name] = float(raw) if types[name] == "float" else int(raw)
-        except ValueError:
-            raise DataValidationError(
-                f"{cls.__name__} field {name}: cannot parse {raw!r}"
-            ) from None
-    return cls(**kwargs)
+    @classmethod
+    def from_text(cls, text: str):
+        kwargs = {}
+        types = {f.name: f.type for f in fields(cls)}
+        for token in text.split():
+            name, _, raw = token.partition("=")
+            if name not in types:
+                raise DataValidationError(f"unknown {cls.__name__} field {name!r}")
+            try:
+                kwargs[name] = float(raw) if types[name] == "float" else int(raw)
+            except ValueError:
+                raise DataValidationError(
+                    f"{cls.__name__} field {name}: cannot parse {raw!r}"
+                ) from None
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
-class ConvSpec:
+class ConvSpec(_TextSpec):
     kernel_count: int = 16
     kernel_size: int = 2
     pool_size: int = 1
@@ -99,16 +103,9 @@ class ConvSpec:
             "out_b": (1,),
         }
 
-    def to_text(self) -> str:
-        return _spec_to_text(self)
-
-    @classmethod
-    def from_text(cls, text: str) -> "ConvSpec":
-        return _spec_from_text(cls, text)
-
 
 @dataclass(frozen=True)
-class LstmSpec:
+class LstmSpec(_TextSpec):
     units: int = 32
     layers: int = 1
     dense_hidden: int = 8
@@ -131,13 +128,6 @@ class LstmSpec:
         h, dense = self.units, self.dense_hidden
         head = {"fc_w": (h, dense), "fc_b": (dense,), "out_w": (dense, 1), "out_b": (1,)}
         return {**gate_shapes(h, 1), **head}
-
-    def to_text(self) -> str:
-        return _spec_to_text(self)
-
-    @classmethod
-    def from_text(cls, text: str) -> "LstmSpec":
-        return _spec_from_text(cls, text)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -169,25 +159,16 @@ def init_lstm_params(spec: LstmSpec, rng: np.random.Generator) -> FlatParams:
     return params
 
 
-def _flat_params(spec, params) -> FlatParams:
-    """``params`` itself when it already has the spec's layout, else a
-    copy of its values in that layout."""
-    shapes = spec.param_shapes()
-    if isinstance(params, FlatParams) and list(params.shapes.items()) == list(shapes.items()):
-        return params
-    return FlatParams(shapes, params)
-
-
 class CnnNetwork:
     """Convolutional regressor over a fixed-length input window."""
 
     kind = "cnn"
 
-    def __init__(self, spec: ConvSpec | None = None, seed: int = 0, params=None):
+    def __init__(self, spec: ConvSpec | None = None, seed: int = 0, params: FlatParams | None = None):
         self.spec = spec or ConvSpec()
         if params is None:
             params = init_cnn_params(self.spec, np.random.default_rng(seed))
-        self.params = _flat_params(self.spec, params)
+        self.params = params
 
     def forward_with_cache(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         p = self.params
@@ -229,11 +210,11 @@ class LstmNetwork:
 
     kind = "lstm"
 
-    def __init__(self, spec: LstmSpec | None = None, seed: int = 0, params=None):
+    def __init__(self, spec: LstmSpec | None = None, seed: int = 0, params: FlatParams | None = None):
         self.spec = spec or LstmSpec()
         if params is None:
             params = init_lstm_params(self.spec, np.random.default_rng(seed))
-        self.params = _flat_params(self.spec, params)
+        self.params = params
         # step state and backward scratch, reused batch after batch
         self._forward_space, self._backward_space = Workspace(), Workspace()
 

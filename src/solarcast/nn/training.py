@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DataValidationError, NumericalError, UsageError
-from ..metrics import ForecastReport
+from ..metrics import ForecastReport, check_step
 from ..series import (
     DaylightWindow,
     IrradianceSeries,
@@ -154,23 +154,34 @@ def _train(
     return loss_curve
 
 
-def _prepare(
-    train: IrradianceSeries,
-    window: int,
-    horizon: int,
-    daylight: DaylightWindow | None,
-    scaler: Scaler | None,
-    differenced: bool,
-) -> tuple[WindowSet, Scaler, DaylightWindow]:
+def _fit(
+    network, train: IrradianceSeries, horizon: int, daylight: DaylightWindow | None,
+    seed: int, scaler: Scaler | None, lr_schedule,
+) -> NeuralModel:
+    """Train ``network`` for one horizon on windows of the training
+    series: lag-1 differences for the CNN, the standardized signal for
+    the LSTM."""
+    spec = network.spec
     daylight = daylight or DaylightWindow()
     scaler = scaler or fit_scaler(train)
     z = standardize(train, scaler)
-    windows = build_windows(z, window, horizon, daylight, differenced)
+    windows = build_windows(z, spec.window, horizon, daylight, differenced=network.kind == "cnn")
     if windows.targets.size < MIN_TRAINING_WINDOWS:
         raise DataValidationError(
             f"{windows.targets.size} training windows; need at least {MIN_TRAINING_WINDOWS}"
         )
-    return windows, scaler, daylight
+    loss_curve = _train(network, windows, spec.epochs, spec.batch_size, seed, lr_schedule)
+    return NeuralModel(
+        kind=network.kind,
+        spec=spec,
+        horizon=horizon,
+        params=network.params,
+        scaler=scaler,
+        daylight=daylight,
+        step=train.step,
+        window=spec.window,
+        loss_curve=loss_curve,
+    )
 
 
 def train_cnn(
@@ -184,27 +195,8 @@ def train_cnn(
     """Train the convolutional baseline for one horizon. Deterministic
     under a fixed seed."""
     spec = spec or ConvSpec()
-    windows, scaler, daylight = _prepare(train, spec.window, horizon, daylight, scaler, True)
     network = CnnNetwork(spec=spec, seed=seed)
-    loss_curve = _train(
-        network,
-        windows,
-        epochs=spec.epochs,
-        batch_size=spec.batch_size,
-        seed=seed,
-        lr_schedule=lambda epoch: spec.learning_rate,
-    )
-    return NeuralModel(
-        kind="cnn",
-        spec=spec,
-        horizon=horizon,
-        params=network.params,
-        scaler=scaler,
-        daylight=daylight,
-        step=train.step,
-        window=spec.window,
-        loss_curve=loss_curve,
-    )
+    return _fit(network, train, horizon, daylight, seed, scaler, lambda epoch: spec.learning_rate)
 
 
 def train_lstm(
@@ -218,27 +210,10 @@ def train_lstm(
     """Train the recurrent baseline for one horizon; the learning rate
     is multiplied by the drop factor every drop period."""
     spec = spec or LstmSpec()
-    windows, scaler, daylight = _prepare(train, spec.window, horizon, daylight, scaler, False)
     network = LstmNetwork(spec=spec, seed=seed)
-    loss_curve = _train(
-        network,
-        windows,
-        epochs=spec.epochs,
-        batch_size=spec.batch_size,
-        seed=seed,
-        lr_schedule=lambda epoch: spec.initial_lr
-        * spec.lr_drop_factor ** (epoch // spec.lr_drop_period),
-    )
-    return NeuralModel(
-        kind="lstm",
-        spec=spec,
-        horizon=horizon,
-        params=network.params,
-        scaler=scaler,
-        daylight=daylight,
-        step=train.step,
-        window=spec.window,
-        loss_curve=loss_curve,
+    return _fit(
+        network, train, horizon, daylight, seed, scaler,
+        lambda epoch: spec.initial_lr * spec.lr_drop_factor ** (epoch // spec.lr_drop_period),
     )
 
 
@@ -249,10 +224,7 @@ def nn_forecast(model: NeuralModel, test: IrradianceSeries) -> ForecastReport:
     The windows go through the network in blocks of
     ``PREDICT_BLOCK_ROWS`` rows, so the LSTM's per-step training caches
     never exist for more than one block at a time."""
-    if test.step != model.step:
-        raise DataValidationError(
-            f"test series step {test.step} does not match model step {model.step}"
-        )
+    check_step(test, model.step)
     z = standardize(test, model.scaler)
     windows = build_windows(
         z, model.window, model.horizon, model.daylight, differenced=(model.kind == "cnn")
@@ -267,15 +239,7 @@ def nn_forecast(model: NeuralModel, test: IrradianceSeries) -> ForecastReport:
         if windows.differenced:
             pred = inverse_difference(pred, windows.anchors)
         pred_raw = np.clip(model.scaler.inverse(pred), 0.0, None)
-    return ForecastReport(
-        model=model.kind,
-        horizon=model.horizon,
-        start=test.start,
-        step=test.step,
-        sample_index=windows.sample_index,
-        actual=test.values[windows.sample_index],
-        predicted=pred_raw,
-    )
+    return ForecastReport.over(test, model.kind, model.horizon, windows.sample_index, pred_raw)
 
 
 def loss_curve_csv(model: NeuralModel) -> str:

@@ -713,3 +713,71 @@ def test_installed_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "synthetic_clear_2d.csv").exists()
+
+
+class TestRepeatedHorizons:
+    """A horizon listed twice is refused: as a flag before anything
+    runs, in a model file as a data error naming the file and the
+    horizon."""
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_flag_exits_1(self, mixed_csv, mar_file, tmp_path, capfd, command):
+        extra = ("--model", "mar") if command == "fit" else ("--model-file", str(mar_file))
+        out = tmp_path / "out"
+        code = run(command, *extra, "--data", str(mixed_csv), "--horizons", "1,1,3",
+                   "--out", str(out))
+        assert (code, capfd.readouterr().err) == (
+            1, "error: horizons must not repeat, got '1,1,3'\n")
+        assert not any(out.glob("*.model")) and not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: [ln.replace("horizons 1,3,6", "horizons 1,3,1") for ln in lines],
+         "horizons record repeats horizon 1"),
+        (lambda lines: [*lines, "weights 1 0.5 0.5 0.5 0.5"],
+         "a second weights record for horizon 1"),
+    ], ids=["horizons-record", "weights-record"])
+    def test_mar_file_exits_2(self, mixed_csv, mar_file, tmp_path, capfd, edit, message):
+        lines = mar_file.read_text().splitlines()
+        edited = edit(lines)
+        assert edited != lines
+        path = tmp_path / "edited.model"
+        path.write_text("\n".join(edited) + "\n")
+        code = run("evaluate", "--data", str(mixed_csv), "--model-file", str(path),
+                   "--horizons", "1", "--out", str(tmp_path / "out"))
+        assert (code, capfd.readouterr().err) == (2, f"data error: {path}: {message}\n")
+
+    def test_nn_file_section_exits_2(self, mixed_csv, tmp_path, capfd, lstm_file_lines):
+        section = lstm_file_lines[lstm_file_lines.index("horizon 1"):]
+        path = tmp_path / "edited.model"
+        path.write_text("\n".join([*lstm_file_lines, *section]) + "\n")
+        code = run("evaluate", "--data", str(mixed_csv), "--model-file", str(path),
+                   "--horizons", "1", "--out", str(tmp_path / "out"))
+        assert (code, capfd.readouterr().err) == (
+            2, f"data error: {path}: a second section for horizon 1\n")
+
+
+class TestFlagValueExitCodes:
+    """A flag value that no data could make valid is a usage error;
+    one that fails only against this data is a data error."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--split", "1.5", "split fraction must lie in (0, 1), got 1.5"),
+        ("--split", "nan", "split fraction must lie in (0, 1), got nan"),
+        ("--daylight", "25:00-26:00",
+         "daylight window 1500..1560 is not a valid intra-day interval"),
+        ("--daylight", "dawn-dusk", "cannot parse daylight window 'dawn-dusk'"),
+        ("--max-lag", "0", "--max-lag must be >= 1, got 0"),
+    ])
+    def test_exits_1(self, mixed_csv, tmp_path, capfd, flag, value, message):
+        code = run("diagnose", "--data", str(mixed_csv), flag, value, "--out", str(tmp_path))
+        assert (code, capfd.readouterr().err) == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--daylight", "06:05-18:00", "does not fall on the 10-minute grid"),
+        ("--max-lag", "100000", "must be smaller than series length"),
+        ("--split", "0.01", "leaves an empty train or test half"),
+    ])
+    def test_data_dependent_exits_2(self, mixed_csv, tmp_path, capfd, flag, value, message):
+        code = run("diagnose", "--data", str(mixed_csv), flag, value, "--out", str(tmp_path))
+        err = capfd.readouterr().err
+        assert code == 2 and err.startswith("data error: ") and message in err

@@ -26,7 +26,8 @@ from solarcast.nn import (
     train_lstm,
 )
 from solarcast.nn.lstm import GATE_PARAMS, _stacked
-from solarcast.nn.training import _prepare, mse_loss
+from solarcast.nn.training import build_windows, mse_loss
+from solarcast.series import DaylightWindow, fit_scaler, standardize
 
 DATA = Path(__file__).parent / "data"
 
@@ -98,11 +99,12 @@ class TestRecordedTraining:
 
 
 def per_name_lstm_training(train, spec: LstmSpec, seed: int):
-    """train_lstm's loop over separately allocated per-name arrays: the
-    gates stacked into a copy on every call and one Adam update per
-    name. Returns (loss curve, params)."""
-    windows, _, _ = _prepare(train, spec.window, 1, None, None, False)
-    params = {name: arr.copy() for name, arr in LstmNetwork(spec, seed=seed).params.items()}
+    """train_lstm's loop with parameters in a buffer of its own and one
+    Adam update per name. Returns (loss curve, params)."""
+    z = standardize(train, fit_scaler(train))
+    windows = build_windows(z, spec.window, 1, DaylightWindow(), differenced=False)
+    initial = LstmNetwork(spec, seed=seed).params
+    params = FlatParams(initial.shapes, initial)
     rng = np.random.default_rng(seed)
     optimizer = Adam()
     curve = []
@@ -208,8 +210,8 @@ class TestViews:
         params = LstmNetwork(LstmSpec(units=3, dense_hidden=2), seed=1).params
         w, b = _stacked(params, 3, 1)
         assert np.shares_memory(w, params.flat) and np.shares_memory(b, params.flat)
-        w_copy, _ = _stacked({name: params[name].copy() for name in GATE_PARAMS}, 3, 1)
-        assert np.array_equal(w_copy, w) and not np.shares_memory(w_copy, params.flat)
+        with pytest.raises(DataValidationError, match="FlatParams"):
+            _stacked({name: params[name].copy() for name in GATE_PARAMS}, 3, 1)
 
     def test_pickle_rebuilds_one_buffer(self, network):
         restored = pickle.loads(pickle.dumps(network.params))

@@ -174,6 +174,12 @@ class TestFitAllHorizons:
         profile = ensemble_profile(standardize(train, scaler))
         assert np.array_equal(model.profile.means, profile.means)
 
+    def test_repeated_horizon_rejected(self, mixed_30d):
+        # its model file would hold two weight records, which the loader refuses
+        train, _ = split(mixed_30d, 0.7)
+        with pytest.raises(DataValidationError, match=re.escape("must not repeat, got (1, 1, 3)")):
+            fit_all_horizons(train, MarConfig(horizons=(1, 1, 3)))
+
 
 class TestForecast:
     def test_profile_day_is_reproduced_exactly(self, mixed_30d):

@@ -26,7 +26,8 @@ from solarcast.nn import (
     max_relative_error,
     relu,
 )
-from solarcast.nn.lstm import GATE_PARAMS, sigmoid
+from solarcast.nn.flat import FlatParams
+from solarcast.nn.lstm import GATE_PARAMS, gate_shapes, sigmoid
 from solarcast.nn.training import mse_loss
 
 GRAD_TOL = 1e-4
@@ -220,20 +221,16 @@ def scalar_lstm_oracle(x, h_prev, c_prev, params):
 
 
 def small_lstm_params(rng, hidden=3, n_in=2, scale=0.5):
-    params = {}
-    for name in GATE_PARAMS:
-        shape = (hidden, hidden + n_in) if name.startswith("w") else (hidden,)
-        params[name] = rng.uniform(-scale, scale, size=shape)
+    params = FlatParams(gate_shapes(hidden, n_in))
+    for name, arr in params.items():
+        params[name] = rng.uniform(-scale, scale, size=arr.shape)
     return params
 
 
 class TestLstmCell:
     def test_all_zero_parameters(self):
         hidden, batch = 4, 2
-        params = {
-            name: np.zeros((hidden, hidden + 1)) if name.startswith("w") else np.zeros(hidden)
-            for name in GATE_PARAMS
-        }
+        params = FlatParams(gate_shapes(hidden, 1))
         x = np.ones((batch, 1))
         h_prev = np.full((batch, hidden), 0.3)
         c_prev = np.full((batch, hidden), 0.8)
@@ -245,10 +242,7 @@ class TestLstmCell:
 
     def test_saturated_forget_gate_keeps_cell(self):
         hidden = 3
-        params = {
-            name: np.zeros((hidden, hidden + 1)) if name.startswith("w") else np.zeros(hidden)
-            for name in GATE_PARAMS
-        }
+        params = FlatParams(gate_shapes(hidden, 1))
         params["b_f"] = np.full(hidden, 50.0)
         c_prev = np.array([[0.7, -0.4, 1.2]])
         _, c, _ = lstm_cell_forward(np.zeros((1, 1)), np.zeros((1, hidden)), c_prev, params)

@@ -232,7 +232,7 @@ def rewrite(pattern, replacement):
 WRITTEN = edit_rows(lambda rows: None)
 
 # files that are not in write_csv's layout, or hold a value it never
-# writes, so that they take the general path
+# writes, so that they take the line parser
 FALL_THROUGH = {
     "space-separated": edit_rows(rewrite("T", " ")),
     "Z offset": edit_rows(rewrite(",", "Z,")),
@@ -264,11 +264,11 @@ def test_other_layouts_load_like_the_oracle(tmp_path, text):
 @pytest.mark.parametrize("step", (5, 60))
 @pytest.mark.parametrize("start", STARTS.values(), ids=STARTS.keys())
 def test_written_files_take_the_fast_path(tmp_path, monkeypatch, start, step):
-    """Files that write_csv writes never reach the general path."""
-    def general_path(*args):
-        raise AssertionError("a written file took the general path")
+    """Files that write_csv writes never reach the line parser."""
+    def line_parser(*args):
+        raise AssertionError("a written file took the line parser")
 
-    monkeypatch.setattr(io, "_fields", general_path)
+    monkeypatch.setattr(io, "_parse_lines", line_parser)
     series = series_at(start, step, 3)
     path = tmp_path / "written.csv"
     write_csv(series, path, header_comments={"command": "synth", "seed": 3})
