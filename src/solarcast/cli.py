@@ -427,11 +427,11 @@ def _write_reports(
     step: int,
     prefix: str = "",
 ) -> None:
+    cells = summarize(reports, min_actual=config.mape_threshold)  # fails before any write
     header = _header_lines(config, command)
     _write_text(
         os.path.join(out_dir, f"{prefix}forecasts.csv"), header, report_rows_csv(reports)
     )
-    cells = summarize(reports, min_actual=config.mape_threshold)
     _write_text(os.path.join(out_dir, f"{prefix}summary.csv"), header, (summary_csv(cells),))
     print(summary_table(cells, step=step), end="")
 
@@ -490,6 +490,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for h in config.horizon_list():
         reports.append(forecast(mar_model, test, h, label="mar"))
         reports.append(forecast(ar_model, test, h, label="ar"))
+    # the networks forecast the same target slots, so a MAPE threshold
+    # that no actual reaches fails here, before any training
+    summarize(reports, min_actual=config.mape_threshold)
     for model in _fit_nn(train, config, ("cnn", "lstm")):
         reports.append(nn.nn_forecast(model, test))
 

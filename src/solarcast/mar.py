@@ -38,6 +38,7 @@ from .stats import (
 )
 
 DEFAULT_HORIZONS = (1, 3, 6)
+PACF_MAX_LAG = 12
 MIN_ROWS_PER_COLUMN = 10
 ORTHOGONALITY_TOL = 1e-8
 
@@ -83,8 +84,6 @@ class MarConfig:
     horizons: tuple[int, ...] = DEFAULT_HORIZONS
     daylight: DaylightWindow = field(default_factory=DaylightWindow)
     ensemble_enabled: bool = True
-    pacf_max_lag: int = 12
-    pacf_threshold: float = 0.1
 
 
 @dataclass
@@ -188,10 +187,7 @@ def fit_all_horizons(train: IrradianceSeries, config: MarConfig | None = None) -
     order = config.order
     if order is None:
         order = select_order(
-            partial_autocorrelation(
-                daylight_values(domain, config.daylight), config.pacf_max_lag
-            ),
-            threshold=config.pacf_threshold,
+            partial_autocorrelation(daylight_values(domain, config.daylight), PACF_MAX_LAG)
         )
 
     weights = {

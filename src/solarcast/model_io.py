@@ -140,6 +140,8 @@ def load_mar_model(path: str | os.PathLike) -> MarModel:
         [h] = _parse_values(path, "weights", h_text, int, 1)
         if h in weights:
             raise DataValidationError(f"{path}: a second weights record for horizon {h}")
+        if h not in horizons:
+            raise DataValidationError(f"{path}: weights record for undeclared horizon {h}")
         weights[h] = np.array(_parse_values(path, "weights", vec_text, float))
     missing = [h for h in horizons if h not in weights]
     if missing:
@@ -171,10 +173,10 @@ def save_nn_models(models: list, path: str | os.PathLike) -> None:
         NN_MAGIC,
         f"kind {first.kind}",
         f"step {first.step}",
-        f"window {first.window}",
+        f"window {first.spec.window}",
         f"daylight {first.daylight.start_minute} {first.daylight.end_minute}",
         f"scaler {_fmt(first.scaler.mu)} {_fmt(first.scaler.sigma)}",
-        f"spec {first.spec_text()}",
+        f"spec {first.spec.to_text()}",
     ]
     for model in models:
         lines.append(f"horizon {model.horizon}")
@@ -243,15 +245,12 @@ def load_nn_models(path: str | os.PathLike) -> dict[int, "object"]:
         if missing:
             raise DataValidationError(f"{where}: missing parameters {missing}")
         models[horizon] = NeuralModel(
-            kind=kind,
             spec=spec,
             horizon=horizon,
             params=FlatParams(expected, params),
             scaler=scaler,
             daylight=DaylightWindow(start_minute=day_lo, end_minute=day_hi),
             step=step,
-            window=window,
-            loss_curve=[],
         )
     if not models:
         raise DataValidationError(f"{path}: no horizon sections found")

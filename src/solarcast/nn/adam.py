@@ -1,46 +1,38 @@
-"""Adam optimizer over named parameter dictionaries."""
+"""Adam optimizer over one parameter vector."""
 
 from __future__ import annotations
 
 import numpy as np
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 class Adam:
     """Adaptive moment estimation with bias correction.
 
-    Keeps first/second moment accumulators per parameter name; the
-    learning rate is a plain attribute so schedules can reassign it
-    between steps.
+    Keeps the first/second moment accumulators of one parameter
+    vector; the learning rate is a plain attribute so schedules can
+    reassign it between steps.
     """
 
-    def __init__(
-        self,
-        learning_rate: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, learning_rate: float = 0.001):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """Update ``params`` in place from ``grads``."""
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for name, g in grads.items():
-            if name not in self.m:
-                self.m[name] = np.zeros_like(params[name])
-                self.v[name] = np.zeros_like(params[name])
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            params[name] -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
+        m, v = self.m, self.v
+        m *= BETA1
+        m += (1.0 - BETA1) * grads
+        v *= BETA2
+        v += (1.0 - BETA2) * (grads * grads)
+        params -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)

@@ -162,8 +162,6 @@ def init_lstm_params(spec: LstmSpec, rng: np.random.Generator) -> FlatParams:
 class CnnNetwork:
     """Convolutional regressor over a fixed-length input window."""
 
-    kind = "cnn"
-
     def __init__(self, spec: ConvSpec | None = None, seed: int = 0, params: FlatParams | None = None):
         self.spec = spec or ConvSpec()
         if params is None:
@@ -207,8 +205,6 @@ class CnnNetwork:
 class LstmNetwork:
     """Recurrent regressor: the final hidden state of the unrolled
     window feeds the dense head."""
-
-    kind = "lstm"
 
     def __init__(self, spec: LstmSpec | None = None, seed: int = 0, params: FlatParams | None = None):
         self.spec = spec or LstmSpec()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DataValidationError, NumericalError, UsageError
+from ..errors import DataValidationError, NumericalError
 from ..metrics import ForecastReport, check_step
 from ..series import (
     DaylightWindow,
@@ -93,25 +93,21 @@ class NeuralModel:
     """A trained network for one forecast horizon, with the frozen
     scaler and window policy it was trained under."""
 
-    kind: str
     spec: ConvSpec | LstmSpec
     horizon: int
     params: FlatParams
     scaler: Scaler
     daylight: DaylightWindow
     step: int
-    window: int
     loss_curve: list[float] = field(default_factory=list)
 
-    def network(self):
-        if self.kind == "cnn":
-            return CnnNetwork(spec=self.spec, params=self.params)
-        if self.kind == "lstm":
-            return LstmNetwork(spec=self.spec, params=self.params)
-        raise UsageError(f"unknown network kind {self.kind!r}")
+    @property
+    def kind(self) -> str:
+        return "cnn" if isinstance(self.spec, ConvSpec) else "lstm"
 
-    def spec_text(self) -> str:
-        return self.spec.to_text()
+    def network(self):
+        network = CnnNetwork if isinstance(self.spec, ConvSpec) else LstmNetwork
+        return network(spec=self.spec, params=self.params)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -130,8 +126,6 @@ def _train(
 ) -> list[float]:
     rng = np.random.default_rng(seed)
     optimizer = Adam(learning_rate=lr_schedule(0))
-    # one entry: Adam updates every parameter in one pass over the buffer
-    params = {"flat": network.params.flat}
     n = windows.targets.size
     loss_curve: list[float] = []
     for epoch in range(epochs):
@@ -145,7 +139,7 @@ def _train(
             pred, cache = network.forward_with_cache(x)
             loss, grad_pred = mse_loss(pred, y)
             grads = network.backward(cache, grad_pred)
-            optimizer.step(params, {"flat": grads.flat})
+            optimizer.step(network.params.flat, grads.flat)
             epoch_loss += loss * batch.size
         epoch_loss /= n
         if not np.isfinite(epoch_loss):
@@ -165,21 +159,19 @@ def _fit(
     daylight = daylight or DaylightWindow()
     scaler = scaler or fit_scaler(train)
     z = standardize(train, scaler)
-    windows = build_windows(z, spec.window, horizon, daylight, differenced=network.kind == "cnn")
+    windows = build_windows(z, spec.window, horizon, daylight, differenced=isinstance(spec, ConvSpec))
     if windows.targets.size < MIN_TRAINING_WINDOWS:
         raise DataValidationError(
             f"{windows.targets.size} training windows; need at least {MIN_TRAINING_WINDOWS}"
         )
     loss_curve = _train(network, windows, spec.epochs, spec.batch_size, seed, lr_schedule)
     return NeuralModel(
-        kind=network.kind,
         spec=spec,
         horizon=horizon,
         params=network.params,
         scaler=scaler,
         daylight=daylight,
         step=train.step,
-        window=spec.window,
         loss_curve=loss_curve,
     )
 
@@ -227,7 +219,7 @@ def nn_forecast(model: NeuralModel, test: IrradianceSeries) -> ForecastReport:
     check_step(test, model.step)
     z = standardize(test, model.scaler)
     windows = build_windows(
-        z, model.window, model.horizon, model.daylight, differenced=(model.kind == "cnn")
+        z, model.spec.window, model.horizon, model.daylight, differenced=(model.kind == "cnn")
     )
     network = model.network()
     # as in mar.forecast: the caller checks the result for overflow

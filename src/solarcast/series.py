@@ -274,9 +274,9 @@ def split(
     return train, test
 
 
-def fit_scaler(train: IrradianceSeries | np.ndarray) -> Scaler:
+def fit_scaler(train: IrradianceSeries) -> Scaler:
     """Mean and population standard deviation of the training values."""
-    values = _as_values(train)
+    values = train.values
     if values.size == 0:
         raise DataValidationError("cannot fit a scaler on an empty series")
     mu = float(np.mean(values))

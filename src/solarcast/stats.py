@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError, NumericalError
-from .series import IrradianceSeries, _as_values
+from .series import IrradianceSeries
+
+PACF_THRESHOLD = 0.1
 
 
 @dataclass(frozen=True)
@@ -114,28 +116,27 @@ def training_residual(z: IrradianceSeries, profile: EnsembleProfile) -> Irradian
     return residual
 
 
-def autocorrelation(
-    series: IrradianceSeries | np.ndarray, max_lag: int
-) -> CorrelationSequence:
+def autocorrelation(x: np.ndarray, max_lag: int) -> CorrelationSequence:
     """Normalized sample autocorrelation of a (nominally zero-mean)
     signal: r_tau = sum(x[t] * x[t-tau]) / sum(x[t]^2).
 
     Callers feed ensemble-deducted data, which is zero-mean per slot by
-    construction; no mean is subtracted here.
+    construction; no mean is subtracted here. Each sum is an ``einsum``
+    reduction, which runs on one thread in a fixed order, so the result
+    does not depend on the BLAS thread count as a long ``np.dot`` does.
     """
-    x = _as_values(series)
     n = x.size
     if max_lag < 0:
         raise DataValidationError(f"max_lag must be non-negative, got {max_lag}")
     if max_lag >= n:
         raise DataValidationError(f"max_lag {max_lag} must be smaller than series length {n}")
-    denom = float(np.dot(x, x))
+    denom = float(np.einsum("i,i->", x, x))
     if denom <= 0.0:
         raise DataValidationError("cannot correlate an all-zero signal")
     values = np.empty(max_lag + 1)
     values[0] = 1.0
     for tau in range(1, max_lag + 1):
-        values[tau] = float(np.dot(x[tau:], x[:-tau])) / denom
+        values[tau] = float(np.einsum("i,i->", x[tau:], x[:-tau])) / denom
     return CorrelationSequence(values=values)
 
 
@@ -171,22 +172,20 @@ def pacf_from_autocorrelation(acf: CorrelationSequence) -> CorrelationSequence:
     return CorrelationSequence(values=pacf)
 
 
-def partial_autocorrelation(
-    series: IrradianceSeries | np.ndarray, max_lag: int
-) -> CorrelationSequence:
+def partial_autocorrelation(x: np.ndarray, max_lag: int) -> CorrelationSequence:
     if max_lag < 1:
         raise DataValidationError(f"max_lag must be >= 1, got {max_lag}")
-    return pacf_from_autocorrelation(autocorrelation(series, max_lag))
+    return pacf_from_autocorrelation(autocorrelation(x, max_lag))
 
 
-def select_order(pacf: CorrelationSequence, threshold: float = 0.1) -> int:
-    """Largest lag such that |PACF| stays at or above ``threshold`` for
-    every lag up to it; at least 1 even when lag 1 is already below."""
+def select_order(pacf: CorrelationSequence) -> int:
+    """Largest lag such that |PACF| stays at or above ``PACF_THRESHOLD``
+    for every lag up to it; at least 1 even when lag 1 is already below."""
     if pacf.max_lag < 1:
         raise DataValidationError("order selection needs a PACF with at least lag 1")
     order = 0
     for tau in range(1, pacf.max_lag + 1):
-        if abs(pacf.values[tau]) >= threshold:
+        if abs(pacf.values[tau]) >= PACF_THRESHOLD:
             order = tau
         else:
             break

@@ -8,6 +8,8 @@ from .errors import DataValidationError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+WIDTH = 880
+HEIGHT = 420
 MARGIN_LEFT = 64
 MARGIN_RIGHT = 16
 MARGIN_TOP = 34
@@ -42,8 +44,6 @@ def render_line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 880,
-    height: int = 420,
     comment: str | None = None,
 ) -> str:
     """Render labelled (x, y) curves into an SVG document string."""
@@ -60,8 +60,8 @@ def render_line_chart(
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -71,15 +71,15 @@ def render_line_chart(
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
     ]
     if comment:
         parts.append(f"<!-- {escape(comment)} -->")
-    parts.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
+    parts.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+            f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
         )
 
@@ -108,7 +108,7 @@ def render_line_chart(
     )
     if x_label:
         parts.append(
-            f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 10}" text-anchor="middle" '
+            f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>'
         )
     if y_label:

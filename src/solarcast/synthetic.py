@@ -29,9 +29,9 @@ ATTENUATION_MID = 0.6
 ATTENUATION_HALFWIDTH = 0.4
 
 
-def clear_sky_day(step: int = 10, daylight: DaylightWindow | None = None) -> np.ndarray:
+def clear_sky_day(step: int = 10) -> np.ndarray:
     """One day of the deterministic clear-sky bell."""
-    daylight = daylight or DaylightWindow()
+    daylight = DaylightWindow()
     spd = MINUTES_PER_DAY // step
     minutes = np.arange(spd) * step
     rise, set_ = daylight.start_minute, daylight.end_minute
@@ -48,7 +48,6 @@ def generate_synthetic(
     seed: int = 0,
     step: int = 10,
     start: datetime | None = None,
-    daylight: DaylightWindow | None = None,
 ) -> IrradianceSeries:
     """Deterministic synthetic series of ``days`` whole days.
 
@@ -60,7 +59,6 @@ def generate_synthetic(
         raise DataValidationError(f"days must be >= 1, got {days}")
     if regime not in REGIMES:
         raise DataValidationError(f"unknown regime {regime!r}, expected one of {REGIMES}")
-    daylight = daylight or DaylightWindow()
     rng = np.random.default_rng(seed)
     spd = MINUTES_PER_DAY // step
 
@@ -82,7 +80,7 @@ def generate_synthetic(
         latent[i] = u
     attenuation = ATTENUATION_MID + ATTENUATION_HALFWIDTH * np.tanh(latent)
 
-    bell = clear_sky_day(step=step, daylight=daylight)
+    bell = clear_sky_day(step=step)
     values = np.tile(bell, days)
     mask = np.repeat(cloudy_days, spd)
     values[mask] *= attenuation[mask]

@@ -275,9 +275,8 @@ def untrained_file_lines(kind, mixed_csv, tmp_path_factory):
     """The lines of an untrained one-horizon ``<kind>.model``."""
     train, _ = split(load_csv(mixed_csv), 0.7)
     spec, network = (ConvSpec(), CnnNetwork) if kind == "cnn" else (LstmSpec(), LstmNetwork)
-    model = NeuralModel(kind=kind, spec=spec, horizon=1, params=network(spec).params,
-                        scaler=fit_scaler(train), daylight=DaylightWindow(), step=train.step,
-                        window=spec.window)
+    model = NeuralModel(spec=spec, horizon=1, params=network(spec).params,
+                        scaler=fit_scaler(train), daylight=DaylightWindow(), step=train.step)
     path = tmp_path_factory.mktemp("nnfile") / f"{kind}.model"
     save_nn_models([model], path)
     return path.read_text().splitlines()
@@ -781,3 +780,58 @@ class TestFlagValueExitCodes:
         code = run("diagnose", "--data", str(mixed_csv), flag, value, "--out", str(tmp_path))
         err = capfd.readouterr().err
         assert code == 2 and err.startswith("data error: ") and message in err
+
+
+class TestUndeclaredWeights:
+    """A ``weights h`` record for a horizon that the ``horizons`` record
+    does not declare is a data error naming the file and the horizon,
+    whatever the vector holds; no such vector is ever forecast with."""
+
+    @pytest.mark.parametrize("edit, horizon", [
+        ({}, 3),
+        ({"weights 3": None, "weights 6": "weights 6 0.5 0.5 0.5"}, 6),
+        ({"weights 3": "weights 3 nan nan nan nan", "weights 6": None}, 3),
+    ], ids=["fitted-vectors", "short-vector", "nan-vector"])
+    def test_exits_2(self, mixed_csv, mar_file, tmp_path, capfd, edit, horizon):
+        lines = ["horizons 1" if ln == "horizons 1,3,6" else ln
+                 for ln in mar_file.read_text().splitlines()]
+        for record, replacement in edit.items():
+            [i] = [i for i, ln in enumerate(lines) if ln.startswith(record + " ")]
+            lines[i:i + 1] = [] if replacement is None else [replacement]
+        assert "horizons 1" in lines and f"weights {horizon}" in " ".join(lines)
+        path = tmp_path / "edited.model"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = run("evaluate", "--data", str(mixed_csv), "--model-file", str(path),
+                   "--horizons", str(horizon), "--out", str(out))
+        assert (code, capfd.readouterr().err) == (
+            2, f"data error: {path}: weights record for undeclared horizon {horizon}\n")
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestUnreachableMapeThreshold:
+    """A MAPE threshold that no actual reaches fails before any output is
+    written; ``compare`` finds it on the MAR and AR forecasts, which
+    cover the networks' target slots, before any training."""
+
+    EARLIER = "an earlier run's forecasts\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_exits_2_writing_nothing(self, mixed_csv, mar_file, tmp_path, capfd, monkeypatch,
+                                     command):
+        def no_training(*args):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(cli, "_fit_nn", no_training)
+        extra, prefix = ((("--model-file", str(mar_file)), "") if command == "evaluate"
+                         else ((), "compare_"))
+        out = tmp_path / "out"
+        out.mkdir()
+        earlier = out / f"{prefix}forecasts.csv"
+        earlier.write_text(self.EARLIER)
+        code = run(command, *extra, "--data", str(mixed_csv), "--mape-threshold", "1e308",
+                   "--out", str(out))
+        assert (code, capfd.readouterr().err) == (
+            2, "data error: no pairs with actual >= 1e+308 W/m2; cannot compute MAPE\n")
+        assert [p.name for p in out.iterdir()] == [earlier.name]
+        assert earlier.read_text() == self.EARLIER

@@ -100,17 +100,18 @@ class TestRecordedTraining:
 
 def per_name_lstm_training(train, spec: LstmSpec, seed: int):
     """train_lstm's loop with parameters in a buffer of its own and one
-    Adam update per name. Returns (loss curve, params)."""
+    Adam optimizer per name. Returns (loss curve, params)."""
     z = standardize(train, fit_scaler(train))
     windows = build_windows(z, spec.window, 1, DaylightWindow(), differenced=False)
     initial = LstmNetwork(spec, seed=seed).params
     params = FlatParams(initial.shapes, initial)
     rng = np.random.default_rng(seed)
-    optimizer = Adam()
+    optimizers = {name: Adam() for name in params}
     curve = []
     for epoch in range(spec.epochs):
         drops = epoch // spec.lr_drop_period
-        optimizer.learning_rate = spec.initial_lr * spec.lr_drop_factor**drops
+        for optimizer in optimizers.values():
+            optimizer.learning_rate = spec.initial_lr * spec.lr_drop_factor**drops
         order = rng.permutation(windows.targets.size)
         total = 0.0
         for start in range(0, order.size, spec.batch_size):
@@ -123,7 +124,8 @@ def per_name_lstm_training(train, spec: LstmSpec, seed: int):
             grad_h, fc_w, fc_b = dense_backward(grad_fc, fc_cache)
             grads = dict(lstm_sequence_backward(grad_h, state, params))
             grads.update(fc_w=fc_w, fc_b=fc_b, out_w=out_w, out_b=out_b)
-            optimizer.step(params, grads)
+            for name, optimizer in optimizers.items():
+                optimizer.step(params[name], grads[name])
             total += loss * batch.size
         curve.append(total / order.size)
     return curve, params
@@ -145,13 +147,16 @@ class TestAdamOneArray:
         shapes = {"w": (3, 4), "b": (4,), "k": (2, 1, 3)}
         per_name = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
         flat = FlatParams(shapes, per_name)
-        by_name, one_array = Adam(learning_rate=0.05), Adam(learning_rate=0.05)
+        by_name = {name: Adam(learning_rate=0.05) for name in shapes}
+        one_array = Adam(learning_rate=0.05)
         for step in range(6):
             if step == 3:
-                by_name.learning_rate = one_array.learning_rate = 0.005
+                for optimizer in (*by_name.values(), one_array):
+                    optimizer.learning_rate = 0.005
             grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
-            by_name.step(per_name, grads)
-            one_array.step({"flat": flat.flat}, {"flat": FlatParams(shapes, grads).flat})
+            for name, optimizer in by_name.items():
+                optimizer.step(per_name[name], grads[name])
+            one_array.step(flat.flat, FlatParams(shapes, grads).flat)
         for name in shapes:
             assert np.array_equal(flat[name], per_name[name]), name
 

@@ -46,9 +46,8 @@ def _nn_file(kind, train, path):
     else:
         spec, network = LstmSpec(units=2, dense_hidden=2, epochs=1), LstmNetwork
     models = [
-        NeuralModel(kind=kind, spec=spec, horizon=h, params=network(spec, seed=h).params,
-                    scaler=fit_scaler(train), daylight=DaylightWindow(), step=train.step,
-                    window=spec.window)
+        NeuralModel(spec=spec, horizon=h, params=network(spec, seed=h).params,
+                    scaler=fit_scaler(train), daylight=DaylightWindow(), step=train.step)
         for h in (1, 3)
     ]
     save_nn_models(models, path)

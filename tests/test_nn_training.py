@@ -19,6 +19,7 @@ from solarcast import (
 from solarcast import cli
 from solarcast.nn import Adam, ConvSpec, LstmSpec, nn_forecast, train_cnn, train_lstm
 from solarcast.nn import training
+from solarcast.nn.adam import EPSILON
 from solarcast.nn.flat import FlatParams
 from solarcast.nn.networks import CnnNetwork, LstmNetwork
 from solarcast.nn.training import NeuralModel, build_windows, loss_curve_csv, mse_loss, _train
@@ -38,42 +39,41 @@ class TestAdam:
         lr = 0.05
         for g in (1.0, 250.0, -3.7):
             opt = Adam(learning_rate=lr)
-            params = {"w": np.array([10.0])}
-            opt.step(params, {"w": np.array([g])})
-            update = 10.0 - params["w"][0]
-            expected = lr * g / (abs(g) + opt.epsilon)
+            params = np.array([10.0])
+            opt.step(params, np.array([g]))
+            update = 10.0 - params[0]
+            expected = lr * g / (abs(g) + EPSILON)
             assert update == pytest.approx(expected, rel=1e-12)
             assert abs(update) == pytest.approx(lr, rel=1e-6)
 
     def test_zero_gradient_leaves_params(self):
         opt = Adam(learning_rate=0.1)
-        params = {"w": np.array([1.0, -2.0])}
-        opt.step(params, {"w": np.zeros(2)})
-        assert np.array_equal(params["w"], [1.0, -2.0])
+        params = np.array([1.0, -2.0])
+        opt.step(params, np.zeros(2))
+        assert np.array_equal(params, [1.0, -2.0])
 
     def test_first_step_scale_invariance(self):
         # gradients g and 2g produce near-equal first-step magnitudes
         opt = Adam(learning_rate=0.01)
-        params = {"a": np.array([0.0]), "b": np.array([0.0])}
-        opt.step(params, {"a": np.array([0.4]), "b": np.array([0.8])})
-        assert abs(params["a"][0]) == pytest.approx(abs(params["b"][0]), rel=1e-7)
+        params = np.array([0.0, 0.0])
+        opt.step(params, np.array([0.4, 0.8]))
+        assert abs(params[0]) == pytest.approx(abs(params[1]), rel=1e-7)
 
     def test_moment_shapes_track_params(self):
         opt = Adam()
-        params = {"w": np.zeros((3, 4)), "b": np.zeros(4)}
-        grads = {"w": np.ones((3, 4)), "b": np.ones(4)}
-        opt.step(params, grads)
-        assert opt.m["w"].shape == (3, 4)
-        assert opt.v["b"].shape == (4,)
+        params = np.zeros((3, 4))
+        opt.step(params, np.ones((3, 4)))
+        assert opt.m.shape == (3, 4)
+        assert opt.v.shape == (3, 4)
         assert opt.t == 1
 
     def test_deterministic_sequence(self):
         def run():
             opt = Adam(learning_rate=0.02)
-            params = {"w": np.array([1.0, 2.0])}
+            params = np.array([1.0, 2.0])
             for i in range(10):
-                opt.step(params, {"w": np.array([0.1 * i, -0.05])})
-            return params["w"]
+                opt.step(params, np.array([0.1 * i, -0.05]))
+            return params
 
         assert np.array_equal(run(), run())
 
@@ -227,7 +227,7 @@ class TestNnForecast:
         model.params["out_b"] = np.zeros_like(model.params["out_b"])
         report = nn_forecast(model, test)
         z = standardize(test, model.scaler)
-        windows = build_windows(z, model.window, 1, model.daylight, differenced=True)
+        windows = build_windows(z, model.spec.window, 1, model.daylight, differenced=True)
         persisted = np.clip(
             windows.anchors * model.scaler.sigma + model.scaler.mu, 0.0, None
         )
@@ -259,9 +259,8 @@ class TestNnForecast:
 def untrained_model(kind: str, train: IrradianceSeries) -> NeuralModel:
     """A freshly initialised one-step network; forecasting needs no training."""
     spec, network = (ConvSpec(), CnnNetwork) if kind == "cnn" else (LstmSpec(), LstmNetwork)
-    return NeuralModel(kind=kind, spec=spec, horizon=1, params=network(spec, seed=3).params,
-                       scaler=fit_scaler(train), daylight=DaylightWindow(), step=train.step,
-                       window=spec.window)
+    return NeuralModel(spec=spec, horizon=1, params=network(spec, seed=3).params,
+                       scaler=fit_scaler(train), daylight=DaylightWindow(), step=train.step)
 
 
 class TestBlockwiseForecast:
@@ -269,7 +268,7 @@ class TestBlockwiseForecast:
     def test_blocks_match_one_batch(self, mixed_40d_split, monkeypatch, kind):
         train, test = mixed_40d_split
         model = untrained_model(kind, train)
-        windows = build_windows(standardize(test, model.scaler), model.window, 1,
+        windows = build_windows(standardize(test, model.scaler), model.spec.window, 1,
                                 model.daylight, differenced=(kind == "cnn"))
         pred = model.network().predict(windows.inputs)
         if windows.differenced:
@@ -288,7 +287,7 @@ class TestBlockwiseForecast:
         train, test = mixed_40d_split
         model = untrained_model("lstm", train)
         one_day = IrradianceSeries(test.start, test.values[: test.samples_per_day], test.step)
-        block = build_windows(one_day, model.window, 1, model.daylight, False).targets.size
+        block = build_windows(one_day, model.spec.window, 1, model.daylight, False).targets.size
         monkeypatch.setattr(training, "PREDICT_BLOCK_ROWS", block)
         assert test.n_days >= 8  # the whole test split spans at least 8 blocks
 

@@ -181,15 +181,15 @@ class TestPartialAutocorrelation:
 class TestSelectOrder:
     def test_hand_sequence(self):
         pacf = CorrelationSequence(values=np.array([1, 0.6, 0.4, 0.3, 0.15, 0.03, 0.02]))
-        assert select_order(pacf, threshold=0.1) == 4
+        assert select_order(pacf) == 4
 
     def test_floor_rule(self):
         pacf = CorrelationSequence(values=np.array([1.0, 0.05, 0.02]))
-        assert select_order(pacf, threshold=0.1) == 1
+        assert select_order(pacf) == 1
 
     def test_negative_pacf_counts_by_magnitude(self):
         pacf = CorrelationSequence(values=np.array([1.0, -0.5, 0.3, 0.02]))
-        assert select_order(pacf, threshold=0.1) == 2
+        assert select_order(pacf) == 2
 
     def test_ar4_end_to_end(self):
         x = simulate_ar(AR4_COEFFS, 10_000, seed=81)

@@ -64,11 +64,10 @@ def reports_for(test: IrradianceSeries) -> list:
         model = fit_all_horizons(train, MarConfig(order=3, horizons=(1, 3), daylight=DAYLIGHT,
                                                   ensemble_enabled=ensemble))
         reports += [forecast(model, test, h) for h in (1, 3)]
-    for kind, spec, network in (("cnn", ConvSpec(), CnnNetwork), ("lstm", LstmSpec(), LstmNetwork)):
+    for spec, network in ((ConvSpec(), CnnNetwork), (LstmSpec(), LstmNetwork)):
         for h in (1, 3):
-            model = NeuralModel(kind=kind, spec=spec, horizon=h, params=network(spec, seed=h).params,
-                                scaler=fit_scaler(train), daylight=DAYLIGHT, step=test.step,
-                                window=spec.window)
+            model = NeuralModel(spec=spec, horizon=h, params=network(spec, seed=h).params,
+                                scaler=fit_scaler(train), daylight=DAYLIGHT, step=test.step)
             reports.append(nn_forecast(model, test))
     return reports
 
