@@ -42,7 +42,7 @@ reports = [forecast(model, test, h) for h in model.horizons]
 print("\n" + summary_table(summarize(reports), step=test.step))
 
 # direct per-horizon weights vs iterating the 1-step model
-recursive = [forecast(model, test, h, recursive=True, label="mar-rec") for h in (3, 6)]
+recursive = [forecast(model, test, h, recursive=True) for h in (3, 6)]
 print("recursive iteration of the 1-step weights, for comparison:")
 print(summary_table(summarize(recursive), step=test.step))
 

@@ -14,7 +14,7 @@ import functools
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain
 
 import numpy as np
@@ -22,8 +22,9 @@ import numpy as np
 from . import nn
 from .errors import DataValidationError, NumericalError, UsageError
 from .io import comment_lines, load_csv, read_text, write_csv, write_text
-from .mar import MarConfig, MarModel, daylight_values, fit_all_horizons, forecast
+from .mar import DEFAULT_HORIZONS, MarConfig, MarModel, daylight_values, fit_all_horizons, forecast
 from .metrics import (
+    DEFAULT_MAPE_THRESHOLD,
     ForecastReport,
     report_rows_csv,
     summarize,
@@ -38,7 +39,7 @@ from .model_io import (
     save_nn_models,
 )
 from .nn.training import loss_curve_csv
-from .series import DaylightWindow, IrradianceSeries, fit_scaler, split, standardize
+from .series import DEFAULT_SPLIT, DaylightWindow, IrradianceSeries, fit_scaler, split, standardize
 from .stats import autocorrelation, ensemble_profile, pacf_from_autocorrelation, select_order, training_residual
 from .svgplot import render_line_chart
 from .synthetic import generate_synthetic
@@ -58,14 +59,14 @@ class RunConfig:
     config file and be overridden by a flag."""
 
     data: str = ""
-    split: float = 0.70
-    order: str = "4"          # lag count, or "auto" for PACF selection
-    horizons: str = "1,3,6"
-    daylight: str = "06:00-18:30"
+    split: float = DEFAULT_SPLIT
+    order: str = str(MarConfig.order)  # lag count, or "auto" for PACF selection
+    horizons: str = ",".join(map(str, DEFAULT_HORIZONS))
+    daylight: str = str(DaylightWindow())
     model: str = "mar"
     seed: int = 0
     out: str = "out"
-    mape_threshold: float = 20.0
+    mape_threshold: float = DEFAULT_MAPE_THRESHOLD
     recursive: bool = False
     ensemble: bool = True
 
@@ -93,9 +94,6 @@ class RunConfig:
 
     def daylight_window(self) -> DaylightWindow:
         return DaylightWindow.parse(self.daylight)
-
-    def header_items(self) -> dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _coerce(name: str, raw: str, current) -> object:
@@ -159,9 +157,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _header_lines(config: RunConfig, command: str) -> dict[str, object]:
-    items: dict[str, object] = {"command": command}
-    items.update(config.header_items())
-    return items
+    return {"command": command, **asdict(config)}
 
 
 def _write_text(path: str, header: dict[str, object], chunks: Iterable[str]) -> None:
@@ -189,9 +185,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--data", help="input CSV path")
-    parser.add_argument("--split", type=float, help="training fraction (default 0.70)")
+    parser.add_argument("--split", type=float, help=f"training fraction (default {DEFAULT_SPLIT:.2f})")
     parser.add_argument("--order", help="lag count or 'auto'")
-    parser.add_argument("--horizons", help="comma-separated step counts (default 1,3,6)")
+    parser.add_argument("--horizons", help=f"comma-separated step counts (default {RunConfig.horizons})")
     parser.add_argument("--daylight", help="daylight window HH:MM-HH:MM")
     parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--out", help="output directory")
@@ -384,14 +380,11 @@ def _evaluate_model_file(
         model = load_mar_model(model_file)
         config = replace(
             config,
-            model="mar" if model.ensemble_enabled else "ar",
+            model=model.name,
             order=str(model.order),
             ensemble=model.ensemble_enabled,
             daylight=str(model.daylight),
         )
-        for h in config.horizon_list():
-            if not config.recursive and h not in model.weights:
-                raise UsageError(f"model file has no weights for horizon {h}")
         predict = functools.partial(forecast, model, test, recursive=config.recursive)
     else:
         if config.recursive:
@@ -488,8 +481,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     mar_model = _fit_mar(train, replace(config, ensemble=True))
     ar_model = _fit_mar(train, replace(config, ensemble=False))
     for h in config.horizon_list():
-        reports.append(forecast(mar_model, test, h, label="mar"))
-        reports.append(forecast(ar_model, test, h, label="ar"))
+        reports.append(forecast(mar_model, test, h))
+        reports.append(forecast(ar_model, test, h))
     # the networks forecast the same target slots, so a MAPE threshold
     # that no actual reaches fails here, before any training
     summarize(reports, min_actual=config.mape_threshold)

@@ -101,6 +101,8 @@ class MarModel:
     ensemble_enabled: bool = True
 
     def __post_init__(self) -> None:
+        if self.order < 1:
+            raise DataValidationError(f"order must be >= 1, got {self.order}")
         for h in self.horizons:
             w = np.asarray(self.weights.get(h), dtype=np.float64)
             if w.shape != (self.order,):
@@ -111,12 +113,17 @@ class MarModel:
                 raise DataValidationError(f"horizon {h} weights contain non-finite values")
             self.weights[h] = w
 
+    @property
+    def name(self) -> str:
+        """'mar', or 'ar' when the ensemble step is disabled."""
+        return "mar" if self.ensemble_enabled else "ar"
+
 
 def build_design_matrix(
     train: IrradianceSeries,
     order: int,
     horizon: int,
-    daylight: DaylightWindow | None = None,
+    daylight: DaylightWindow = DaylightWindow(),
 ) -> DesignMatrix:
     """Emit one row per day and in-window target slot: m lags (most
     recent first) against the value ``horizon`` steps past the base."""
@@ -124,7 +131,6 @@ def build_design_matrix(
         raise DataValidationError(f"order must be >= 1, got {order}")
     if horizon < 1:
         raise DataValidationError(f"horizon must be >= 1, got {horizon}")
-    daylight = daylight or DaylightWindow()
     targets, lag_index = row_index(train, daylight, order, horizon)
     if targets.size < MIN_ROWS_PER_COLUMN * order:
         lo, hi = daylight.slot_bounds(train.step)
@@ -206,9 +212,8 @@ def fit_all_horizons(train: IrradianceSeries, config: MarConfig | None = None) -
     )
 
 
-def daylight_values(series: IrradianceSeries, daylight: DaylightWindow | None = None) -> np.ndarray:
+def daylight_values(series: IrradianceSeries, daylight: DaylightWindow = DaylightWindow()) -> np.ndarray:
     """In-window samples of every day, concatenated in time order."""
-    daylight = daylight or DaylightWindow()
     lo, hi = daylight.slot_bounds(series.step)
     return series.day_matrix()[:, lo : hi + 1].reshape(-1)
 
@@ -218,7 +223,6 @@ def forecast(
     test: IrradianceSeries,
     horizon: int,
     recursive: bool = False,
-    label: str | None = None,
 ) -> ForecastReport:
     """Forecast every in-window slot of the test series with full lag
     support. Pure function of (model, test).
@@ -251,5 +255,4 @@ def forecast(
             pred_domain = model.profile.add(pred_domain, targets % test.samples_per_day)
         predicted = np.maximum(model.scaler.inverse(pred_domain), 0.0)
 
-    name = label if label is not None else ("mar" if model.ensemble_enabled else "ar")
-    return ForecastReport.over(test, name, horizon, targets, predicted)
+    return ForecastReport.over(test, model.name, horizon, targets, predicted)

@@ -120,20 +120,18 @@ class SummaryCell:
     mape: float
 
 
+def _model_rank(model: str) -> tuple[int, str]:
+    """Comparison order: the models of ``MODEL_ORDER`` in that order,
+    then any other by name."""
+    return (MODEL_ORDER.index(model) if model in MODEL_ORDER else len(MODEL_ORDER), model)
+
+
 def summarize(
     reports: list[ForecastReport], min_actual: float = DEFAULT_MAPE_THRESHOLD
 ) -> list[SummaryCell]:
     """One summary cell per (model, horizon), in stable comparison order."""
     cells = [report.summary(min_actual=min_actual) for report in reports]
-
-    def sort_key(cell: SummaryCell):
-        try:
-            rank = MODEL_ORDER.index(cell.model)
-        except ValueError:
-            rank = len(MODEL_ORDER)
-        return (cell.horizon, rank, cell.model)
-
-    return sorted(cells, key=sort_key)
+    return sorted(cells, key=lambda cell: (cell.horizon, _model_rank(cell.model)))
 
 
 def horizon_label(horizon: int, step: int) -> str:
@@ -154,8 +152,7 @@ def summary_csv(cells: list[SummaryCell]) -> str:
 def summary_table(cells: list[SummaryCell], step: int = 10) -> str:
     """Aligned text table: one row per metric and horizon, one column
     per model."""
-    models = [m for m in MODEL_ORDER if any(c.model == m for c in cells)]
-    models += sorted({c.model for c in cells} - set(models))
+    models = sorted({c.model for c in cells}, key=_model_rank)
     horizons = sorted({c.horizon for c in cells})
     by_key = {(c.model, c.horizon): c for c in cells}
 

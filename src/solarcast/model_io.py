@@ -8,6 +8,7 @@ forecasts bit-identically to the one that was saved.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 
@@ -42,7 +43,7 @@ def detect_model_kind(path: str | os.PathLike) -> str:
 
 
 def _parse_values(
-    path, key: str, text: str, parse, count: int | None = None, sep: str | None = None
+    key: str, text: str, parse, count: int | None = None, sep: str | None = None
 ) -> list:
     """The ``sep``-separated values of a ``key`` record, each through
     ``parse``; exactly ``count`` of them when given."""
@@ -51,23 +52,27 @@ def _parse_values(
     except (ValueError, OverflowError):
         values = None
     if values is None or (count is not None and len(values) != count):
-        raise DataValidationError(f"{path}: malformed {key!r} record {text[:40]!r}")
+        raise DataValidationError(f"malformed {key!r} record {text[:40]!r}")
     return values
+
+
+def _built(where: str, make, *args):
+    """``make(*args)``, its ``DataValidationError`` naming ``where``."""
+    try:
+        return make(*args)
+    except DataValidationError as exc:
+        raise DataValidationError(f"{where}: {exc}") from None
 
 
 class _RecordReader:
     """Sequential ``key value`` reader with useful errors."""
 
-    def __init__(self, path: str | os.PathLike, magic: str):
-        text = read_text(path, DataValidationError, "model file")
+    def __init__(self, text: str, magic: str):
         self.lines = [ln for ln in text.splitlines() if ln.strip()]
-        self.path = path
         if not self.lines:
-            raise DataValidationError(f"{path}: empty model file")
+            raise DataValidationError("empty model file")
         if self.lines[0] != magic:
-            raise DataValidationError(
-                f"{path}: expected a {magic!r} file, got {self.lines[0]!r}"
-            )
+            raise DataValidationError(f"expected a {magic!r} file, got {self.lines[0]!r}")
         self.pos = 1
 
     def done(self) -> bool:
@@ -80,28 +85,34 @@ class _RecordReader:
 
     def take(self, key: str) -> str:
         if self.done():
-            raise DataValidationError(f"{self.path}: missing record {key!r}")
+            raise DataValidationError(f"missing record {key!r}")
         line = self.lines[self.pos]
         head, _, rest = line.partition(" ")
         if head != key:
-            raise DataValidationError(
-                f"{self.path}: expected record {key!r}, found {head!r}"
-            )
+            raise DataValidationError(f"expected record {key!r}, found {head!r}")
         self.pos += 1
         return rest
 
     def take_values(
         self, key: str, parse, count: int | None = None, sep: str | None = None
     ) -> list:
-        return _parse_values(self.path, key, self.take(key), parse, count, sep)
+        return _parse_values(key, self.take(key), parse, count, sep)
+
+    def take_daylight_and_scaler(self) -> tuple[DaylightWindow, Scaler]:
+        """The ``daylight`` and ``scaler`` records both formats share."""
+        daylight = _built("daylight record", DaylightWindow, *self.take_values("daylight", int, 2))
+        return daylight, _built("scaler record", Scaler, *self.take_values("scaler", float, 2))
 
 
-def _take_scaler(reader: _RecordReader) -> Scaler:
-    mu, sigma = reader.take_values("scaler", float, 2)
+@contextlib.contextmanager
+def _records(path: str | os.PathLike, magic: str):
+    """A reader of the model file at ``path``; a ``DataValidationError``
+    raised in the block names the file."""
+    text = read_text(path, DataValidationError, "model file")
     try:
-        return Scaler(mu=mu, sigma=sigma)
+        yield _RecordReader(text, magic)
     except DataValidationError as exc:
-        raise DataValidationError(f"{reader.path}: scaler record: {exc}") from None
+        raise DataValidationError(f"{path}: {exc}") from None
 
 
 def save_mar_model(model: MarModel, path: str | os.PathLike) -> None:
@@ -122,53 +133,55 @@ def save_mar_model(model: MarModel, path: str | os.PathLike) -> None:
 
 
 def load_mar_model(path: str | os.PathLike) -> MarModel:
-    reader = _RecordReader(path, MAR_MAGIC)
-    [step] = reader.take_values("step", int, 1)
-    [order] = reader.take_values("order", int, 1)
-    horizons = tuple(reader.take_values("horizons", int, sep=","))
-    repeated = [h for i, h in enumerate(horizons) if h in horizons[:i]]
-    if repeated:
-        raise DataValidationError(f"{path}: horizons record repeats horizon {repeated[0]}")
-    [ensemble] = reader.take_values("ensemble", int, 1)
-    day_lo, day_hi = reader.take_values("daylight", int, 2)
-    scaler = _take_scaler(reader)
-    means = np.array(reader.take_values("profile_means", float))
-    support = np.array(reader.take_values("profile_support", np.int64), dtype=np.int64)
-    weights: dict[int, np.ndarray] = {}
-    while not reader.done():
-        h_text, _, vec_text = reader.take("weights").partition(" ")
-        [h] = _parse_values(path, "weights", h_text, int, 1)
-        if h in weights:
-            raise DataValidationError(f"{path}: a second weights record for horizon {h}")
-        if h not in horizons:
-            raise DataValidationError(f"{path}: weights record for undeclared horizon {h}")
-        weights[h] = np.array(_parse_values(path, "weights", vec_text, float))
-    missing = [h for h in horizons if h not in weights]
-    if missing:
-        raise DataValidationError(f"{path}: missing weight vectors for horizons {missing}")
-    return MarModel(
-        order=order,
-        horizons=horizons,
-        weights=weights,
-        scaler=scaler,
-        profile=EnsembleProfile(means=means, support_counts=support),
-        daylight=DaylightWindow(start_minute=day_lo, end_minute=day_hi),
-        step=step,
-        ensemble_enabled=bool(ensemble),
-    )
+    with _records(path, MAR_MAGIC) as reader:
+        [step] = reader.take_values("step", int, 1)
+        [order] = reader.take_values("order", int, 1)
+        horizons = tuple(reader.take_values("horizons", int, sep=","))
+        repeated = [h for i, h in enumerate(horizons) if h in horizons[:i]]
+        if repeated:
+            raise DataValidationError(f"horizons record repeats horizon {repeated[0]}")
+        [ensemble] = reader.take_values("ensemble", int, 1)
+        if ensemble not in (0, 1):
+            raise DataValidationError(f"ensemble record must be 0 or 1, got {ensemble}")
+        daylight, scaler = reader.take_daylight_and_scaler()
+        means = reader.take_values("profile_means", float)
+        support = reader.take_values("profile_support", np.int64)
+        profile = _built("profile records", EnsembleProfile, means, support)
+        weights: dict[int, np.ndarray] = {}
+        while not reader.done():
+            h_text, _, vec_text = reader.take("weights").partition(" ")
+            [h] = _parse_values("weights", h_text, int, 1)
+            if h in weights:
+                raise DataValidationError(f"a second weights record for horizon {h}")
+            if h not in horizons:
+                raise DataValidationError(f"weights record for undeclared horizon {h}")
+            weights[h] = np.array(_parse_values("weights", vec_text, float))
+        missing = [h for h in horizons if h not in weights]
+        if missing:
+            raise DataValidationError(f"missing weight vectors for horizons {missing}")
+        return MarModel(
+            order=order,
+            horizons=horizons,
+            weights=weights,
+            scaler=scaler,
+            profile=profile,
+            daylight=daylight,
+            step=step,
+            ensemble_enabled=bool(ensemble),
+        )
 
 
 def save_nn_models(models: list, path: str | os.PathLike) -> None:
-    """Persist one or more fitted networks of the same kind (one per
-    horizon) into a single file."""
-    from .nn.training import NeuralModel  # local import to avoid a cycle
-
+    """Persist one or more fitted networks, one per horizon, that share
+    one spec, scaler, daylight window and step into a single file."""
     if not models:
         raise DataValidationError("nothing to save")
-    kinds = {m.kind for m in models}
-    if len(kinds) != 1:
-        raise DataValidationError(f"cannot mix network kinds in one file: {sorted(kinds)}")
-    first: NeuralModel = models[0]
+    first = models[0]
+    header = (first.spec, first.scaler, first.daylight, first.step)
+    if any((m.spec, m.scaler, m.daylight, m.step) != header for m in models):
+        raise DataValidationError("one file cannot mix specs, scalers, daylight windows or steps")
+    if len({m.horizon for m in models}) < len(models):
+        raise DataValidationError(f"one network per horizon, got {[m.horizon for m in models]}")
     lines = [
         NN_MAGIC,
         f"kind {first.kind}",
@@ -187,14 +200,18 @@ def save_nn_models(models: list, path: str | os.PathLike) -> None:
     write_text(path, ("\n".join(lines) + "\n",))
 
 
-def _parse_param(rest: str, where: str) -> tuple[str, tuple[int, ...], np.ndarray]:
-    """Split a ``param`` record into name, declared shape and values."""
+def _parse_param(rest: str) -> tuple[str, np.ndarray]:
+    """Split a ``param`` record into its name and its values in the
+    declared shape."""
     try:
         name, shape_text, vec_text = rest.split(" ", 2)
         values = np.array([float(tok) for tok in vec_text.split()], dtype=np.float64)
-        return name, tuple(int(s) for s in shape_text.split(",")), values
+        shape = tuple(int(s) for s in shape_text.split(","))
+        if values.size == math.prod(shape):
+            return name, values.reshape(shape)
     except ValueError:
-        raise DataValidationError(f"{where}: malformed param record {rest[:40]!r}") from None
+        raise DataValidationError(f"malformed param record {rest[:40]!r}") from None
+    raise DataValidationError(f"parameter {name} has shape {shape} but {values.size} values")
 
 
 def load_nn_models(path: str | os.PathLike) -> dict[int, "object"]:
@@ -204,54 +221,40 @@ def load_nn_models(path: str | os.PathLike) -> dict[int, "object"]:
     from .nn.networks import ConvSpec, LstmSpec
     from .nn.training import NeuralModel
 
-    reader = _RecordReader(path, NN_MAGIC)
-    kind = reader.take("kind")
-    [step] = reader.take_values("step", int, 1)
-    [window] = reader.take_values("window", int, 1)
-    day_lo, day_hi = reader.take_values("daylight", int, 2)
-    scaler = _take_scaler(reader)
-    spec_text = reader.take("spec")
-    specs = {"cnn": ConvSpec, "lstm": LstmSpec}
-    if kind not in specs:
-        raise DataValidationError(f"{path}: unknown network kind {kind!r}")
-    try:
-        spec = specs[kind].from_text(spec_text)
-    except DataValidationError as exc:
-        raise DataValidationError(f"{path}: spec record: {exc}") from None
-    if window != spec.window:
-        raise DataValidationError(
-            f"{path}: window record {window} does not match the spec's window={spec.window}"
-        )
+    with _records(path, NN_MAGIC) as reader:
+        kind = reader.take("kind")
+        [step] = reader.take_values("step", int, 1)
+        [window] = reader.take_values("window", int, 1)
+        daylight, scaler = reader.take_daylight_and_scaler()
+        spec_text = reader.take("spec")
+        specs = {"cnn": ConvSpec, "lstm": LstmSpec}
+        if kind not in specs:
+            raise DataValidationError(f"unknown network kind {kind!r}")
+        spec = _built("spec record", specs[kind].from_text, spec_text)
+        if window != spec.window:
+            raise DataValidationError(
+                f"window record {window} does not match the spec's window={spec.window}"
+            )
 
-    expected = spec.param_shapes()
-    models: dict[int, NeuralModel] = {}
-    while not reader.done():
-        [horizon] = reader.take_values("horizon", int, 1)
-        if horizon in models:
-            raise DataValidationError(f"{path}: a second section for horizon {horizon}")
-        where = f"{path}: horizon {horizon}"
-        params: dict[str, np.ndarray] = {}
-        while reader.peek_key() == "param":
-            name, shape, values = _parse_param(reader.take("param"), where)
-            if name not in expected or name in params:
-                raise DataValidationError(f"{where}: unknown or repeated {kind} parameter {name!r}")
-            if shape != expected[name] or values.size != math.prod(shape):
-                raise DataValidationError(
-                    f"{where}: parameter {name} has shape {shape} and {values.size} values, "
-                    f"expected shape {expected[name]}"
-                )
-            params[name] = values.reshape(shape)
-        missing = sorted(set(expected) - set(params))
-        if missing:
-            raise DataValidationError(f"{where}: missing parameters {missing}")
-        models[horizon] = NeuralModel(
-            spec=spec,
-            horizon=horizon,
-            params=FlatParams(expected, params),
-            scaler=scaler,
-            daylight=DaylightWindow(start_minute=day_lo, end_minute=day_hi),
-            step=step,
-        )
-    if not models:
-        raise DataValidationError(f"{path}: no horizon sections found")
-    return models
+        models: dict[int, NeuralModel] = {}
+        while not reader.done():
+            [horizon] = reader.take_values("horizon", int, 1)
+            if horizon in models:
+                raise DataValidationError(f"a second section for horizon {horizon}")
+            params: dict[str, np.ndarray] = {}
+            while reader.peek_key() == "param":
+                name, values = _built(f"horizon {horizon}", _parse_param, reader.take("param"))
+                if name in params:
+                    raise DataValidationError(f"horizon {horizon}: repeated parameter {name!r}")
+                params[name] = values
+            models[horizon] = NeuralModel(
+                spec=spec,
+                horizon=horizon,
+                params=_built(f"horizon {horizon}", FlatParams, spec.param_shapes(), params),
+                scaler=scaler,
+                daylight=daylight,
+                step=step,
+            )
+        if not models:
+            raise DataValidationError("no horizon sections found")
+        return models

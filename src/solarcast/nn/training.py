@@ -149,14 +149,13 @@ def _train(
 
 
 def _fit(
-    network, train: IrradianceSeries, horizon: int, daylight: DaylightWindow | None,
+    network, train: IrradianceSeries, horizon: int, daylight: DaylightWindow,
     seed: int, scaler: Scaler | None, lr_schedule,
 ) -> NeuralModel:
     """Train ``network`` for one horizon on windows of the training
     series: lag-1 differences for the CNN, the standardized signal for
     the LSTM."""
     spec = network.spec
-    daylight = daylight or DaylightWindow()
     scaler = scaler or fit_scaler(train)
     z = standardize(train, scaler)
     windows = build_windows(z, spec.window, horizon, daylight, differenced=isinstance(spec, ConvSpec))
@@ -180,7 +179,7 @@ def train_cnn(
     train: IrradianceSeries,
     spec: ConvSpec | None = None,
     horizon: int = 1,
-    daylight: DaylightWindow | None = None,
+    daylight: DaylightWindow = DaylightWindow(),
     seed: int = 0,
     scaler: Scaler | None = None,
 ) -> NeuralModel:
@@ -195,7 +194,7 @@ def train_lstm(
     train: IrradianceSeries,
     spec: LstmSpec | None = None,
     horizon: int = 1,
-    daylight: DaylightWindow | None = None,
+    daylight: DaylightWindow = DaylightWindow(),
     seed: int = 0,
     scaler: Scaler | None = None,
 ) -> NeuralModel:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DataValidationError
 
 MINUTES_PER_DAY = 1440
+DEFAULT_SPLIT = 0.70
 
 
 @dataclass(frozen=True)
@@ -252,7 +253,7 @@ def _as_values(series: IrradianceSeries | np.ndarray) -> np.ndarray:
 
 
 def split(
-    series: IrradianceSeries, fraction: float = 0.70
+    series: IrradianceSeries, fraction: float = DEFAULT_SPLIT
 ) -> tuple[IrradianceSeries, IrradianceSeries]:
     """Chronological train/test split on a day boundary, rounding the
     boundary down. Train strictly precedes test; the halves never
@@ -314,15 +315,11 @@ def difference_transform(series: IrradianceSeries | np.ndarray) -> DifferencedSe
     return DifferencedSeries(deltas=deltas, anchor=0.0)
 
 
-def inverse_difference(
-    pred_deltas: DifferencedSeries | np.ndarray, anchors: np.ndarray
-) -> np.ndarray:
+def inverse_difference(pred_deltas: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Reconstruct predicted values from predicted changes: each output
     is the predicted delta plus the most recent past value (zero for a
     signal's first element)."""
-    deltas = pred_deltas.deltas if isinstance(pred_deltas, DifferencedSeries) else np.asarray(
-        pred_deltas, dtype=np.float64
-    )
+    deltas = np.asarray(pred_deltas, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.float64)
     if deltas.shape != anchors.shape:
         raise DataValidationError(

@@ -67,10 +67,6 @@ class CorrelationSequence:
     def max_lag(self) -> int:
         return self.values.size - 1
 
-    @property
-    def lags(self) -> np.ndarray:
-        return np.arange(self.values.size)
-
 
 def ensemble_profile(train: IrradianceSeries) -> EnsembleProfile:
     """Per-slot arithmetic mean over all training days."""
@@ -173,8 +169,6 @@ def pacf_from_autocorrelation(acf: CorrelationSequence) -> CorrelationSequence:
 
 
 def partial_autocorrelation(x: np.ndarray, max_lag: int) -> CorrelationSequence:
-    if max_lag < 1:
-        raise DataValidationError(f"max_lag must be >= 1, got {max_lag}")
     return pacf_from_autocorrelation(autocorrelation(x, max_lag))
 
 

@@ -21,9 +21,23 @@ def escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+def _text(x, y, text: str, size: int, anchor: str | None = "middle", extra: str = "") -> str:
+    """A sans-serif ``<text>`` element holding ``text``, escaped; ``x``
+    and ``y`` are written as given, ``extra`` after the font size."""
+    align = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{align} font-family="sans-serif" '
+        f'font-size="{size}"{extra}>{escape(text)}</text>'
+    )
+
+
+def _line(x1, y1, x2, y2, stroke: str = "#dddddd", width: int = 1) -> str:
+    """A ``<line>`` element, its coordinates written as given."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}" stroke-width="{width}"/>'
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """About ``count`` round tick values from ``lo`` to ``hi``, for ``hi > lo``."""
     raw = (hi - lo) / count
     mag = 10.0 ** np.floor(np.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -78,45 +92,24 @@ def render_line_chart(
         parts.append(f"<!-- {escape(comment)} -->")
     parts.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>')
     if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{escape(title)}</text>'
-        )
+        parts.append(_text(f"{WIDTH / 2:.1f}", 20, title, 14))
 
     # gridlines and tick labels
     for tx in _ticks(x_lo, x_hi):
-        parts.append(
-            f'<line x1="{px(tx):.1f}" y1="{MARGIN_TOP}" x2="{px(tx):.1f}" '
-            f'y2="{MARGIN_TOP + plot_h}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{px(tx):.1f}" y="{MARGIN_TOP + plot_h + 16}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tx:g}</text>'
-        )
+        parts.append(_line(f"{px(tx):.1f}", MARGIN_TOP, f"{px(tx):.1f}", MARGIN_TOP + plot_h))
+        parts.append(_text(f"{px(tx):.1f}", MARGIN_TOP + plot_h + 16, f"{tx:g}", 11))
     for ty in _ticks(y_lo, y_hi):
-        parts.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{py(ty):.1f}" x2="{MARGIN_LEFT + plot_w}" '
-            f'y2="{py(ty):.1f}" stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 6}" y="{py(ty) + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{ty:g}</text>'
-        )
+        parts.append(_line(MARGIN_LEFT, f"{py(ty):.1f}", MARGIN_LEFT + plot_w, f"{py(ty):.1f}"))
+        parts.append(_text(MARGIN_LEFT - 6, f"{py(ty) + 4:.1f}", f"{ty:g}", 11, "end"))
     parts.append(
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
         f'fill="none" stroke="#444444" stroke-width="1"/>'
     )
     if x_label:
-        parts.append(
-            f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{escape(x_label)}</text>'
-        )
+        parts.append(_text(f"{MARGIN_LEFT + plot_w / 2:.1f}", HEIGHT - 10, x_label, 12))
     if y_label:
-        cy = MARGIN_TOP + plot_h / 2
-        parts.append(
-            f'<text x="16" y="{cy:.1f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="12" transform="rotate(-90 16 {cy:.1f})">{escape(y_label)}</text>'
-        )
+        cy = f"{MARGIN_TOP + plot_h / 2:.1f}"
+        parts.append(_text(16, cy, y_label, 12, extra=f' transform="rotate(-90 16 {cy})"'))
 
     for idx, (label, x, y) in enumerate(curves):
         color = PALETTE[idx % len(PALETTE)]
@@ -128,14 +121,8 @@ def render_line_chart(
         )
         # legend swatch + label, top-left inside the plot area
         ly = MARGIN_TOP + 16 + idx * 16
-        parts.append(
-            f'<line x1="{MARGIN_LEFT + 10}" y1="{ly}" x2="{MARGIN_LEFT + 34}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_LEFT + 40}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{escape(label)}</text>'
-        )
+        parts.append(_line(MARGIN_LEFT + 10, ly, MARGIN_LEFT + 34, ly, color, 2))
+        parts.append(_text(MARGIN_LEFT + 40, ly + 4, label, 11, anchor=None))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

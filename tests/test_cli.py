@@ -835,3 +835,55 @@ class TestUnreachableMapeThreshold:
             2, "data error: no pairs with actual >= 1e+308 W/m2; cannot compute MAPE\n")
         assert [p.name for p in out.iterdir()] == [earlier.name]
         assert earlier.read_text() == self.EARLIER
+
+
+def _replace_record(key: str, value: str):
+    """An edit that replaces the first value of a ``key`` record."""
+    return lambda line: f"{key} {value} {line.split(' ', 2)[2]}"
+
+
+class TestModelFileNamedOnce:
+    """A model file whose records parse but hold values no model may
+    take is a data error that names the file once, then the record;
+    nothing is written."""
+
+    @pytest.mark.parametrize("lines, key, edit, message", [
+        ("mar_file", "weights 6", lambda line: " ".join(line.split()[:5]),
+         "horizon 6 weight vector has shape (3,), expected (4,)"),
+        ("mar_file", "weights 3", lambda line: "weights 3 nan nan nan nan",
+         "horizon 3 weights contain non-finite values"),
+        ("mar_file", "profile_means", _replace_record("profile_means", "nan"),
+         "profile records: profile means must be finite"),
+        ("mar_file", "profile_support", _replace_record("profile_support", "0"),
+         "profile records: every profile slot needs at least one supporting day"),
+        ("mar_file", "daylight", lambda line: "daylight 1110 360",
+         "daylight record: daylight window 1110..360 is not a valid intra-day interval"),
+        ("mar_file", "ensemble", lambda line: "ensemble 2", "ensemble record must be 0 or 1, got 2"),
+        ("mar_file", "order", lambda line: "order -1", "order must be >= 1, got -1"),
+        ("lstm_file_lines", "daylight", lambda line: "daylight 1110 360",
+         "daylight record: daylight window 1110..360 is not a valid intra-day interval"),
+    ], ids=["mar-short-weights", "mar-nan-weights", "mar-nan-profile", "mar-zero-support",
+            "mar-daylight", "mar-ensemble", "mar-order", "nn-daylight"])
+    def test_exits_2(self, request, mixed_csv, tmp_path, capfd, lines, key, edit, message):
+        lines = request.getfixturevalue(lines)
+        if not isinstance(lines, list):
+            lines = lines.read_text().splitlines()
+        [i] = [i for i, line in enumerate(lines) if line.startswith(key + " ")]
+        edited = [*lines[:i], edit(lines[i]), *lines[i + 1:]]
+        assert edited != lines
+        path = tmp_path / "edited.model"
+        path.write_text("\n".join(edited) + "\n")
+        out = tmp_path / "out"
+        code = run("evaluate", "--data", str(mixed_csv), "--model-file", str(path),
+                   "--horizons", "1", "--out", str(out))
+        err = capfd.readouterr().err
+        assert (code, err) == (2, f"data error: {path}: {message}\n")
+        assert err.count(str(path)) == 1
+        assert not any(out.iterdir())
+
+    def test_unfitted_horizon_exits_1_writing_nothing(self, mixed_csv, mar_file, tmp_path, capfd):
+        out = tmp_path / "out"
+        code = run("evaluate", "--data", str(mixed_csv), "--model-file", str(mar_file),
+                   "--horizons", "2", "--out", str(out))
+        assert (code, capfd.readouterr().err) == (1, "error: model was not fitted for horizon 2\n")
+        assert not any(out.iterdir())

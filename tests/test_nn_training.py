@@ -1,6 +1,7 @@
 """Adam, the training loops, persistence, and forecast post-processing."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -353,6 +354,25 @@ class TestPersistence:
         lstm = train_lstm(train, spec=LstmSpec(epochs=1), horizon=1, seed=1)
         with pytest.raises(DataValidationError, match="mix"):
             save_nn_models([cnn, lstm], tmp_path / "bad.model")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"scaler": Scaler(0.0, 1000.0)}, "cannot mix"),
+        ({"spec": ConvSpec(fc1_units=5), "params": CnnNetwork(ConvSpec(fc1_units=5)).params},
+         "cannot mix"),
+        ({"daylight": DaylightWindow(420, 1080)}, "cannot mix"),
+        ({"step": 5}, "cannot mix"),
+        ({"horizon": 1}, r"one network per horizon, got \[1, 1\]"),
+    ], ids=["scaler", "spec", "daylight", "step", "horizon"])
+    def test_networks_without_one_header_rejected(self, mixed_40d_split, tmp_path, change,
+                                                  message):
+        # the file has one spec, scaler, daylight and step record and one
+        # section per horizon, so a second network must match the first
+        first = untrained_model("cnn", mixed_40d_split[0])
+        second = replace(first, **{"horizon": 3, **change})
+        path = tmp_path / "bad.model"
+        with pytest.raises(DataValidationError, match=message):
+            save_nn_models([first, second], path)
+        assert not path.exists()
 
     def test_loss_curve_csv(self, mixed_40d_split):
         train, _ = mixed_40d_split

@@ -1,6 +1,7 @@
 """The dependency-free chart writer must emit well-formed SVG."""
 
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,3 +67,25 @@ def test_empty_curves_rejected():
 def test_constant_curve_does_not_crash():
     curves = [("flat", np.array([0.0, 1.0, 2.0]), np.array([5.0, 5.0, 5.0]))]
     ET.fromstring(render_line_chart(curves))
+
+
+def pinned_chart() -> str:
+    """A chart with a negative value, markup characters in a label and
+    the title, a comment and an empty y label."""
+    x = np.array([0.0, 1.5, 3.0, 4.5, 6.0, 7.5])
+    return render_line_chart(
+        [
+            ("observed <&>", x, np.array([0.0, 120.25, 310.5, 287.0, 95.125, 4.0])),
+            ("mar", x, np.array([-12.5, 101.0, 298.75, 301.5, 80.0, 0.0])),
+            ("lstm", x[1:], np.array([140.0, 280.0, 250.5, 60.0, -3.25])),
+        ],
+        title="Observed & predicted, h < 2",
+        x_label="hour of day",
+        comment="command=compare split=0.7 <x&y>",
+    )
+
+
+def test_bytes_match_pinned_chart():
+    # every attribute's order and number format, pinned byte for byte
+    expected = (Path(__file__).parent / "data" / "chart.svg").read_bytes()
+    assert pinned_chart().encode("utf-8") == expected
