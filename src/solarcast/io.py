@@ -3,19 +3,20 @@
 Schema: UTF-8, LF line endings, header ``timestamp,irradiance_wm2``,
 one row per sampling slot with an ISO-8601 timestamp. Lines starting
 with ``#`` are metadata comments (tools in this package write their
-resolved configuration there) and are skipped on load. ``read_text``
+resolved configuration there) and are skipped on load. ``read_chunks``
 is the one place that opens a text input (CSV, model or config file),
 ``write_text`` the one place that writes an output.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
+import itertools
 import math
 import os
 from collections.abc import Iterable, Iterator
 from datetime import datetime, timedelta
-from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -27,23 +28,45 @@ CSV_HEADER = "timestamp,irradiance_wm2"
 # day-sized chunks through the default 8 KiB buffer take about twice as
 # long to write as through this one
 WRITE_BUFFER_BYTES = 1 << 20
+# the most bytes of an input read at a time
+READ_CHUNK_BYTES = 1 << 16
 # where ``str.splitlines`` breaks a line besides "\n"
 OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 MINUTE = timedelta(minutes=1)
 
 
-def read_text(path: str | os.PathLike, error: type[SolarcastError], what: str) -> str:
-    """The file's UTF-8 text, line endings untouched. A file that is
-    missing, unreadable or not UTF-8 raises ``error``."""
+def read_chunks(path: str | os.PathLike, error: type[SolarcastError], what: str) -> Iterator[str]:
+    """The file's UTF-8 text, line endings untouched, decoded
+    ``READ_CHUNK_BYTES`` bytes at a time, so the file is read once and
+    only one piece of its text exists at a time. A file that is missing,
+    unreadable or not UTF-8 raises ``error``; a byte that is not UTF-8
+    is named by its offset in the file."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    read = 0  # bytes read before this piece
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            while True:
+                data = fh.read(READ_CHUNK_BYTES)
+                # the first bytes of a character the last piece cut off
+                held = len(decoder.getstate()[0])
+                try:
+                    text = decoder.decode(data, final=not data)
+                except UnicodeDecodeError as exc:
+                    offset = read - held + exc.start
+                    raise error(f"{what} {path}: not UTF-8 text (byte {offset})") from None
+                if not data:
+                    return
+                read += len(data)
+                yield text
     except FileNotFoundError:
         raise error(f"{what} not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise error(f"{what} {path}: not UTF-8 text (byte {exc.start})") from None
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
+def read_text(path: str | os.PathLike, error: type[SolarcastError], what: str) -> str:
+    """The whole of ``read_chunks``: for the small model and config files."""
+    return "".join(read_chunks(path, error, what))
 
 
 def write_text(path: str | os.PathLike, chunks: Iterable[str]) -> None:
@@ -80,145 +103,213 @@ def load_csv(path: str | os.PathLike) -> IrradianceSeries:
     forms, duplicate or missing sampling slots, and negative irradiance
     values.
 
-    A file in ``write_csv``'s layout is checked by comparing its
-    timestamp text with the grid's. Any other file is parsed and
-    checked line by line.
+    The file is read once, in blocks of whole lines of about
+    ``READ_CHUNK_BYTES``, and each block's values go into an array
+    before the next is read, so the memory a load needs grows with the
+    values, not the text. Blocks in ``write_csv``'s layout are checked
+    by comparing their timestamp text with the grid's; from the first
+    block that is not, the lines are parsed and checked one by one.
     """
-    text = read_text(path, DataValidationError, "input file")
-    # with no other line break in it, the text splits at "\n" into the
-    # lines splitlines gives, plus an empty last one after a final "\n"
-    plain = not any(map(text.__contains__, OTHER_LINE_BREAKS))
-    lines = text.split("\n") if plain else text.splitlines()
-    del text
-    written = _written_grid(lines) if plain else None
-    if written is not None:
-        # numpy's first calls below make objects that live on; made once
-        # the lines are freed, they keep none of the lines' memory resident
-        del lines
-        start, values, step = written
-        if np.isfinite(values).all() and not (values < 0).any():
-            return IrradianceSeries(start, values, step)
-        lines = read_text(path, DataValidationError, "input file").splitlines()
-    return _parse_lines(lines, path)
-
-
-def _written_grid(lines: list[str]) -> tuple[datetime, np.ndarray, int] | None:
-    """The start, values and step of a file in ``write_csv``'s layout,
-    split at "\n": ``#`` comment lines, the header, then whole days of
-    rows, each the grid slot's timestamp text, a comma and a value, and
-    an empty last line. The values are parsed but not checked. None for
-    any other lines, even a valid file's: the line parser decides."""
-    skip = next((i for i, line in enumerate(lines) if not line.startswith("#")), 0) + 1
-    count = len(lines) - skip - 1
-    if lines[skip - 1] != CSV_HEADER or lines[-1] or count < 2:
-        return None
+    chunks = read_chunks(path, DataValidationError, "input file")
+    rows = _Rows(path)
     try:
-        first_rows = lines[skip : skip + 2]
-        start, second = (datetime.fromisoformat(row.partition(",")[0]) for row in first_rows)
+        for block in _line_blocks(chunks):
+            if not (rows.written and rows.take_written(block)):
+                rows.parse(block)
+    except DataValidationError:
+        # a byte further on that is not UTF-8 is reported first, as it
+        # is when the whole text is decoded before any line is parsed
+        for _ in chunks:
+            pass
+        raise
+    return rows.series()
+
+
+def _line_blocks(chunks: Iterable[str]) -> Iterator[str]:
+    """The text of ``chunks`` in blocks that end where ``str.splitlines``
+    ends a line of the whole text, so the blocks' lines are the text's
+    lines. Only the last block may end without a line break."""
+    carry = ""
+    for chunk in chunks:
+        block = carry + chunk
+        # a final "\r" may be the first half of a "\r\n"
+        end = len(block) - block.endswith("\r")
+        cut = block.rfind("\n", 0, end) + 1
+        cut = max(cut, *(block.rfind(brk, cut, end) + 1 for brk in OTHER_LINE_BREAKS))
+        carry = block[cut:]
+        if cut:
+            yield block[:cut]
+    if carry:
+        yield carry
+
+
+def _grid_heads(rows: list[str]) -> tuple[datetime, timedelta, Iterator[str], int] | None:
+    """The start, step and row heads of the grid whose first two rows
+    ``rows`` are, if ``write_csv`` could have written them: each slot's
+    timestamp text and a comma, from the start on, and their width.
+    None for any other rows."""
+    try:
+        start, second = (datetime.fromisoformat(row.partition(",")[0]) for row in rows)
         step = (second - start) // MINUTE
-        if second - start != step * MINUTE or step <= 0 or MINUTES_PER_DAY % step:
-            return None
-        day_prefix, suffixes = grid_text(start, step)
-        tails = [f"{suffix}," for suffix in suffixes]
-        if count % len(tails):
-            return None
-        days = map(day_prefix, range(count // len(tails)))
-        expected = chain.from_iterable([prefix + tail for tail in tails] for prefix in days)
-        if not all(map(str.startswith, islice(lines, skip, None), expected)):
-            return None
-        width = len(day_prefix(0)) + len(tails[0])
-        rows = islice(lines, skip, skip + count)
-        fields = map(itemgetter(slice(width, None)), rows)
-        values = np.fromiter(map(float, fields), np.float64, count)
-    except (ValueError, TypeError, OverflowError):
+    except (ValueError, TypeError):
         return None
-    return start, values, step
+    if second - start != step * MINUTE or step <= 0 or MINUTES_PER_DAY % step:
+        return None
+    day_prefix, suffixes = grid_text(start, step)
+    tails = [f"{suffix}," for suffix in suffixes]
+    days = map(day_prefix, itertools.count())
+    heads = itertools.chain.from_iterable([prefix + tail for tail in tails] for prefix in days)
+    return start, second - start, heads, len(day_prefix(0)) + len(tails[0])
 
 
-def _step_minutes(step_delta) -> int:
-    step_minutes = step_delta.total_seconds() / 60.0
-    if step_minutes <= 0 or step_minutes != int(step_minutes):
-        raise DataValidationError(
-            f"first two rows imply a non-positive or fractional step of {step_minutes} minutes"
-        )
-    return int(step_minutes)
+class _Rows:
+    """The rows of the lines read so far: their values, a block at a
+    time, and what the checks that span rows need to know of them."""
 
+    def __init__(self, path: str | os.PathLike):
+        self.path = path
+        self.lineno = 0  # lines read
+        self.header_seen = False
+        self.values: list[np.ndarray] = []
+        self.count = 0  # rows read
+        self.first: datetime | None = None  # the first row's timestamp
+        self.prev: datetime | None = None  # the last row's, once a block is parsed
+        self.step: timedelta | None = None  # the gap between the first two rows
+        # the first break in the grid: a timestamp whose form is not the
+        # first's, or the (previous, found) pair around a wrong gap
+        self.fault: datetime | tuple[datetime, datetime] | None = None
+        self.written = True  # every block so far was in write_csv's layout
+        self.heads: Iterator[str] | None = None  # the grid text of the rows to come
+        self.width = 0  # of a row's head
 
-def _parse_lines(lines: list[str], path: str | os.PathLike) -> IrradianceSeries:
-    """The series the lines hold. A file with an error raises the first
-    malformed line in file order, else the first break in the grid."""
-    timestamps: list[datetime] = []
-    values: list[float] = []
-    header_seen = False
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if not header_seen:
-            if stripped != CSV_HEADER:
+    def take_written(self, block: str) -> bool:
+        """Take a block of whole lines in ``write_csv``'s layout, split at
+        "\n": in the first block ``#`` comment lines, the header and at
+        least two rows, then rows that each start with the next grid
+        slot's timestamp text and a comma, and end in a finite
+        non-negative value. False, taking nothing, for any other block."""
+        if not block.endswith("\n") or any(map(block.__contains__, OTHER_LINE_BREAKS)):
+            return False
+        lines = block.split("\n")
+        del lines[-1]
+        rows, grid = lines, (self.first, self.step, self.heads, self.width)
+        if self.heads is None:
+            skip = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+            rows = lines[skip + 1 :]
+            if lines[skip : skip + 1] != [CSV_HEADER] or len(rows) < 2:
+                return False
+            grid = _grid_heads(rows[:2])
+            if grid is None:
+                return False
+        heads, width = grid[2:]
+        try:
+            if not all(map(str.startswith, rows, heads)):
+                return False
+            fields = map(itemgetter(slice(width, None)), rows)
+            values = np.fromiter(map(float, fields), np.float64, len(rows))
+        except (ValueError, OverflowError):  # a value, or a date past the calendar's end
+            return False
+        if not np.isfinite(values).all() or (values < 0).any():
+            return False
+        self.first, self.step, self.heads, self.width = grid
+        self.header_seen = True
+        self.lineno += len(lines)
+        self.values.append(values)
+        self.count += len(rows)
+        return True
+
+    def parse(self, block: str) -> None:
+        """Parse and check the lines of ``block`` one by one. A malformed
+        line raises; the first break in the grid is kept for ``series``."""
+        if self.written:
+            self.written = False
+            if self.count:
+                self.prev = self.first + (self.count - 1) * self.step
+        values: list[float] = []
+        lines = block.splitlines()
+        for lineno, line in enumerate(lines, start=self.lineno + 1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if not self.header_seen:
+                if stripped != CSV_HEADER:
+                    raise DataValidationError(
+                        f"line {lineno}: expected header {CSV_HEADER!r}, got {stripped!r}"
+                    )
+                self.header_seen = True
+                continue
+            parts = stripped.split(",")
+            if len(parts) != 2:
                 raise DataValidationError(
-                    f"line {lineno}: expected header {CSV_HEADER!r}, got {stripped!r}"
+                    f"line {lineno}: expected two comma-separated fields, got {len(parts)}"
                 )
-            header_seen = True
-            continue
-        parts = stripped.split(",")
-        if len(parts) != 2:
-            raise DataValidationError(
-                f"line {lineno}: expected two comma-separated fields, got {len(parts)}"
-            )
-        try:
-            ts = datetime.fromisoformat(parts[0])
-        except ValueError:
-            raise DataValidationError(
-                f"line {lineno}: malformed ISO-8601 timestamp {parts[0]!r}"
-            ) from None
-        try:
-            value = float(parts[1])
-        except ValueError:
-            raise DataValidationError(
-                f"line {lineno}: malformed irradiance value {parts[1]!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise DataValidationError(f"line {lineno}: non-finite irradiance value")
-        if value < 0:
-            raise DataValidationError(
-                f"line {lineno}: negative irradiance {value} at {ts.isoformat()}"
-            )
-        timestamps.append(ts)
-        values.append(value)
+            try:
+                ts = datetime.fromisoformat(parts[0])
+            except ValueError:
+                raise DataValidationError(
+                    f"line {lineno}: malformed ISO-8601 timestamp {parts[0]!r}"
+                ) from None
+            try:
+                value = float(parts[1])
+            except ValueError:
+                raise DataValidationError(
+                    f"line {lineno}: malformed irradiance value {parts[1]!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise DataValidationError(f"line {lineno}: non-finite irradiance value")
+            if value < 0:
+                raise DataValidationError(
+                    f"line {lineno}: negative irradiance {value} at {ts.isoformat()}"
+                )
+            if self.prev is None:
+                self.first = ts
+            elif self.fault is None:
+                try:
+                    gap = ts - self.prev
+                except TypeError:  # a naive and a UTC-offset timestamp
+                    self.fault = ts
+                else:
+                    if self.step is None:
+                        self.step = gap
+                    elif gap != self.step:
+                        self.fault = (self.prev, ts)
+            self.prev = ts
+            values.append(value)
+        self.lineno += len(lines)
+        self.values.append(np.array(values))
+        self.count += len(values)
 
-    if not header_seen:
-        raise DataValidationError(f"{path}: no header line found")
-    if len(timestamps) < 2:
-        raise DataValidationError(f"{path}: need at least two data rows")
-
-    try:
-        step_delta = timestamps[1] - timestamps[0]
-        # the first row whose gap to the row before is not the step
-        off_grid = next(
-            (i for i in range(2, len(timestamps))
-             if timestamps[i] - timestamps[i - 1] != step_delta),
-            None,
-        )
-    except TypeError:  # datetime cannot subtract a naive and a UTC-offset timestamp
-        first_naive = timestamps[0].tzinfo is None
-        odd = next(ts for ts in timestamps if (ts.tzinfo is None) != first_naive)
+    def series(self) -> IrradianceSeries:
+        """The series the rows hold, once every line is read. A file with
+        no malformed line raises its first break in the grid."""
+        if not self.header_seen:
+            raise DataValidationError(f"{self.path}: no header line found")
+        if self.count < 2:
+            raise DataValidationError(f"{self.path}: need at least two data rows")
+        if isinstance(self.fault, datetime):
+            raise DataValidationError(
+                f"timestamp {self.fault.isoformat()} mixes naive and UTC-offset forms"
+            )
+        step = self.step.total_seconds() / 60.0
+        if step <= 0 or step != int(step):
+            raise DataValidationError(
+                f"first two rows imply a non-positive or fractional step of {step} minutes"
+            )
+        step = int(step)
+        if self.fault is None:
+            values = np.concatenate(self.values)
+            self.values.clear()  # the series copies the values
+            return IrradianceSeries(start=self.first, values=values, step=step)
+        prev, found = self.fault
+        if found == prev:
+            raise DataValidationError(f"duplicate timestamp {found.isoformat()}")
+        try:
+            expected = f"sample at {(prev + self.step).isoformat()}"
+        except OverflowError:  # the previous sample is the calendar's last slot
+            expected = f"no sample after {prev.isoformat()}"
         raise DataValidationError(
-            f"timestamp {odd.isoformat()} mixes naive and UTC-offset forms"
-        ) from None
-    step = _step_minutes(step_delta)
-    if off_grid is None:
-        return IrradianceSeries(start=timestamps[0], values=np.array(values), step=step)
-    prev, found = timestamps[off_grid - 1], timestamps[off_grid]
-    if found == prev:
-        raise DataValidationError(f"duplicate timestamp {found.isoformat()}")
-    try:
-        expected = f"sample at {(prev + step_delta).isoformat()}"
-    except OverflowError:  # the previous sample is the calendar's last slot
-        expected = f"no sample after {prev.isoformat()}"
-    raise DataValidationError(
-        f"irregular spacing: expected {expected}, found {found.isoformat()}"
-    )
+            f"irregular spacing: expected {expected}, found {found.isoformat()}"
+        )
 
 
 def comment_lines(items: dict[str, object]) -> Iterator[str]:
@@ -234,4 +325,4 @@ def write_csv(
     """Write a series in the canonical schema, with optional
     ``# key=value`` metadata lines before the header."""
     body = grid_rows(series.start, series.step, np.arange(len(series)), ",%.17g\n", series.values)
-    write_text(path, chain(comment_lines(header_comments or {}), (f"{CSV_HEADER}\n",), body))
+    write_text(path, itertools.chain(comment_lines(header_comments or {}), (f"{CSV_HEADER}\n",), body))

@@ -27,6 +27,13 @@ class FlatParams(MutableMapping):
         self, shapes: Mapping[str, tuple[int, ...]], values: Mapping[str, np.ndarray] | None = None
     ):
         self.shapes = dict(shapes)
+        if values is not None:
+            missing = sorted(set(self.shapes) - set(values))
+            if missing:
+                raise DataValidationError(f"missing parameters {missing}")
+            # checked before the buffer exists: a model file's spec may
+            # declare shapes far larger than the values it holds
+            values = {name: self._checked(name, value) for name, value in values.items()}
         sizes = [math.prod(shape) for shape in self.shapes.values()]
         self.flat = np.zeros(sum(sizes))
         self._slices = {
@@ -36,26 +43,25 @@ class FlatParams(MutableMapping):
         self._views = {
             name: self.flat[s].reshape(self.shapes[name]) for name, s in self._slices.items()
         }
-        if values is not None:
-            missing = sorted(set(self.shapes) - set(values))
-            if missing:
-                raise DataValidationError(f"missing parameters {missing}")
-            for name, value in values.items():
-                self[name] = value
+        for name, value in (values or {}).items():
+            self._views[name][...] = value
+
+    def _checked(self, name: str, value) -> np.ndarray:
+        """``value`` as a float64 array of the shape of ``name``."""
+        if name not in self.shapes:
+            raise DataValidationError(f"unknown parameter {name!r}")
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != tuple(self.shapes[name]):
+            raise DataValidationError(
+                f"parameter {name} has shape {value.shape}, expected {tuple(self.shapes[name])}"
+            )
+        return value
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._views[name]
 
     def __setitem__(self, name: str, value) -> None:
-        if name not in self._views:
-            raise DataValidationError(f"unknown parameter {name!r}")
-        view = self._views[name]
-        value = np.asarray(value, dtype=np.float64)
-        if value.shape != view.shape:
-            raise DataValidationError(
-                f"parameter {name} has shape {value.shape}, expected {view.shape}"
-            )
-        view[...] = value
+        self._views[name][...] = self._checked(name, value)
 
     def __delitem__(self, name: str) -> None:
         raise TypeError("the parameter names of a FlatParams are fixed")

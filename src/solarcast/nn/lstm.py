@@ -30,8 +30,9 @@ indexed by step and held feature-major, as (steps, features, batch):
 activated gates and ``tanh_c[t]`` is tanh(c_t). Every intermediate of
 a step has a buffer too, so no step allocates an array. The buffers
 are new on each call, or carved from a ``Workspace`` that a network
-reuses batch after batch. The public functions take and return
-(batch, features).
+reuses batch after batch. Inference, which never backpropagates, can
+keep one step instead of the window: each step overwrites the last.
+The public functions take and return (batch, features).
 """
 
 from __future__ import annotations
@@ -112,38 +113,52 @@ def _gates(packed: np.ndarray, hidden: int) -> list[np.ndarray]:
 
 
 def _forward(
-    x: np.ndarray, h0, c0, w: np.ndarray, b: np.ndarray, workspace: Workspace | None = None
+    x: np.ndarray,
+    h0,
+    c0,
+    w: np.ndarray,
+    b: np.ndarray,
+    workspace: Workspace | None = None,
+    history: bool = True,
 ) -> dict:
     """Run the cell over x, (steps, n_in, batch), from states h0 and c0
     (arrays of (hidden, batch) or scalars); returns the step state, in
-    buffers taken from ``workspace`` (a new one when None)."""
+    buffers taken from ``workspace`` (a new one when None). Without
+    ``history`` the buffers hold one step, each step overwriting the
+    last, so the state has the final h and c but cannot be
+    backpropagated."""
     steps, n_in, batch = x.shape
     hidden = b.shape[0] // 4
     workspace = workspace or Workspace()
+    kept = steps if history else 1
     concat, c, gates, tanh_c = workspace.take(
-        (steps + 1, hidden + n_in, batch),
-        (steps + 1, hidden, batch),
-        (steps, 4 * hidden, batch),
-        (steps, hidden, batch),
+        (kept + 1, hidden + n_in, batch),
+        (kept + 1, hidden, batch),
+        (kept, 4 * hidden, batch),
+        (kept, hidden, batch),
     )
     concat[0, :hidden] = h0
-    concat[:steps, hidden:] = x
     c[0] = c0
     b = b[:, None]
     for t in range(steps):
-        g = gates[t]
-        np.matmul(w, concat[t], out=g)
+        s = t % kept  # the buffer slot of step t
+        if t and not s:  # one slot: the last step's h and c start this one
+            concat[0, :hidden] = concat[1, :hidden]
+            c[0] = c[1]
+        concat[s, hidden:] = x[t]
+        g = gates[s]
+        np.matmul(w, concat[s], out=g)
         g += b
         sigmoid(g[: 3 * hidden], out=g[: 3 * hidden])
         np.tanh(g[3 * hidden :], out=g[3 * hidden :])
         f, i, o, cand = _gates(g, hidden)
-        np.multiply(f, c[t], out=c[t + 1])
-        c[t + 1] += np.multiply(i, cand, out=tanh_c[t])  # scratch until the next line
-        np.tanh(c[t + 1], out=tanh_c[t])
-        np.multiply(o, tanh_c[t], out=concat[t + 1, :hidden])
+        np.multiply(f, c[s], out=c[s + 1])
+        c[s + 1] += np.multiply(i, cand, out=tanh_c[s])  # scratch until the next line
+        np.tanh(c[s + 1], out=tanh_c[s])
+        np.multiply(o, tanh_c[s], out=concat[s + 1, :hidden])
     return {
         "concat": concat, "c": c, "gates": gates, "tanh_c": tanh_c,
-        "taken": (workspace, workspace.calls),
+        "taken": (workspace, workspace.calls if history else None),
     }
 
 
@@ -159,6 +174,8 @@ def _backward(
     c to the first step, adding the gate gradients into ``grads``.
     Returns the gradients at the first step's concat and c_prev."""
     space, call = state["taken"]
+    if call is None:
+        raise DataValidationError("this step state kept only the last step")
     if space.calls != call:
         raise DataValidationError("a later forward call has overwritten this step state")
     concat, c, gates, tanh_c = state["concat"], state["c"], state["gates"], state["tanh_c"]
@@ -232,17 +249,22 @@ def lstm_cell_backward(
 
 
 def lstm_sequence_forward(
-    x_seq: np.ndarray, params: FlatParams, hidden: int, workspace: Workspace | None = None
+    x_seq: np.ndarray,
+    params: FlatParams,
+    hidden: int,
+    workspace: Workspace | None = None,
+    history: bool = True,
 ) -> tuple[np.ndarray, dict]:
     """Unroll over x_seq of shape (batch, steps, n_in) from zero
     initial states; returns the final hidden state and the step state.
     Given a ``workspace``, the step state lives in it until the next
-    call given the same workspace."""
+    call given the same workspace. Without ``history`` the state keeps
+    only the last step, for inference: it cannot be backpropagated."""
     x_seq = np.asarray(x_seq, dtype=np.float64)
     if x_seq.ndim != 3:
         raise DataValidationError("lstm sequence expects (batch, steps, n_in)")
     w, b = _stacked(params, hidden, x_seq.shape[2])
-    state = _forward(x_seq.transpose(1, 2, 0), 0.0, 0.0, w, b, workspace)
+    state = _forward(x_seq.transpose(1, 2, 0), 0.0, 0.0, w, b, workspace, history)
     return state["concat"][-1, :hidden].T, state
 
 

@@ -48,7 +48,7 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     ticks = []
     v = first
     while v <= hi + 1e-9 * step:
-        ticks.append(float(v))
+        ticks.append(float(v) or 0.0)  # a -0.0 tick is labelled "0", not "-0"
         v += step
     return ticks
 
@@ -63,6 +63,9 @@ def render_line_chart(
     """Render labelled (x, y) curves into an SVG document string."""
     if not curves:
         raise DataValidationError("nothing to plot")
+    for label, x, y in curves:
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise DataValidationError(f"curve {label!r} has non-finite values")
     xs = np.concatenate([np.asarray(x, dtype=np.float64) for _, x, _ in curves])
     ys = np.concatenate([np.asarray(y, dtype=np.float64) for _, _, y in curves])
     if xs.size == 0:

@@ -71,19 +71,20 @@ def generate_synthetic(
 
     # Latent AR(1) runs over every slot of the series so attenuation is
     # correlated within and across cloudy days; innovations scaled for
-    # unit stationary variance.
-    innovations = rng.standard_normal(days * spd) * np.sqrt(1.0 - AR_COEFF**2)
-    latent = np.empty(days * spd)
+    # unit stationary variance. One array holds the innovations, then
+    # the latent, then the attenuation, each overwriting the last.
+    latent = rng.standard_normal(days * spd)
+    latent *= np.sqrt(1.0 - AR_COEFF**2)
     u = rng.standard_normal()
-    for i, eps in enumerate(innovations):
+    for i, eps in enumerate(latent):
         u = AR_COEFF * u + eps
         latent[i] = u
-    attenuation = ATTENUATION_MID + ATTENUATION_HALFWIDTH * np.tanh(latent)
+    attenuation = np.tanh(latent, out=latent)
+    attenuation *= ATTENUATION_HALFWIDTH
+    attenuation += ATTENUATION_MID
 
-    bell = clear_sky_day(step=step)
-    values = np.tile(bell, days)
-    mask = np.repeat(cloudy_days, spd)
-    values[mask] *= attenuation[mask]
+    values = np.tile(clear_sky_day(step=step), days)
+    np.multiply(values, attenuation, out=values, where=np.repeat(cloudy_days, spd))
 
     return IrradianceSeries(
         start=start or datetime(2024, 1, 1), values=values, step=step

@@ -4,6 +4,7 @@ buffer existed."""
 
 import hashlib
 import pickle
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -240,6 +241,20 @@ class TestViews:
     def test_missing_values_rejected(self):
         with pytest.raises(DataValidationError, match=r"missing parameters \['b'\]"):
             FlatParams({"w": (2,), "b": (1,)}, {"w": np.zeros(2)})
+
+    def test_values_checked_before_the_buffer_is_allocated(self, tmp_path):
+        """A model file's spec may declare far more parameters than the
+        file holds: ``dense_hidden=10**40`` raised numpy's "Maximum
+        allowed dimension exceeded" ValueError, and a size numpy can
+        represent would have been allocated before the shapes were
+        compared."""
+        with pytest.raises(DataValidationError, match=r"parameter w has shape \(2,\), expected"):
+            FlatParams({"w": (10**40,)}, {"w": np.zeros(2)})
+        text = (DATA / "lstm.model").read_text(encoding="utf-8")
+        path = tmp_path / "lstm.model"
+        path.write_text(re.sub(r"dense_hidden=\d+", f"dense_hidden={10**40}", text), encoding="utf-8")
+        with pytest.raises(DataValidationError, match=f"^{re.escape(str(path))}: horizon 1: "):
+            load_nn_models(path)
 
 
 class TestModelFilesWrittenBeforeTheBuffer:

@@ -27,7 +27,7 @@ from solarcast.nn import (
     relu,
 )
 from solarcast.nn.flat import FlatParams
-from solarcast.nn.lstm import GATE_PARAMS, gate_shapes, sigmoid
+from solarcast.nn.lstm import GATE_PARAMS, Workspace, gate_shapes, sigmoid
 from solarcast.nn.training import mse_loss
 
 GRAD_TOL = 1e-4
@@ -302,6 +302,22 @@ class TestLstmCell:
         seq_grads = lstm_sequence_backward(grad_h_final, seq_caches, params)
         for name in GATE_PARAMS:
             assert np.array_equal(seq_grads[name], grads[name]), name
+
+    def test_last_step_only_unroll_matches_the_full_one(self):
+        """Inference keeps one step of state; its final h and c are the
+        full unroll's, bit for bit, and it cannot be backpropagated."""
+        rng = np.random.default_rng(11)
+        params = small_lstm_params(rng, hidden=3, n_in=1)
+        space = Workspace()
+        for batch in (6, 2):  # the second call reuses the first one's memory
+            x_seq = rng.standard_normal((batch, 5, 1))
+            h_full, full = lstm_sequence_forward(x_seq, params, 3)
+            h_last, last = lstm_sequence_forward(x_seq, params, 3, space, history=False)
+            assert last["gates"].shape[0] == 1
+            assert np.array_equal(h_last, h_full)
+            assert np.array_equal(last["c"][-1], full["c"][-1])
+        with pytest.raises(DataValidationError, match="only the last step"):
+            lstm_sequence_backward(np.ones((2, 3)), last, params)
 
     def test_sequence_sees_in_place_parameter_updates(self):
         rng = np.random.default_rng(10)

@@ -302,6 +302,27 @@ class TestBlockwiseForecast:
 
         assert traced_peak(test) < 3 * traced_peak(one_day)
 
+    def test_lstm_peak_does_not_grow_with_blocks(self, mixed_40d_split):
+        """Past the windows and the forecast, about 85 bytes a row, an
+        LSTM forecast holds one step of state for one 512-row block,
+        reused block after block: 2 and 16 blocks (14 and 112 days) peak
+        at 1.37 and 1.97 MB. Every step of every block would add 7.7 KB
+        a row, and each block's whole window of state, 4 MB at once."""
+        model = untrained_model("lstm", mixed_40d_split[0])
+        rows, peaks = [], []
+        for days in (14, 112):
+            test = generate_synthetic(days, "mixed", seed=2)
+            nn_forecast(model, test)  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                rows.append(len(nn_forecast(model, test)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert rows[0] > training.PREDICT_BLOCK_ROWS and rows[1] > 15 * training.PREDICT_BLOCK_ROWS
+        assert peaks[1] - peaks[0] < 200 * (rows[1] - rows[0])
+        assert peaks[0] < 2_000_000
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, mixed_40d_split, tmp_path):

@@ -1,5 +1,6 @@
 """The dependency-free chart writer must emit well-formed SVG."""
 
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -89,3 +90,21 @@ def test_bytes_match_pinned_chart():
     # every attribute's order and number format, pinned byte for byte
     expected = (Path(__file__).parent / "data" / "chart.svg").read_bytes()
     assert pinned_chart().encode("utf-8") == expected
+
+
+def test_zero_tick_is_unsigned():
+    # np.ceil(-12.5 / 100) * 100 is -0.0, which "{:g}" writes as "-0"
+    texts = [el.text for el in ET.fromstring(pinned_chart()).iter(f"{SVG_NS}text")]
+    assert "0" in texts and "-0" not in texts
+
+
+@pytest.mark.parametrize("axis", ("x", "y"))
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_non_finite_values_name_the_curve(axis, bad):
+    x, y = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    (x if axis == "x" else y)[1] = bad
+    curves = [("observed", np.array([0.0, 2.0]), np.array([1.0, 2.0])), ("lstm", x, y)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataValidationError, match="curve 'lstm' has non-finite values"):
+            render_line_chart(curves)

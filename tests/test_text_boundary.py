@@ -2,10 +2,12 @@
 overlay charts, checked byte for byte against plain-loop oracles in
 ``conftest.py``; atomic output writes; start-up imports."""
 
+import contextlib
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from xml.sax.saxutils import escape as xml_escape
@@ -260,14 +262,45 @@ def test_other_layouts_load_like_the_oracle(tmp_path, text):
     assert outcome(load_csv, path) == outcome(load_csv_oracle, path)
 
 
+# files whose outcome names a line after many "\r\n" or "\r" breaks
+LATE_ERRORS = {
+    "CRLF with a nan": edit_rows(set_value(250, "nan")).replace("\n", "\r\n"),
+    "CR with a negative": edit_rows(set_value(250, "-1")).replace("\n", "\r"),
+}
+
+
+@pytest.mark.parametrize("chunk", (1, 5, 64, 4096))
+@pytest.mark.parametrize("text", [WRITTEN, *FALL_THROUGH.values(), *LATE_ERRORS.values()],
+                         ids=["written", *FALL_THROUGH.keys(), *LATE_ERRORS.keys()])
+def test_read_chunk_size_does_not_change_the_outcome(tmp_path, monkeypatch, text, chunk):
+    """Reads of any size, cutting lines, "\r\n" pairs and the header
+    anywhere, load what one whole read does."""
+    path = tmp_path / "other.csv"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(io, "READ_CHUNK_BYTES", chunk)
+    assert outcome(load_csv, path) == outcome(load_csv_oracle, path)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=edited_csv(), chunk=st.integers(1, 300))
+def test_edited_files_load_like_the_oracle_in_small_reads(tmp_path, monkeypatch, text, chunk):
+    path = tmp_path / "edited.csv"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(io, "READ_CHUNK_BYTES", chunk)
+    assert outcome(load_csv, path) == outcome(load_csv_oracle, path)
+
+
 @pytest.mark.parametrize("step", (5, 60))
 @pytest.mark.parametrize("start", STARTS.values(), ids=STARTS.keys())
 def test_written_files_take_the_fast_path(tmp_path, monkeypatch, start, step):
-    """Files that write_csv writes never reach the line parser."""
+    """Files that write_csv writes never reach the line parser, read in
+    one piece or in many that cut lines anywhere, as long as the first
+    holds the header and two rows."""
     def line_parser(*args):
         raise AssertionError("a written file took the line parser")
 
-    monkeypatch.setattr(io, "_parse_lines", line_parser)
+    monkeypatch.setattr(io._Rows, "parse", line_parser)
+    monkeypatch.setattr(io, "READ_CHUNK_BYTES", 999)
     series = series_at(start, step, 3)
     path = tmp_path / "written.csv"
     write_csv(series, path, header_comments={"command": "synth", "seed": 3})
@@ -314,20 +347,129 @@ def test_error_messages_match_oracle(tmp_path, case, lines):
 
 
 def test_load_peak_memory(tmp_path):
-    """Loading streams over the lines: no per-row datetime or float
-    lists. On 100 days at 10 minutes (a 0.44 MB file) the peak is 1.70
-    MB (3.8x the file; the text and its lines, before any parsing), and
-    2.65 MB (6.0x) for a loader that keeps both lists."""
-    path = tmp_path / "d100.csv"
-    write_csv(generate_synthetic(100, "mixed", seed=7), path)
-    load_csv(path)  # warm caches outside the measurement
-    tracemalloc.start()
+    """Loading reads the text a block of lines at a time and keeps only
+    the values, so ten times the rows raise the load's peak by the
+    values and their one copy into the series: a 300-day load (10
+    minutes, 1.33 MB) peaks 0.31 MB above a 30-day one, 7.9 bytes per
+    added row. A loader that holds the whole text and its lines, or
+    per-row datetime or float lists, adds over 100 bytes a row."""
+    peaks = []
+    for days in (30, 300):
+        path = tmp_path / f"d{days}.csv"
+        write_csv(generate_synthetic(days, "mixed", seed=7), path)
+        load_csv(path)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            load_csv(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 24 * (300 - 30) * 144
+
+
+@contextlib.contextmanager
+def fifo_with(tmp_path, data: bytes):
+    """A named pipe that a thread fills with ``data`` once it is opened,
+    as a shell fills ``<(cat file)``. A reader that opens it a second
+    time finds it empty, rather than waiting for a writer forever."""
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def fill():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fh:
+            fh.write(data)
+        while not done.wait(0.01):
+            with contextlib.suppress(OSError):  # no reader has it open
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+
+    writer = threading.Thread(target=fill, daemon=True)
+    writer.start()
     try:
-        load_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        yield path
     finally:
-        tracemalloc.stop()
-    assert peak < 4.8 * os.path.getsize(path)
+        done.set()
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def days_with(days: int, edit) -> bytes:
+    """``days`` days as ``write_csv`` writes them, with ``edit`` applied
+    to the list of the file's lines."""
+    lines = write_csv_oracle(series_at(STARTS["naive"], 10, days), {"seed": 3}).split("\n")
+    edit(lines)
+    return "\n".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("row, value, message", [
+    (65, "nan", "line 65: non-finite irradiance value"),
+    (65, "-1.5", "line 65: negative irradiance -1.5 at 2024-03-30T10:20:00"),
+    (2000, "inf", "line 2000: non-finite irradiance value"),
+])
+def test_a_pipe_is_read_once(tmp_path, row, value, message):
+    """A value the fast path refuses, in the first read or a later one,
+    is reported with its line, from a pipe as from a file: the pipe is
+    not read a second time."""
+    def edit(lines):
+        lines[row - 1] = lines[row - 1].partition(",")[0] + "," + value
+
+    data = days_with(20, edit)
+    path = tmp_path / "file.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
+        load_csv(path)
+    with fifo_with(tmp_path, data) as pipe, pytest.raises(DataValidationError) as found:
+        load_csv(pipe)
+    assert str(found.value) == message
+
+
+def test_a_piped_file_loads(tmp_path):
+    with fifo_with(tmp_path, days_with(20, lambda lines: None)) as pipe:
+        loaded = load_csv(pipe)
+    assert np.array_equal(loaded.values, series_at(STARTS["naive"], 10, 20).values)
+
+
+def test_cli_names_the_line_of_a_piped_file(tmp_path, capfd):
+    def edit(lines):
+        lines[64] = lines[64].partition(",")[0] + ",nan"
+
+    with fifo_with(tmp_path, days_with(20, edit)) as pipe:
+        assert cli.main(["diagnose", "--data", str(pipe), "--out", str(tmp_path / "out")]) == 2
+    assert "line 65: non-finite irradiance value" in capfd.readouterr().err
+
+
+def whole_text_error_offset(data: bytes) -> int:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc.start
+    raise AssertionError("the data is UTF-8")
+
+
+@pytest.mark.parametrize("offset, bad", [
+    (200000, b"\xff"),
+    (65535, b"\xff"),
+    (65536, b"\xff"),
+    (65535, b"\xe2\x82"),  # a character cut at the first read's end, never finished
+    (131071, b"\xe2"),
+    (None, b"\xe2\x82"),  # cut at the end of the file
+])
+def test_non_utf8_byte_is_named_by_its_file_offset(tmp_path, offset, bad):
+    """After the first read too, the byte is named by its offset in the
+    file, as one decode of the whole file names it; a value error on an
+    earlier line does not hide it."""
+    def edit(lines):
+        lines[64] = lines[64].partition(",")[0] + ",nan"
+
+    data = days_with(60, edit)
+    offset = len(data) if offset is None else offset
+    data = data[:offset] + bad + data[offset + len(bad):]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    expected = f"input file {path}: not UTF-8 text (byte {whole_text_error_offset(data)})"
+    with pytest.raises(DataValidationError, match=f"^{re.escape(expected)}$"):
+        load_csv(path)
+    assert whole_text_error_offset(data) in (offset, offset - 1)
 
 
 def daylight_report(days: int) -> ForecastReport:
