@@ -298,7 +298,8 @@ class _Rows:
         step = int(step)
         if self.fault is None:
             values = np.concatenate(self.values)
-            self.values.clear()  # the series copies the values
+            self.values.clear()
+            values.setflags(write=False)  # fresh, so the series need not copy it
             return IrradianceSeries(start=self.first, values=values, step=step)
         prev, found = self.fault
         if found == prev:
@@ -324,5 +325,5 @@ def write_csv(
 ) -> None:
     """Write a series in the canonical schema, with optional
     ``# key=value`` metadata lines before the header."""
-    body = grid_rows(series.start, series.step, np.arange(len(series)), ",%.17g\n", series.values)
+    body = grid_rows(series.start, series.step, None, ",%.17g\n", series.values)
     write_text(path, itertools.chain(comment_lines(header_comments or {}), (f"{CSV_HEADER}\n",), body))

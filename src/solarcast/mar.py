@@ -25,6 +25,7 @@ from .series import (
     IrradianceSeries,
     Scaler,
     fit_scaler,
+    lag_rows,
     row_index,
     standardize,
 )
@@ -131,7 +132,7 @@ def build_design_matrix(
         raise DataValidationError(f"order must be >= 1, got {order}")
     if horizon < 1:
         raise DataValidationError(f"horizon must be >= 1, got {horizon}")
-    targets, lag_index = row_index(train, daylight, order, horizon)
+    targets, windows = row_index(train, daylight, order, horizon)
     if targets.size < MIN_ROWS_PER_COLUMN * order:
         lo, hi = daylight.slot_bounds(train.step)
         slots = hi - lo + 1
@@ -143,7 +144,7 @@ def build_design_matrix(
             f"{MIN_ROWS_PER_COLUMN * order} for a stable fit"
         )
     return DesignMatrix(
-        lags=train.values[lag_index], targets=train.values[targets], order=order, horizon=horizon
+        lags=lag_rows(windows), targets=train.values[targets], order=order, horizon=horizon
     )
 
 
@@ -186,9 +187,10 @@ def fit_all_horizons(train: IrradianceSeries, config: MarConfig | None = None) -
     if len(set(config.horizons)) < len(config.horizons):  # one weights record per horizon
         raise DataValidationError(f"horizons must not repeat, got {tuple(config.horizons)}")
     scaler = fit_scaler(train)
-    z = standardize(train, scaler)
-    profile = ensemble_profile(z)
-    domain = training_residual(z, profile) if config.ensemble_enabled else z
+    domain = standardize(train, scaler)
+    profile = ensemble_profile(domain)
+    if config.ensemble_enabled:  # the residual replaces z, so only one is held
+        domain = training_residual(domain, profile)
 
     order = config.order
     if order is None:
@@ -237,10 +239,11 @@ def forecast(
     elif horizon not in model.weights:
         raise UsageError(f"model was not fitted for horizon {horizon}")
 
-    z = standardize(test, model.scaler)
-    base_series = ensemble_deduct(z, model.profile) if model.ensemble_enabled else z
-    targets, lag_index = row_index(test, model.daylight, model.order, horizon)
-    lags = base_series.values[lag_index]
+    base_series = standardize(test, model.scaler)
+    if model.ensemble_enabled:
+        base_series = ensemble_deduct(base_series, model.profile)
+    targets, windows = row_index(test, model.daylight, model.order, horizon, base_series.values)
+    lags = lag_rows(windows)
     # a model file's values may overflow here; the caller that knows the
     # file checks the result, so no RuntimeWarning goes to stderr
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,7 +1,7 @@
 """Window construction, training loops, and forecast post-processing
 for the neural baselines.
 
-Both networks consume windows of the 4 most recent samples gathered
+Both networks consume windows of the 4 most recent samples taken
 through ``series.row_index``, the same daylight row policy the
 autoregressive design matrix uses, so every model forecasts exactly
 the same target slots.
@@ -16,6 +16,7 @@ The LSTM works on the standardized signal directly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from ..series import (
     Scaler,
     fit_scaler,
     inverse_difference,
+    lag_rows,
     row_index,
     standardize,
 )
@@ -44,11 +46,33 @@ class WindowSet:
     """Model-ready windows plus the bookkeeping needed to map
     predictions back onto the series."""
 
-    inputs: np.ndarray        # (rows, window, 1), chronological
+    lags: np.ndarray          # (days, rows per day, window) read-only view, chronological
     targets: np.ndarray       # (rows,)
     anchors: np.ndarray       # standardized value at the last observed slot
     sample_index: np.ndarray  # flat index of each row's target slot
     differenced: bool
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """The (rows, window, 1) network inputs, a fresh copy of the view."""
+        return lag_rows(self.lags)[:, :, None]
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The inputs of the given rows, gathered from the view. Training
+        takes its batches this way, so no copy of every window exists."""
+        return self.lags[np.divmod(rows, self.lags.shape[1])].reshape(len(rows), -1, 1)
+
+    def blocks(self, size: int) -> Iterator[tuple[int, int, np.ndarray]]:
+        """The inputs ``size`` rows at a time, as (start, stop, block):
+        rows start .. stop-1 written into one (size, window, 1) buffer
+        reused block after block. The last block is padded with zeros,
+        so every block a network sees has the same shape."""
+        buffer = np.zeros((size, self.lags.shape[2], 1))
+        for start in range(0, self.targets.size, size):
+            stop = min(start + size, self.targets.size)
+            buffer[: stop - start] = self.take(np.arange(start, stop))
+            buffer[stop - start :] = 0.0
+            yield start, stop, buffer
 
 
 def build_windows(
@@ -59,28 +83,28 @@ def build_windows(
     differenced: bool,
 ) -> WindowSet:
     """One row per day and in-window target slot with full lag support,
-    matching the autoregressive row policy exactly.
+    matching the autoregressive row policy exactly. The inputs stay a
+    view of the series (or of its differences) until they are used.
 
     For differenced rows the per-day difference starts at the daylight
     window's first slot (anchored at zero), so no feature ever reaches
     outside the window.
     """
-    targets, lag_index = row_index(z, daylight, window, horizon)
+    targets, lags = row_index(z, daylight, window, horizon)
     if targets.size == 0:
         raise DataValidationError(
             f"no usable windows: daylight window too narrow for window {window} "
             f"and horizon {horizon}"
         )
-    features = z.values
+    anchors = lags[:, :, 0].reshape(-1)
     if differenced:
         lo, hi = daylight.slot_bounds(z.step)
         days = z.day_matrix().copy()
         days[:, lo + 1 : hi + 1] = np.diff(days[:, lo : hi + 1], axis=1)
-        features = days.reshape(-1)
-    anchors = z.values[lag_index[:, 0]]
+        lags = row_index(z, daylight, window, horizon, days)[1]
     target_values = z.values[targets]
     return WindowSet(
-        inputs=features[lag_index[:, ::-1]][:, :, None],
+        lags=lags[:, :, ::-1],
         targets=target_values - anchors if differenced else target_values,
         anchors=anchors,
         sample_index=targets,
@@ -134,7 +158,7 @@ def _train(
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
-            x = windows.inputs[batch]
+            x = windows.take(batch)
             y = windows.targets[batch]
             pred, cache = network.forward_with_cache(x)
             loss, grad_pred = mse_loss(pred, y)
@@ -213,20 +237,22 @@ def nn_forecast(model: NeuralModel, test: IrradianceSeries) -> ForecastReport:
     predict, invert the post-processing, clip at zero.
 
     The windows go through the network in blocks of
-    ``PREDICT_BLOCK_ROWS`` rows, so the LSTM's per-step training caches
-    never exist for more than one block at a time."""
+    ``PREDICT_BLOCK_ROWS`` rows, written one block at a time into one
+    buffer, so neither every window nor the LSTM's per-step state
+    exists for more than one block. The last block is padded to the
+    same size, so every call runs the same BLAS kernels and the
+    forecast's bits do not change with the BLAS thread count."""
     check_step(test, model.step)
     z = standardize(test, model.scaler)
     windows = build_windows(
         z, model.spec.window, model.horizon, model.daylight, differenced=(model.kind == "cnn")
     )
     network = model.network()
+    pred = np.empty(windows.targets.size)
     # as in mar.forecast: the caller checks the result for overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        pred = np.concatenate([
-            network.predict(windows.inputs[start : start + PREDICT_BLOCK_ROWS])
-            for start in range(0, windows.targets.size, PREDICT_BLOCK_ROWS)
-        ])
+        for start, stop, block in windows.blocks(PREDICT_BLOCK_ROWS):
+            pred[start:stop] = network.predict(block)[: stop - start]
         if windows.differenced:
             pred = inverse_difference(pred, windows.anchors)
         pred_raw = np.clip(model.scaler.inverse(pred), 0.0, None)

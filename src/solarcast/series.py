@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataValidationError
 
@@ -30,6 +31,9 @@ class IrradianceSeries:
     standardized (z) and ensemble-deducted values, which may be
     negative, so non-negativity is enforced by the loaders rather
     than here.
+
+    The values are read-only. A read-only array whose owner is too, as
+    a view of another series' values is, is kept; any other is copied.
     """
 
     start: datetime
@@ -64,8 +68,12 @@ class IrradianceSeries:
             raise DataValidationError(
                 f"series start must be naive or carry a fixed UTC offset, got {self.start.tzinfo!r}"
             )
-        values = values.copy()
-        values.setflags(write=False)
+        owner = values
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        if values.flags.writeable or owner.flags.writeable or owner.base is not None:
+            values = values.copy()  # so a caller's writable array is never frozen
+            values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -178,10 +186,11 @@ def grid_text(start: datetime, step: int) -> tuple[Callable[[int], str], list[st
 
 
 def grid_rows(
-    start: datetime, step: int, index: np.ndarray, row_tail: str, *columns: np.ndarray
+    start: datetime, step: int, index: np.ndarray | None, row_tail: str, *columns: np.ndarray
 ) -> Iterator[str]:
-    """Text lines, one per grid slot in ``index``: the slot's timestamp
-    as ``(start + slot * step minutes).isoformat()`` writes it, then
+    """Text lines, one per grid slot in ``index``, or per row of the
+    columns when ``index`` is None: the slot's timestamp as
+    ``(start + slot * step minutes).isoformat()`` writes it, then
     ``row_tail`` %-formatted with the row's value from each column.
     Yields one string per run of rows on one day, so a caller that
     streams them to a file never holds more than a day of text.
@@ -190,19 +199,24 @@ def grid_rows(
     day's date prefix before each slot's time-and-offset suffix, filled
     in by one ``%`` operation. ``start`` is a midnight with a fixed UTC
     offset or none, as an ``IrradianceSeries`` start is; ``row_tail``
-    has its literal ``%`` signs doubled."""
-    index = np.asarray(index, dtype=np.int64)
-    if index.size == 0:
-        return
+    has its literal ``%`` signs doubled. Without an ``index`` the
+    columns are whole days, walked with no per-row index."""
     day_prefix, suffixes = grid_text(start, step)
     slots_per_day = len(suffixes)
-    days = index // slots_per_day
-    cuts = (np.flatnonzero(days[1:] != days[:-1]) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, index.size]):
-        prefix = day_prefix(int(days[lo]))
-        template = prefix + (row_tail + prefix).join(
-            map(suffixes.__getitem__, (index[lo:hi] % slots_per_day).tolist())
-        ) + row_tail
+    if index is None:
+        runs = ((day, day * slots_per_day, (day + 1) * slots_per_day, suffixes)
+                for day in range(len(columns[0]) // slots_per_day))
+    else:
+        index = np.asarray(index, dtype=np.int64)
+        days = index // slots_per_day
+        cuts = (np.flatnonzero(days[1:] != days[:-1]) + 1).tolist()
+        runs = (
+            (int(days[lo]), lo, hi, map(suffixes.__getitem__, (index[lo:hi] % slots_per_day).tolist()))
+            for lo, hi in zip([0, *cuts], [*cuts, index.size]) if lo < hi
+        )
+    for day, lo, hi, day_suffixes in runs:
+        prefix = day_prefix(day)
+        template = prefix + (row_tail + prefix).join(day_suffixes) + row_tail
         values = [None] * (len(columns) * (hi - lo))
         for k, column in enumerate(columns):
             values[k :: len(columns)] = column[lo:hi].tolist()
@@ -210,23 +224,35 @@ def grid_rows(
 
 
 def row_index(
-    series: IrradianceSeries, daylight: DaylightWindow, lags: int, horizon: int
+    series: IrradianceSeries, daylight: DaylightWindow, lags: int, horizon: int,
+    values: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The daylight row policy every model shares: one row per day and
     target slot t whose lag slots t-horizon-lags+1 .. t-horizon and t
     itself all lie inside the daylight window of that day.
 
     Returns the flat indices of the target samples, day-major and
-    slot-ascending, and a (rows, lags) array of the flat indices of
-    each row's lag samples, most recent first. Both are empty when the
-    window is too narrow for the lags and horizon.
+    slot-ascending, and each row's lag samples, most recent first, as a
+    read-only (days, rows per day, lags) strided view of ``values``, an
+    array on the series' grid (by default the series' own values). Both
+    are empty when the window is too narrow for the lags and horizon.
     """
     lo, hi = daylight.slot_bounds(series.step)
     slots = np.arange(lo + lags + horizon - 1, hi + 1, dtype=np.int64)
     day_starts = np.arange(series.n_days, dtype=np.int64) * series.samples_per_day
     targets = (day_starts[:, None] + slots).reshape(-1)
-    lag_index = targets[:, None] - horizon - np.arange(lags, dtype=np.int64)
-    return targets, lag_index
+    days = (series.values if values is None else values).reshape(series.n_days, -1)
+    if slots.size:  # a day's rows span its slots lo .. hi - horizon
+        windows = sliding_window_view(days[:, lo : lo + slots.size + lags - 1], lags, axis=1)
+    else:
+        windows = np.empty((series.n_days, 0, lags))
+        windows.setflags(write=False)
+    return targets, windows[:, :, ::-1]
+
+
+def lag_rows(windows: np.ndarray) -> np.ndarray:
+    """The lags of a ``row_index`` view as one fresh C-contiguous (rows, lags) matrix."""
+    return np.concatenate(windows)  # one copy, where a reshape may return a strided view
 
 
 @dataclass(frozen=True)
@@ -296,6 +322,7 @@ def standardize(series: IrradianceSeries, scaler: Scaler) -> IrradianceSeries:
             f"standardizing with scaler mu {scaler.mu:.17g}, sigma {scaler.sigma:.17g} "
             "overflows float64"
         )
+    z.setflags(write=False)  # fresh, so the series need not copy it
     return series.with_values(z)
 
 

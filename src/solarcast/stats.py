@@ -89,7 +89,9 @@ def _check_alignment(series: IrradianceSeries, profile: EnsembleProfile) -> None
 def ensemble_deduct(series: IrradianceSeries, profile: EnsembleProfile) -> IrradianceSeries:
     """Subtract each slot's expected value from the sample at that slot."""
     _check_alignment(series, profile)
-    return series.with_values(series.values - np.tile(profile.means, series.n_days))
+    deducted = series.day_matrix() - profile.means
+    deducted.setflags(write=False)  # fresh, so the series need not copy it
+    return series.with_values(deducted.reshape(-1))
 
 
 def ensemble_add(series: IrradianceSeries, profile: EnsembleProfile) -> IrradianceSeries:

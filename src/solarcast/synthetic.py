@@ -85,6 +85,7 @@ def generate_synthetic(
 
     values = np.tile(clear_sky_day(step=step), days)
     np.multiply(values, attenuation, out=values, where=np.repeat(cloudy_days, spd))
+    values.setflags(write=False)  # fresh, so the series need not copy it
 
     return IrradianceSeries(
         start=start or datetime(2024, 1, 1), values=values, step=step

@@ -210,3 +210,37 @@ def test_evaluate_edited_model_file(root, data_files, mar_lines, record, line, e
     if code == 0:
         lines = data_lines(out / "summary.csv")
         assert all(math.isfinite(float(cell)) for ln in lines[1:] for cell in ln.split(",")[2:])
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["cnn", "lstm"]),
+       record=st.sampled_from(["scaler", "param"]),
+       line=st.integers(0, 30),
+       edits=st.lists(st.tuples(st.integers(0, 200), edge_values), min_size=1, max_size=3))
+@example(kind="lstm", record="scaler", line=0, edits=[(1, 1e-320)])
+@example(kind="lstm", record="param", line=5, edits=[(0, 1e308)])
+@example(kind="cnn", record="param", line=1, edits=[(0, -1e308)])
+def test_evaluate_edited_nn_model_file(root, data_files, kind, record, line, edits):
+    """``evaluate`` on a ``tests/data`` network file that parses but
+    carries edge values in its scaler or in one parameter record. The
+    forecast runs inference only, in one padded block per horizon."""
+    lines = (DATA / f"{kind}.model").read_text().splitlines()
+    rows = [i for i, ln in enumerate(lines) if ln.split(" ", 1)[0] == record]
+    row = rows[line % len(rows)]
+    key, *fields = lines[row].split(" ")
+    first = 2 if record == "param" else 0  # a param record starts with its name and shape
+    for index, value in edits:
+        fields[first + index % (len(fields) - first)] = repr(value)
+    lines[row] = " ".join([key, *fields])
+    path = Path(tempfile.mkdtemp(dir=root)) / f"edited_{kind}.model"
+    path.write_text("\n".join(lines) + "\n")
+    # as for mar.model: every floating-point error raises but underflow
+    with np.errstate(all="raise", under="ignore"):
+        code, out = run(root, ["evaluate", f"--model-file={path}", f"--data={data_files[0]}"],
+                        {"horizons": "1,3"})
+    if code == 0:
+        lines = data_lines(out / "summary.csv")
+        assert all(math.isfinite(float(cell)) for ln in lines[1:] for cell in ln.split(",")[2:])

@@ -18,7 +18,7 @@ from solarcast import (
     standardize,
 )
 from solarcast.nn.training import build_windows
-from solarcast.series import MINUTES_PER_DAY, row_index
+from solarcast.series import MINUTES_PER_DAY, lag_rows, row_index
 
 from conftest import (
     FULL_DAY_WINDOW,
@@ -77,14 +77,21 @@ def test_row_index_matches_enumeration(case):
     step, daylight, lags, horizon, days = case
     spd = MINUTES_PER_DAY // step
     series = make_series(np.arange(days * spd, dtype=np.float64), step=step)
-    targets, lag_index = row_index(series, daylight, lags, horizon)
+    targets, windows = row_index(series, daylight, lags, horizon)
     want_targets, want_lags = enumerate_rows(
         spd, days, daylight.start_minute // step, daylight.end_minute // step, lags, horizon
     )
-    assert targets.dtype == np.int64 and lag_index.dtype == np.int64
+    assert targets.dtype == np.int64
     assert np.array_equal(targets, want_targets)
-    assert lag_index.shape == want_lags.shape
-    assert np.array_equal(lag_index, want_lags)
+    # the lags are a read-only view of the values, no copy; the values
+    # are their own flat indices, so each lag equals the slot it comes from
+    assert windows.shape == (days, want_targets.size // days, lags)
+    assert not windows.flags.writeable
+    assert want_targets.size == 0 or np.shares_memory(windows, series.values)
+    got_lags = lag_rows(windows)
+    assert got_lags.flags.c_contiguous and not np.shares_memory(got_lags, series.values)
+    assert got_lags.shape == want_lags.shape
+    assert np.array_equal(got_lags, want_lags)
     if want_targets.size == 0:
         with pytest.raises(DataValidationError, match="no usable windows"):
             build_windows(series, lags, horizon, daylight, differenced=False)
@@ -113,6 +120,8 @@ def test_windows_match_loop(mixed_30d, window, horizon, daylight, differenced):
         z, window, horizon, daylight, differenced
     )
     assert np.array_equal(got.inputs, inputs)
+    rows = np.random.default_rng(window * horizon).permutation(len(targets))[:300]
+    assert np.array_equal(got.take(rows), inputs[rows])  # a training batch
     assert np.array_equal(got.targets, targets)
     assert np.array_equal(got.anchors, anchors)
     assert np.array_equal(got.sample_index, sample_index)

@@ -11,6 +11,8 @@ from solarcast import (
     IrradianceSeries,
     destandardize,
     difference_transform,
+    ensemble_deduct,
+    ensemble_profile,
     fit_scaler,
     generate_synthetic,
     inverse_difference,
@@ -368,3 +370,23 @@ class TestSeriesType:
 
     def test_day_matrix_shape(self, mixed_30d):
         assert mixed_30d.day_matrix().shape == (30, 144)
+
+    def test_writable_values_are_copied(self):
+        values = np.arange(288.0)
+        series = make_series(values)
+        assert not np.shares_memory(series.values, values) and values.flags.writeable
+        view = values.view()  # read-only itself, but its owner can still change
+        view.setflags(write=False)
+        assert not np.shares_memory(make_series(view).values, values)
+
+    def test_read_only_values_are_kept(self, mixed_30d):
+        """A split half, a standardized series and an ensemble-deducted one
+        read the values they were given, with no copy of their own."""
+        train, test = split(mixed_30d, 0.5)
+        assert np.shares_memory(train.values, mixed_30d.values)
+        assert np.shares_memory(test.values, mixed_30d.values)
+        z = standardize(train, fit_scaler(train))
+        assert make_series(z.values).values is z.values
+        residual = ensemble_deduct(z, ensemble_profile(z))
+        assert residual.with_values(residual.values).values is residual.values
+        assert not (z.values.flags.writeable or residual.values.flags.writeable)

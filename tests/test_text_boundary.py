@@ -349,9 +349,9 @@ def test_error_messages_match_oracle(tmp_path, case, lines):
 def test_load_peak_memory(tmp_path):
     """Loading reads the text a block of lines at a time and keeps only
     the values, so ten times the rows raise the load's peak by the
-    values and their one copy into the series: a 300-day load (10
-    minutes, 1.33 MB) peaks 0.31 MB above a 30-day one, 7.9 bytes per
-    added row. A loader that holds the whole text and its lines, or
+    values twice, as blocks and as their join, which the series keeps
+    without a copy: a 300-day load (10 minutes, 1.33 MB) peaks 0.31 MB
+    above a 30-day one, 7.9 bytes per added row. A loader that holds the whole text and its lines, or
     per-row datetime or float lists, adds over 100 bytes a row."""
     peaks = []
     for days in (30, 300):
