@@ -13,9 +13,9 @@ import contextlib
 import functools
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -372,10 +372,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def _evaluate_model_file(
     model_file: str, test: IrradianceSeries, config: RunConfig
-) -> tuple[list[ForecastReport], RunConfig]:
-    """Forecast with a saved model. Also returns the config with the
-    settings the model file fixes in place of the flags, so output
-    headers record what actually ran."""
+) -> tuple[Iterator[ForecastReport], RunConfig]:
+    """Forecast with a saved model: a generator of checked reports, one
+    horizon at a time, and the config with the settings the model file
+    fixes in place of the flags, so output headers record what ran."""
     if detect_model_kind(model_file) == "mar":
         model = load_mar_model(model_file)
         config = replace(
@@ -396,35 +396,46 @@ def _evaluate_model_file(
             if h not in models:
                 raise UsageError(f"model file has no network for horizon {h}")
         predict = lambda h: nn.nn_forecast(models[h], test)  # noqa: E731
-    try:
-        reports = [predict(h) for h in config.horizon_list()]
-    except DataValidationError as exc:  # the file's values do not fit the data
-        raise DataValidationError(f"{model_file}: {exc}") from None
-    for report in reports:
-        # forecasts whose squared errors overflow have no finite metrics
-        with np.errstate(over="ignore"):
-            finite = np.isfinite(np.square(report.predicted - report.actual).sum())
-        if not finite:
-            raise DataValidationError(
-                f"{model_file}: horizon {report.horizon} forecasts overflow float64; "
-                f"check its scaler, profile and weights"
-            )
-    return reports, config
+
+    def reports() -> Iterator[ForecastReport]:
+        for h in config.horizon_list():
+            try:
+                report = predict(h)
+            except DataValidationError as exc:  # the file's values do not fit the data
+                raise DataValidationError(f"{model_file}: {exc}") from None
+            with np.errstate(over="ignore"):  # squared errors that overflow have no finite metrics
+                finite = np.isfinite(np.square(report.predicted - report.actual).sum())
+            if not finite:
+                raise DataValidationError(f"{model_file}: horizon {h} forecasts overflow float64; "
+                                          "check its scaler, profile and weights")
+            yield report
+            del report  # not held while the next horizon is forecast
+
+    return reports(), config
 
 
 def _write_reports(
-    reports: list[ForecastReport],
+    reports: Iterable[ForecastReport],
     config: RunConfig,
     command: str,
     out_dir: str,
     step: int,
     prefix: str = "",
 ) -> None:
-    cells = summarize(reports, min_actual=config.mape_threshold)  # fails before any write
+    """Score each report and stream its rows into the forecasts file before
+    the next is taken. A fault leaves that file as it was and writes no summary."""
+    cells = []
+
+    def rows() -> Iterator[str]:
+        for report in reports:
+            cells.extend(summarize([report], min_actual=config.mape_threshold))
+            # each report's header-then-rows text, the header only once
+            yield from islice(report_rows_csv([report]), len(cells) > 1, None)
+            del report  # not held while the next report is made
+
     header = _header_lines(config, command)
-    _write_text(
-        os.path.join(out_dir, f"{prefix}forecasts.csv"), header, report_rows_csv(reports)
-    )
+    _write_text(os.path.join(out_dir, f"{prefix}forecasts.csv"), header, rows())
+    cells.sort()  # comparison order
     _write_text(os.path.join(out_dir, f"{prefix}summary.csv"), header, (summary_csv(cells),))
     print(summary_table(cells, step=step), end="")
 

@@ -119,6 +119,10 @@ class SummaryCell:
     mae: float
     mape: float
 
+    def __lt__(self, other: "SummaryCell") -> bool:
+        """Comparison order: by horizon, then by model."""
+        return (self.horizon, _model_rank(self.model)) < (other.horizon, _model_rank(other.model))
+
 
 def _model_rank(model: str) -> tuple[int, str]:
     """Comparison order: the models of ``MODEL_ORDER`` in that order,
@@ -130,8 +134,7 @@ def summarize(
     reports: list[ForecastReport], min_actual: float = DEFAULT_MAPE_THRESHOLD
 ) -> list[SummaryCell]:
     """One summary cell per (model, horizon), in stable comparison order."""
-    cells = [report.summary(min_actual=min_actual) for report in reports]
-    return sorted(cells, key=lambda cell: (cell.horizon, _model_rank(cell.model)))
+    return sorted(report.summary(min_actual=min_actual) for report in reports)
 
 
 def horizon_label(horizon: int, step: int) -> str:
@@ -143,10 +146,8 @@ def horizon_label(horizon: int, step: int) -> str:
 
 
 def summary_csv(cells: list[SummaryCell]) -> str:
-    lines = ["model,horizon,rmse,mae,mape"]
-    for c in cells:
-        lines.append(f"{c.model},{c.horizon},{c.rmse:.6f},{c.mae:.6f},{c.mape:.6f}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{c.model},{c.horizon},{c.rmse:.6f},{c.mae:.6f},{c.mape:.6f}\n" for c in cells)
+    return "model,horizon,rmse,mae,mape\n" + "".join(rows)
 
 
 def summary_table(cells: list[SummaryCell], step: int = 10) -> str:

@@ -20,6 +20,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DataValidationError, NumericalError
 from ..metrics import ForecastReport, check_step
@@ -97,14 +98,16 @@ def build_windows(
             f"and horizon {horizon}"
         )
     anchors = lags[:, :, 0].reshape(-1)
+    lags = lags[:, :, ::-1]
     if differenced:
         lo, hi = daylight.slot_bounds(z.step)
-        days = z.day_matrix().copy()
-        days[:, lo + 1 : hi + 1] = np.diff(days[:, lo : hi + 1], axis=1)
-        lags = row_index(z, daylight, window, horizon, days)[1]
+        days = z.day_matrix()[:, lo : hi + 1 - horizon]  # the slots a window reads
+        deltas = days.copy()
+        np.subtract(days[:, 1:], days[:, :-1], out=deltas[:, 1:])
+        lags = sliding_window_view(deltas, window, axis=1)
     target_values = z.values[targets]
     return WindowSet(
-        lags=lags[:, :, ::-1],
+        lags=lags,
         targets=target_values - anchors if differenced else target_values,
         anchors=anchors,
         sample_index=targets,
@@ -260,7 +263,5 @@ def nn_forecast(model: NeuralModel, test: IrradianceSeries) -> ForecastReport:
 
 
 def loss_curve_csv(model: NeuralModel) -> str:
-    lines = ["epoch,loss"]
-    for epoch, loss in enumerate(model.loss_curve, start=1):
-        lines.append(f"{epoch},{loss:.17g}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{epoch},{loss:.17g}\n" for epoch, loss in enumerate(model.loss_curve, start=1))
+    return "epoch,loss\n" + "".join(rows)

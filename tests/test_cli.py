@@ -584,6 +584,34 @@ class TestOverflowingModelFile:
         assert result.stderr == f"data error: {path}: horizon 1 forecasts overflow float64; " \
                                 "check its scaler, profile and weights\n"
 
+    def test_late_horizon_leaves_no_output(self, mixed_csv, mar_file, tmp_path, capfd):
+        """Horizons 1 and 3 forecast and stream their rows before horizon 6
+        overflows: the forecasts file already there stays as it was, no
+        summary is written and no temporary file is left."""
+        lines = mar_file.read_text().splitlines()
+        edited = [" ".join(["weights", "6", "1e308", *ln.split()[3:]])
+                  if ln.startswith("weights 6 ") else ln for ln in lines]
+        assert sum(a != b for a, b in zip(lines, edited)) == 1
+        path = tmp_path / "edited.model"
+        path.write_text("\n".join(edited) + "\n")
+        assert run("evaluate", "--data", str(mixed_csv), "--model-file", str(path),
+                   "--horizons", "1,3", "--out", str(tmp_path / "early")) == 0
+        out = tmp_path / "out"
+        assert run("evaluate", "--data", str(mixed_csv), "--model-file", str(mar_file),
+                   "--out", str(out)) == 0
+        (out / "summary.csv").unlink()
+        before = (out / "forecasts.csv").read_bytes()
+        capfd.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("evaluate", "--data", str(mixed_csv), "--model-file", str(path),
+                       "--out", str(out))
+        assert (code, capfd.readouterr()) == (2, ("", (
+            f"data error: {path}: horizon 6 forecasts overflow float64; "
+            "check its scaler, profile and weights\n")))
+        assert os.listdir(out) == ["forecasts.csv"]
+        assert (out / "forecasts.csv").read_bytes() == before
+
 
 class TestSubnormalScaler:
     """A scaler sigma whose reciprocal overflows is a data error naming

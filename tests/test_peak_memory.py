@@ -3,21 +3,30 @@ it, grows by a bounded number of bytes per added series row (10-minute
 samples) from a 30-day to a 300-day series. The lags are read through
 strided views of the values, copied once into the matrix a model reads,
 and no index array per lag exists; a series keeps read-only values
-without copying them.
+without copying them. The CNN differences only the slots its windows
+read, not a copy of every slot of every day.
 
 Measured (Python 3.11, numpy 2.4), bytes per added row: a 1-step MAR
 ``forecast`` 44 (recursive 48), ``nn_forecast`` of
-``tests/data/lstm.model`` 32, ``fit_all_horizons`` 36. Gathering
-through an int64 lag-index array, with every series result copied,
-took them to 68 (72), 51 and 54."""
+``tests/data/lstm.model`` 32 and of ``tests/data/cnn.model`` 32,
+``fit_all_horizons`` 36. Gathering through an int64 lag-index array,
+with every series result copied, took them to 68 (72), 51 and 54;
+differencing a copy of the whole day matrix took the CNN's to 36.
+
+``evaluate`` forecasts, scores and writes one horizon at a time, so
+its peak does not grow with the number of horizons, and each horizon's
+outputs are those of evaluating that horizon alone."""
 
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from solarcast import fit_all_horizons, forecast, generate_synthetic, load_nn_models
+from solarcast import fit_all_horizons, forecast, generate_synthetic, load_nn_models, write_csv
+from solarcast.cli import main
 from solarcast.nn import nn_forecast
+
+from conftest import data_lines
 
 DATA = Path(__file__).parent / "data"
 SLOTS_PER_DAY = 144
@@ -55,5 +64,75 @@ def test_lstm_forecast_peak_per_row():
     assert growth_per_row(lambda s: nn_forecast(model, s)) < 42
 
 
+def test_cnn_forecast_peak_per_row():
+    model = load_nn_models(DATA / "cnn.model")[1]
+    assert growth_per_row(lambda s: nn_forecast(model, s)) < 34
+
+
 def test_fit_all_horizons_peak_per_row():
     assert growth_per_row(fit_all_horizons) < 46
+
+
+@pytest.fixture(scope="module")
+def evaluate_inputs(tmp_path_factory):
+    """A 300-day series, whose 90 test days dominate an evaluate's
+    memory, and the model files evaluated on it: (data, {name: (model
+    file, horizons)})."""
+    root = tmp_path_factory.mktemp("evaluate")
+    data = root / "mixed_300d.csv"
+    write_csv(generate_synthetic(300, "mixed", seed=8), data)
+    files = {}
+    for model in ("mar", "ar"):
+        assert main(["fit", "--model", model, "--data", str(data), "--out", str(root)]) == 0
+        files[model] = (root / f"{model}.model", (1, 3, 6))
+    for kind in ("cnn", "lstm"):  # networks for horizons 1 and 3
+        files[kind] = (DATA / f"{kind}.model", (1, 3))
+    return data, files
+
+
+def evaluate(data, model_file, horizons, out) -> None:
+    assert main(["evaluate", "--data", str(data), "--model-file", str(model_file),
+                 "--horizons", ",".join(map(str, horizons)), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("model", ["mar", "cnn", "lstm"])
+def test_evaluate_peak_does_not_grow_with_horizons(evaluate_inputs, tmp_path, model):
+    """Every horizon of a file peaks within 10% of its first alone: a
+    horizon's report is written and let go before the next horizon is
+    forecast. Measured: 1.002 times for MAR's three horizons, 1.003 and
+    1.005 for the networks' two. Holding every report until all were
+    scored, with a 1 MiB write buffer, took them to 1.18 and 1.09."""
+    data, files = evaluate_inputs
+    model_file, horizons = files[model]
+    peaks = []
+    for chosen in (horizons[:1], horizons):
+        evaluate(data, model_file, chosen, tmp_path)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            evaluate(data, model_file, chosen, tmp_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("model", ["mar", "ar", "cnn", "lstm"])
+def test_each_horizon_as_if_evaluated_alone(evaluate_inputs, tmp_path, model):
+    """Each horizon's forecast rows and summary row, evaluated with the
+    others, are byte for byte those of evaluating that horizon alone."""
+    data, files = evaluate_inputs
+    model_file, horizons = files[model]
+    evaluate(data, model_file, horizons, tmp_path / "all")
+    forecasts = data_lines(tmp_path / "all" / "forecasts.csv")
+    summary = data_lines(tmp_path / "all" / "summary.csv")
+    assert forecasts[0] == "timestamp,model,horizon,actual_wm2,predicted_wm2"
+    assert len(summary) == 1 + len(horizons)
+    seen = 0
+    for h in horizons:
+        evaluate(data, model_file, (h,), tmp_path / f"h{h}")
+        alone = data_lines(tmp_path / f"h{h}" / "forecasts.csv")
+        assert [row for row in forecasts[1:] if row.split(",")[2] == str(h)] == alone[1:]
+        assert [row for row in summary[1:] if row.split(",")[1] == str(h)] == data_lines(
+            tmp_path / f"h{h}" / "summary.csv")[1:]
+        seen += len(alone) - 1
+    assert seen == len(forecasts) - 1
