@@ -68,7 +68,6 @@ class RunConfig:
     out: str = "out"
     mape_threshold: float = DEFAULT_MAPE_THRESHOLD
     recursive: bool = False
-    ensemble: bool = True
 
     def horizon_list(self) -> tuple[int, ...]:
         try:
@@ -135,8 +134,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     # off reads False and keeps the config file's value
     flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     config = replace(config, **{k: v for k, v in flags.items() if v is not None and v is not False})
-    if getattr(args, "no_ensemble", False):
-        config = replace(config, ensemble=False)
     if config.model not in MODELS:
         raise UsageError(f"unknown model {config.model!r}, expected one of {MODELS}")
     if config.seed < 0:  # numpy's generators take non-negative seeds only
@@ -151,13 +148,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         config.daylight_window()
     except DataValidationError as exc:  # the text itself, not how it meets the data
         raise UsageError(str(exc)) from None
-    if config.model == "ar":
-        config = replace(config, ensemble=False)
     return config
 
 
 def _header_lines(config: RunConfig, command: str) -> dict[str, object]:
-    return {"command": command, **asdict(config)}
+    return {"command": command, **asdict(config), "ensemble": config.model != "ar"}
 
 
 def _write_text(path: str, header: dict[str, object], chunks: Iterable[str]) -> None:
@@ -195,8 +190,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="minimum actual W/m2 for MAPE rows")
     parser.add_argument("--recursive", action="store_true",
                         help="iterate the 1-step model instead of direct per-horizon weights")
-    parser.add_argument("--no-ensemble", dest="no_ensemble", action="store_true",
-                        help="disable ensemble deduction (plain AR pipeline)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +279,7 @@ def _fit_mar(train: IrradianceSeries, config: RunConfig) -> MarModel:
         order=config.order_value(),
         horizons=config.horizon_list(),
         daylight=config.daylight_window(),
-        ensemble_enabled=config.ensemble,
+        ensemble_enabled=config.model != "ar",
     )
     return fit_all_horizons(train, mar_config)
 
@@ -382,7 +375,6 @@ def _evaluate_model_file(
             config,
             model=model.name,
             order=str(model.order),
-            ensemble=model.ensemble_enabled,
             daylight=str(model.daylight),
         )
         predict = functools.partial(forecast, model, test, recursive=config.recursive)
@@ -489,8 +481,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = _ensure_out(config)
 
     reports: list[ForecastReport] = []
-    mar_model = _fit_mar(train, replace(config, ensemble=True))
-    ar_model = _fit_mar(train, replace(config, ensemble=False))
+    mar_model = _fit_mar(train, replace(config, model="mar"))
+    ar_model = _fit_mar(train, replace(config, model="ar"))
     for h in config.horizon_list():
         reports.append(forecast(mar_model, test, h))
         reports.append(forecast(ar_model, test, h))

@@ -15,8 +15,8 @@ import contextlib
 import itertools
 import math
 import os
-from collections.abc import Iterable, Iterator
-from datetime import datetime, timedelta
+from collections.abc import Callable, Iterable, Iterator
+from datetime import datetime, time, timedelta
 from operator import itemgetter
 
 import numpy as np
@@ -106,16 +106,15 @@ def load_csv(path: str | os.PathLike) -> IrradianceSeries:
     The file is read once, in blocks of whole lines of about
     ``READ_CHUNK_BYTES``, and each block's values go into an array
     before the next is read, so the memory a load needs grows with the
-    values, not the text. Blocks in ``write_csv``'s layout are checked
-    by comparing their timestamp text with the grid's; from the first
-    block that is not, the lines are parsed and checked one by one.
+    values, not the text.
     """
     chunks = read_chunks(path, DataValidationError, "input file")
     rows = _Rows(path)
     try:
         for block in _line_blocks(chunks):
-            if not (rows.written and rows.take_written(block)):
-                rows.parse(block)
+            # splitlines, which is slower, only where a break other than "\n" occurs
+            odd = any(map(block.__contains__, OTHER_LINE_BREAKS))
+            rows.take(block.splitlines() if odd else block.removesuffix("\n").split("\n"))
     except DataValidationError:
         # a byte further on that is not UTF-8 is reported first, as it
         # is when the whole text is decoded before any line is parsed
@@ -143,23 +142,16 @@ def _line_blocks(chunks: Iterable[str]) -> Iterator[str]:
         yield carry
 
 
-def _grid_heads(rows: list[str]) -> tuple[datetime, timedelta, Iterator[str], int] | None:
-    """The start, step and row heads of the grid whose first two rows
-    ``rows`` are, if ``write_csv`` could have written them: each slot's
-    timestamp text and a comma, from the start on, and their width.
-    None for any other rows."""
-    try:
-        start, second = (datetime.fromisoformat(row.partition(",")[0]) for row in rows)
-        step = (second - start) // MINUTE
-    except (ValueError, TypeError):
+def _grid(first: datetime, step: timedelta) -> tuple[Callable[[int], str], list[str]] | None:
+    """The grid of rows from ``first`` on, ``step`` apart, if it starts at
+    a midnight and its step is a whole number of minutes that divides a
+    day: a day's date prefix by day number, and each slot's time text and
+    a comma. None for any other."""
+    minutes, odd = divmod(step, MINUTE)
+    if odd or minutes <= 0 or MINUTES_PER_DAY % minutes or first.time() != time():
         return None
-    if second - start != step * MINUTE or step <= 0 or MINUTES_PER_DAY % step:
-        return None
-    day_prefix, suffixes = grid_text(start, step)
-    tails = [f"{suffix}," for suffix in suffixes]
-    days = map(day_prefix, itertools.count())
-    heads = itertools.chain.from_iterable([prefix + tail for tail in tails] for prefix in days)
-    return start, second - start, heads, len(day_prefix(0)) + len(tails[0])
+    day_prefix, suffixes = grid_text(first, minutes)
+    return day_prefix, [f"{suffix}," for suffix in suffixes]
 
 
 class _Rows:
@@ -173,60 +165,53 @@ class _Rows:
         self.values: list[np.ndarray] = []
         self.count = 0  # rows read
         self.first: datetime | None = None  # the first row's timestamp
-        self.prev: datetime | None = None  # the last row's, once a block is parsed
+        self.prev: datetime | None = None  # the last row's, as the line parser left it
         self.step: timedelta | None = None  # the gap between the first two rows
         # the first break in the grid: a timestamp whose form is not the
         # first's, or the (previous, found) pair around a wrong gap
         self.fault: datetime | tuple[datetime, datetime] | None = None
-        self.written = True  # every block so far was in write_csv's layout
-        self.heads: Iterator[str] | None = None  # the grid text of the rows to come
-        self.width = 0  # of a row's head
+        # the grid the first two rows fix, if they fix one
+        self.grid: tuple[Callable[[int], str], list[str]] | None = None
 
-    def take_written(self, block: str) -> bool:
-        """Take a block of whole lines in ``write_csv``'s layout, split at
-        "\n": in the first block ``#`` comment lines, the header and at
-        least two rows, then rows that each start with the next grid
-        slot's timestamp text and a comma, and end in a finite
-        non-negative value. False, taking nothing, for any other block."""
-        if not block.endswith("\n") or any(map(block.__contains__, OTHER_LINE_BREAKS)):
+    def take(self, lines: list[str]) -> None:
+        """Take the next lines: on the grid in one pass when they are its
+        next rows, else through the line parser, whose rest goes round again."""
+        while lines and not self.take_on_grid(lines):
+            lines = self.parse(lines)
+
+    def take_on_grid(self, lines: list[str]) -> bool:
+        """Take ``lines`` if, with no break in the grid so far, each starts
+        with the next grid slot's timestamp text, as ``write_csv`` writes
+        it, and a comma, and ends in a finite non-negative value. False,
+        taking nothing, otherwise."""
+        if self.grid is None or self.fault is not None:
             return False
-        lines = block.split("\n")
-        del lines[-1]
-        rows, grid = lines, (self.first, self.step, self.heads, self.width)
-        if self.heads is None:
-            skip = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
-            rows = lines[skip + 1 :]
-            if lines[skip : skip + 1] != [CSV_HEADER] or len(rows) < 2:
-                return False
-            grid = _grid_heads(rows[:2])
-            if grid is None:
-                return False
-        heads, width = grid[2:]
+        day_prefix, tails = self.grid
+        day, slot = divmod(self.count, len(tails))
+        days = ([prefix + tail for tail in tails] for prefix in map(day_prefix, itertools.count(day)))
+        heads = itertools.islice(itertools.chain.from_iterable(days), slot, None)
         try:
-            if not all(map(str.startswith, rows, heads)):
+            if not all(map(str.startswith, lines, heads)):
                 return False
-            fields = map(itemgetter(slice(width, None)), rows)
-            values = np.fromiter(map(float, fields), np.float64, len(rows))
+            fields = map(itemgetter(slice(len(day_prefix(day) + tails[0]), None)), lines)
+            values = np.fromiter(map(float, fields), np.float64, len(lines))
         except (ValueError, OverflowError):  # a value, or a date past the calendar's end
             return False
         if not np.isfinite(values).all() or (values < 0).any():
             return False
-        self.first, self.step, self.heads, self.width = grid
-        self.header_seen = True
         self.lineno += len(lines)
         self.values.append(values)
-        self.count += len(rows)
+        self.count += len(values)
         return True
 
-    def parse(self, block: str) -> None:
-        """Parse and check the lines of ``block`` one by one. A malformed
-        line raises; the first break in the grid is kept for ``series``."""
-        if self.written:
-            self.written = False
-            if self.count:
-                self.prev = self.first + (self.count - 1) * self.step
+    def parse(self, lines: list[str]) -> list[str]:
+        """Parse and check ``lines`` one by one. A malformed line raises;
+        the first break in the grid is kept for ``series``. Stops after
+        the row that fixes the grid and returns the lines after it."""
+        if self.grid is not None and self.fault is None:  # rows taken on the grid set no prev
+            self.prev = self.first + (self.count - 1) * self.step
         values: list[float] = []
-        lines = block.splitlines()
+        taken = len(lines)
         for lineno, line in enumerate(lines, start=self.lineno + 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -271,13 +256,18 @@ class _Rows:
                 else:
                     if self.step is None:
                         self.step = gap
+                        self.grid = _grid(self.first, gap)
                     elif gap != self.step:
                         self.fault = (self.prev, ts)
             self.prev = ts
             values.append(value)
-        self.lineno += len(lines)
+            if self.grid is not None and self.count + len(values) == 2:  # it fixed the grid
+                taken = lineno - self.lineno
+                break
+        self.lineno += taken
         self.values.append(np.array(values))
         self.count += len(values)
+        return lines[taken:]
 
     def series(self) -> IrradianceSeries:
         """The series the rows hold, once every line is read. A file with

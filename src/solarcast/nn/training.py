@@ -16,7 +16,6 @@ The LSTM works on the standardized signal directly.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +29,6 @@ from ..series import (
     Scaler,
     fit_scaler,
     inverse_difference,
-    lag_rows,
     row_index,
     standardize,
 )
@@ -55,25 +53,13 @@ class WindowSet:
 
     @property
     def inputs(self) -> np.ndarray:
-        """The (rows, window, 1) network inputs, a fresh copy of the view."""
-        return lag_rows(self.lags)[:, :, None]
+        """The (rows, window, 1) network inputs of every row, a fresh copy."""
+        return self.take(np.arange(self.targets.size))
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         """The inputs of the given rows, gathered from the view. Training
         takes its batches this way, so no copy of every window exists."""
         return self.lags[np.divmod(rows, self.lags.shape[1])].reshape(len(rows), -1, 1)
-
-    def blocks(self, size: int) -> Iterator[tuple[int, int, np.ndarray]]:
-        """The inputs ``size`` rows at a time, as (start, stop, block):
-        rows start .. stop-1 written into one (size, window, 1) buffer
-        reused block after block. The last block is padded with zeros,
-        so every block a network sees has the same shape."""
-        buffer = np.zeros((size, self.lags.shape[2], 1))
-        for start in range(0, self.targets.size, size):
-            stop = min(start + size, self.targets.size)
-            buffer[: stop - start] = self.take(np.arange(start, stop))
-            buffer[stop - start :] = 0.0
-            yield start, stop, buffer
 
 
 def build_windows(
@@ -87,9 +73,10 @@ def build_windows(
     matching the autoregressive row policy exactly. The inputs stay a
     view of the series (or of its differences) until they are used.
 
-    For differenced rows the per-day difference starts at the daylight
-    window's first slot (anchored at zero), so no feature ever reaches
-    outside the window.
+    For differenced rows each feature is the lag-1 difference within
+    the day's daylight window, so no feature ever reaches outside it;
+    the window's first slot, which has no slot before it there, keeps
+    its standardized level undifferenced.
     """
     targets, lags = row_index(z, daylight, window, horizon)
     if targets.size == 0:
@@ -252,10 +239,14 @@ def nn_forecast(model: NeuralModel, test: IrradianceSeries) -> ForecastReport:
     )
     network = model.network()
     pred = np.empty(windows.targets.size)
+    block = np.zeros((PREDICT_BLOCK_ROWS, model.spec.window, 1))
     # as in mar.forecast: the caller checks the result for overflow
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop, block in windows.blocks(PREDICT_BLOCK_ROWS):
-            pred[start:stop] = network.predict(block)[: stop - start]
+        for start in range(0, pred.size, PREDICT_BLOCK_ROWS):
+            rows = np.arange(start, min(start + PREDICT_BLOCK_ROWS, pred.size))
+            block[: rows.size] = windows.take(rows)
+            block[rows.size :] = 0.0
+            pred[rows] = network.predict(block)[: rows.size]
         if windows.differenced:
             pred = inverse_difference(pred, windows.anchors)
         pred_raw = np.clip(model.scaler.inverse(pred), 0.0, None)

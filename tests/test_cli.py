@@ -677,6 +677,23 @@ class TestConfigFile:
         assert run("fit", "--config", str(cfg), "--out", str(tmp_path)) == 1
 
 
+class TestNoEnsembleKnob:
+    """Plain AR is ``--model ar``; there is no other way to ask for it."""
+
+    def test_flag_exits_1(self, mixed_csv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--data", str(mixed_csv), "--model", "mar", "--no-ensemble", "--out", str(tmp_path))
+        assert exc.value.code == 1
+        assert not (tmp_path / "mar.model").exists()
+
+    def test_config_key_exits_1(self, mixed_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data={mixed_csv}\nensemble=0\n")
+        assert run("fit", "--config", str(cfg), "--model", "mar", "--out", str(tmp_path)) == 1
+        assert "unknown config entry 'ensemble=0'" in capsys.readouterr().err
+        assert not (tmp_path / "mar.model").exists()
+
+
 def test_blas_pinned_only_while_workers_start(monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)

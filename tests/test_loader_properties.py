@@ -66,7 +66,7 @@ def valid_files(tmp_path_factory):
     _nn_file("lstm", train, root / "lstm.model")
     (root / "run.cfg").write_text(
         "# comment\ndata=x.csv\nsplit=0.7\norder=auto\nhorizons=1,3\nseed=3\n"
-        "recursive=true\nensemble=0\nmape_threshold=20.5\ndaylight=06:00-18:30\n"
+        "recursive=true\nmape_threshold=20.5\ndaylight=06:00-18:30\n"
     )
     return {
         "csv": (load_csv, (root / "data.csv").read_bytes()),

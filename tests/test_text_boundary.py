@@ -290,16 +290,28 @@ def test_edited_files_load_like_the_oracle_in_small_reads(tmp_path, monkeypatch,
     assert outcome(load_csv, path) == outcome(load_csv_oracle, path)
 
 
+def parsed_lines(monkeypatch) -> list[str]:
+    """The lines the line parser goes through from now on, collected as
+    it returns: each call's lines up to those it hands back."""
+    seen: list[str] = []
+    parse = io._Rows.parse
+
+    def recording(rows, lines):
+        rest = parse(rows, lines)
+        seen.extend(lines[: len(lines) - len(rest)])
+        return rest
+
+    monkeypatch.setattr(io._Rows, "parse", recording)
+    return seen
+
+
 @pytest.mark.parametrize("step", (5, 60))
 @pytest.mark.parametrize("start", STARTS.values(), ids=STARTS.keys())
 def test_written_files_take_the_fast_path(tmp_path, monkeypatch, start, step):
-    """Files that write_csv writes never reach the line parser, read in
-    one piece or in many that cut lines anywhere, as long as the first
-    holds the header and two rows."""
-    def line_parser(*args):
-        raise AssertionError("a written file took the line parser")
-
-    monkeypatch.setattr(io._Rows, "parse", line_parser)
+    """Of a file that write_csv writes, read in pieces that cut lines
+    anywhere, the line parser sees only the comments, the header and
+    the two rows that fix the grid; every other row is taken on it."""
+    seen = parsed_lines(monkeypatch)
     monkeypatch.setattr(io, "READ_CHUNK_BYTES", 999)
     series = series_at(start, step, 3)
     path = tmp_path / "written.csv"
@@ -307,6 +319,44 @@ def test_written_files_take_the_fast_path(tmp_path, monkeypatch, start, step):
     loaded = load_csv(path)
     assert (loaded.start, loaded.step) == (start, step)
     assert np.array_equal(loaded.values, series.values)
+    assert seen == path.read_text(encoding="utf-8").split("\n")[:5]
+
+
+@pytest.mark.parametrize("newline", ("\n", "\r\n"), ids=("lf", "crlf"))
+def test_the_grid_resumes_after_an_odd_block(tmp_path, monkeypatch, newline):
+    """A comment line mid-file sends only its own block to the line
+    parser, in a file with either line ending: the blocks after it are
+    taken on the grid again, and the file loads as the oracle loads it."""
+    seen = parsed_lines(monkeypatch)
+    monkeypatch.setattr(io, "READ_CHUNK_BYTES", 999)
+    path = tmp_path / "commented.csv"
+    write_csv(series_at(datetime(2024, 1, 1), 10, 5), path, header_comments={"seed": 3})
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines.insert(400, "# a note")
+    text = newline.join(lines)
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(load_csv, path) == outcome(load_csv_oracle, path)
+    pieces = (text[i : i + 999] for i in range(0, len(text), 999))  # ASCII: one byte a character
+    noted = next(block for block in io._line_blocks(pieces) if "# a note" in block)
+    assert seen == lines[:4] + noted.splitlines()
+
+
+@pytest.mark.parametrize("first, step, rows, row, expected", [
+    # 04:00 is a slot of the 2-hour grid from midnight, not of the one from 01:00
+    ("2024-01-01T01:00:00", 120, 2, "2024-01-01T04:00:00", "2024-01-01T05:00:00"),
+    # 7 minutes do not divide a day: the next day's midnight is off the grid
+    ("2024-01-01T00:00:00", 7, 206, "2024-01-02T00:00:00", "2024-01-02T00:02:00"),
+], ids=("off-midnight", "step-not-dividing-a-day"))
+def test_only_a_day_aligned_grid_is_taken(tmp_path, first, step, rows, row, expected):
+    """The rows after the first two are taken on a grid only when the
+    grid starts at a midnight and its step divides a day; otherwise a
+    row that the wrong grid would hold is found off the true one."""
+    start = datetime.fromisoformat(first)
+    stamps = [(start + timedelta(minutes=k * step)).isoformat() for k in range(rows)] + [row]
+    path = tmp_path / "odd.csv"
+    path.write_text(f"{io.CSV_HEADER}\n" + "".join(f"{ts},1\n" for ts in stamps))
+    message = f"irregular spacing: expected sample at {expected}, found {row}"
+    assert outcome(load_csv, path) == outcome(load_csv_oracle, path) == ("error", message)
 
 
 @pytest.mark.parametrize("case, lines", [
