@@ -232,7 +232,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.days < 1:
         raise UsageError(f"--days must be >= 1, got {args.days}")
     out_dir = _ensure_out(config)
-    series = generate_synthetic(days=args.days, regime=args.regime, seed=config.seed)
+    series = generate_synthetic(
+        days=args.days, regime=args.regime, seed=config.seed, daylight=config.daylight_window()
+    )
     path = config.data or os.path.join(out_dir, f"synthetic_{args.regime}_{args.days}d.csv")
     header = _header_lines(config, "synth")
     header["days"] = args.days

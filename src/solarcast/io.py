@@ -142,15 +142,20 @@ def _line_blocks(chunks: Iterable[str]) -> Iterator[str]:
         yield carry
 
 
-def _grid(first: datetime, step: timedelta) -> tuple[Callable[[int], str], list[str]] | None:
-    """The grid of rows from ``first`` on, ``step`` apart, if it starts at
-    a midnight and its step is a whole number of minutes that divides a
-    day: a day's date prefix by day number, and each slot's time text and
-    a comma. None for any other."""
+def _grid(
+    first: datetime, step: timedelta, texts: list[str]
+) -> tuple[Callable[[int], str], list[str]] | None:
+    """The grid of rows from ``first`` on, ``step`` apart, in the text form
+    of ``texts``, the first two rows' timestamps, if it starts at a
+    midnight, its step is a whole number of minutes that divides a day,
+    and its first two slots' texts are ``texts``: a day's date prefix by
+    day number, and each slot's time text and a comma. None for any other."""
     minutes, odd = divmod(step, MINUTE)
     if odd or minutes <= 0 or MINUTES_PER_DAY % minutes or first.time() != time():
         return None
-    day_prefix, suffixes = grid_text(first, minutes)
+    day_prefix, suffixes = grid_text(first, minutes, texts[0])
+    if [day_prefix(k // len(suffixes)) + suffixes[k % len(suffixes)] for k in (0, 1)] != texts:
+        return None
     return day_prefix, [f"{suffix}," for suffix in suffixes]
 
 
@@ -165,6 +170,7 @@ class _Rows:
         self.values: list[np.ndarray] = []
         self.count = 0  # rows read
         self.first: datetime | None = None  # the first row's timestamp
+        self.first_text = ""  # and its text
         self.prev: datetime | None = None  # the last row's, as the line parser left it
         self.step: timedelta | None = None  # the gap between the first two rows
         # the first break in the grid: a timestamp whose form is not the
@@ -181,8 +187,8 @@ class _Rows:
 
     def take_on_grid(self, lines: list[str]) -> bool:
         """Take ``lines`` if, with no break in the grid so far, each starts
-        with the next grid slot's timestamp text, as ``write_csv`` writes
-        it, and a comma, and ends in a finite non-negative value. False,
+        with the next grid slot's timestamp text, in the first row's form,
+        and a comma, and ends in a finite non-negative value. False,
         taking nothing, otherwise."""
         if self.grid is None or self.fault is not None:
             return False
@@ -247,7 +253,7 @@ class _Rows:
                     f"line {lineno}: negative irradiance {value} at {ts.isoformat()}"
                 )
             if self.prev is None:
-                self.first = ts
+                self.first, self.first_text = ts, parts[0]
             elif self.fault is None:
                 try:
                     gap = ts - self.prev
@@ -256,7 +262,7 @@ class _Rows:
                 else:
                     if self.step is None:
                         self.step = gap
-                        self.grid = _grid(self.first, gap)
+                        self.grid = _grid(self.first, gap, [self.first_text, parts[0]])
                     elif gap != self.step:
                         self.fault = (self.prev, ts)
             self.prev = ts

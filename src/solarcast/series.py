@@ -166,21 +166,26 @@ class DaylightWindow:
         return self.start_minute // step, self.end_minute // step
 
 
-def grid_text(start: datetime, step: int) -> tuple[Callable[[int], str], list[str]]:
-    """The two parts of the text ``(start + slot * step minutes).isoformat()``
-    writes for each grid slot: a function from a day number to that
-    day's date prefix ``YYYY-MM-DDT``, and the time-and-offset suffix of
-    each slot of a day. ``start`` is a midnight with a fixed UTC offset
-    or none, as an ``IrradianceSeries`` start is."""
+def grid_text(
+    start: datetime, step: int, form: str | None = None
+) -> tuple[Callable[[int], str], list[str]]:
+    """The two parts of each grid slot's timestamp text, in the form of
+    ``form``, the text of slot 0, or of ``start.isoformat()`` when it is
+    None: a function from a day number to that day's date prefix
+    ``YYYY-MM-DD`` and the form's separator, and the time and the form's
+    offset text of each slot of a day. ``start`` is a midnight with a
+    fixed UTC offset or none, as an ``IrradianceSeries`` start is."""
+    form = form or start.isoformat()
+    separator = form[len("YYYY-MM-DD") : len("YYYY-MM-DDT")]
+    offset = form[len("YYYY-MM-DDTHH:MM:SS") :]
     first_day = start.date()
-    offset = start.isoformat()[len("YYYY-MM-DDTHH:MM:SS"):]
     suffixes = [
         f"{minute // 60:02d}:{minute % 60:02d}:00{offset}"
         for minute in range(0, MINUTES_PER_DAY, step)
     ]
 
     def day_prefix(day: int) -> str:
-        return (first_day + timedelta(days=day)).isoformat() + "T"
+        return (first_day + timedelta(days=day)).isoformat() + separator
 
     return day_prefix, suffixes
 

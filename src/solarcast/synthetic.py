@@ -8,7 +8,7 @@ clipped at zero and zero outside the window. Cloudy days multiply the
 bell by a temporally correlated attenuation in [0.2, 1.0]: an order-1
 autoregressive latent with coefficient 0.9, mapped through
 ``0.6 + 0.4 * tanh``. The generator is a pure function of
-(days, regime, seed).
+(days, regime, seed, step, daylight).
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ ATTENUATION_MID = 0.6
 ATTENUATION_HALFWIDTH = 0.4
 
 
-def clear_sky_day(step: int = 10) -> np.ndarray:
-    """One day of the deterministic clear-sky bell."""
-    daylight = DaylightWindow()
+def clear_sky_day(step: int = 10, daylight: DaylightWindow = DaylightWindow()) -> np.ndarray:
+    """One day of the deterministic clear-sky bell over ``daylight``."""
     spd = MINUTES_PER_DAY // step
     minutes = np.arange(spd) * step
     rise, set_ = daylight.start_minute, daylight.end_minute
@@ -48,8 +47,10 @@ def generate_synthetic(
     seed: int = 0,
     step: int = 10,
     start: datetime | None = None,
+    daylight: DaylightWindow = DaylightWindow(),
 ) -> IrradianceSeries:
-    """Deterministic synthetic series of ``days`` whole days.
+    """Deterministic synthetic series of ``days`` whole days, with the
+    clear-sky bell over ``daylight``.
 
     ``clear``: every day is the bare bell. ``cloudy``: every day is
     attenuated. ``mixed``: each day is independently clear or cloudy
@@ -71,20 +72,26 @@ def generate_synthetic(
 
     # Latent AR(1) runs over every slot of the series so attenuation is
     # correlated within and across cloudy days; innovations scaled for
-    # unit stationary variance. One array holds the innovations, then
-    # the latent, then the attenuation, each overwriting the last.
-    latent = rng.standard_normal(days * spd)
-    latent *= np.sqrt(1.0 - AR_COEFF**2)
+    # unit stationary variance. The values' own array holds the
+    # innovations, then the latent, then the attenuation, then the
+    # values, each overwriting the last, so no other array of the
+    # series exists.
+    values = rng.standard_normal(days * spd)
+    values *= np.sqrt(1.0 - AR_COEFF**2)
     u = rng.standard_normal()
-    for i, eps in enumerate(latent):
-        u = AR_COEFF * u + eps
-        latent[i] = u
-    attenuation = np.tanh(latent, out=latent)
+    day_rows = values.reshape(days, spd)
+    for day in day_rows:
+        # a day at a time as Python floats, which round each multiply
+        # and add as numpy scalars do, with no list of the whole series
+        for i, eps in enumerate(day.tolist()):
+            u = AR_COEFF * u + eps
+            day[i] = u
+    attenuation = np.tanh(values, out=values)
     attenuation *= ATTENUATION_HALFWIDTH
     attenuation += ATTENUATION_MID
-
-    values = np.tile(clear_sky_day(step=step), days)
-    np.multiply(values, attenuation, out=values, where=np.repeat(cloudy_days, spd))
+    bell = clear_sky_day(step, daylight)
+    day_rows *= bell
+    np.copyto(day_rows, bell, where=~cloudy_days[:, None])
     values.setflags(write=False)  # fresh, so the series need not copy it
 
     return IrradianceSeries(

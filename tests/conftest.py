@@ -12,6 +12,15 @@ import numpy as np
 import pytest
 
 from solarcast import DataValidationError, DaylightWindow, IrradianceSeries, generate_synthetic
+from solarcast.series import MINUTES_PER_DAY
+from solarcast.synthetic import (
+    AR_COEFF,
+    ATTENUATION_HALFWIDTH,
+    ATTENUATION_MID,
+    BELL_EXPONENT,
+    PEAK_IRRADIANCE,
+    REGIMES,
+)
 
 # AR(4) coefficients with a clean PACF signature: every partial
 # autocorrelation at lags 1..4 stays above 0.2 in magnitude while lags
@@ -69,6 +78,67 @@ def cloudy_30d() -> IrradianceSeries:
 @pytest.fixture(scope="session")
 def clear_10d() -> IrradianceSeries:
     return generate_synthetic(10, "clear", seed=303)
+
+
+def clear_sky_day_oracle(step: int = 10) -> np.ndarray:
+    """One day of the clear-sky bell over the default daylight window."""
+    daylight = DaylightWindow()
+    spd = MINUTES_PER_DAY // step
+    minutes = np.arange(spd) * step
+    rise, set_ = daylight.start_minute, daylight.end_minute
+    phase = (minutes - rise) / (set_ - rise)
+    day = np.zeros(spd)
+    inside = (phase >= 0.0) & (phase <= 1.0)
+    day[inside] = PEAK_IRRADIANCE * np.sin(np.pi * phase[inside]) ** BELL_EXPONENT
+    return np.clip(day, 0.0, None)
+
+
+def generate_synthetic_oracle(
+    days: int,
+    regime: str = "mixed",
+    seed: int = 0,
+    step: int = 10,
+    start: datetime | None = None,
+) -> IrradianceSeries:
+    """The synthetic generator over whole-series arrays: the innovations,
+    the latent and the attenuation in one, the tiled bell and the
+    repeated cloudy-day mask, with the AR(1) recurrence over numpy
+    scalars."""
+    if days < 1:
+        raise DataValidationError(f"days must be >= 1, got {days}")
+    if regime not in REGIMES:
+        raise DataValidationError(f"unknown regime {regime!r}, expected one of {REGIMES}")
+    rng = np.random.default_rng(seed)
+    spd = MINUTES_PER_DAY // step
+
+    if regime == "clear":
+        cloudy_days = np.zeros(days, dtype=bool)
+    elif regime == "cloudy":
+        cloudy_days = np.ones(days, dtype=bool)
+    else:
+        cloudy_days = rng.random(days) < 0.5
+
+    # Latent AR(1) runs over every slot of the series so attenuation is
+    # correlated within and across cloudy days; innovations scaled for
+    # unit stationary variance. One array holds the innovations, then
+    # the latent, then the attenuation, each overwriting the last.
+    latent = rng.standard_normal(days * spd)
+    latent *= np.sqrt(1.0 - AR_COEFF**2)
+    u = rng.standard_normal()
+    for i, eps in enumerate(latent):
+        u = AR_COEFF * u + eps
+        latent[i] = u
+    attenuation = np.tanh(latent, out=latent)
+    attenuation *= ATTENUATION_HALFWIDTH
+    attenuation += ATTENUATION_MID
+
+    values = np.tile(clear_sky_day_oracle(step=step), days)
+    np.multiply(values, attenuation, out=values, where=np.repeat(cloudy_days, spd))
+    values.setflags(write=False)  # fresh, so the series need not copy it
+
+    return IrradianceSeries(
+        start=start or datetime(2024, 1, 1), values=values, step=step
+    )
 
 
 # Plain-loop oracles for the daylight row policy: one row per day and

@@ -29,7 +29,13 @@ from solarcast.cli import main
 from solarcast.nn import CnnNetwork, ConvSpec, LstmNetwork, LstmSpec, NeuralModel, train_lstm
 from solarcast.series import IrradianceSeries
 
-from conftest import AR4_COEFFS, data_lines, simulate_ar
+from conftest import (
+    AR4_COEFFS,
+    data_lines,
+    generate_synthetic_oracle,
+    simulate_ar,
+    write_csv_oracle,
+)
 
 
 def run(*argv) -> int:
@@ -85,6 +91,28 @@ class TestSynth:
         text = (tmp_path / "synthetic_clear_3d.csv").read_text()
         assert "# command=synth" in text
         assert "# seed=9" in text
+
+    def test_daylight_bounds_the_bell(self, tmp_path):
+        """The window the header records is the one the bell spans: every
+        value outside it is 0."""
+        assert run("synth", "--days", "2", "--daylight", "08:00-16:00", "--regime", "mixed",
+                   "--seed", "3", "--out", str(tmp_path)) == 0
+        path = tmp_path / "synthetic_mixed_2d.csv"
+        assert "# daylight=08:00-16:00\n" in path.read_text()
+        days = load_csv(path).values.reshape(2, 144)
+        minutes = np.arange(144) * 10
+        assert not days[:, (minutes < 480) | (minutes > 960)].any()
+        assert days[:, (minutes > 480) & (minutes < 960)].all()
+
+    def test_default_file_unchanged(self, tmp_path):
+        """Without --daylight, and with the default window given, the rows
+        are those of the whole-array generator."""
+        oracle = write_csv_oracle(generate_synthetic_oracle(37, "mixed", seed=7)).splitlines()
+        for extra in ((), ("--daylight", "06:00-18:30")):
+            out = tmp_path / str(len(extra))
+            assert run("synth", "--days", "37", "--regime", "mixed", "--seed", "7",
+                       "--out", str(out), *extra) == 0
+            assert data_lines(out / "synthetic_mixed_37d.csv") == oracle
 
 
 def ar4_csv(path, days=40, seed=3):

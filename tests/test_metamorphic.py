@@ -1,6 +1,8 @@
-"""Metamorphic properties of the MAR and AR pipeline, run end to end
-through ``main()`` on a 30-day file: how the outputs must move when the
-input moves in a known way."""
+"""Metamorphic properties of the MAR, AR and CNN pipeline, run end to
+end through ``main()`` on a 30-day file: how the outputs must move when
+the input moves in a known way."""
+
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -8,11 +10,19 @@ import pytest
 from solarcast import IrradianceSeries, load_csv, split, write_csv
 from solarcast.cli import main
 
-MODELS = ("mar", "ar")
+from conftest import data_lines
+
+MODELS = ("mar", "ar", "cnn")
 
 
 def run(*argv) -> None:
     assert main([str(arg) for arg in argv]) == 0
+
+
+def evaluate(model_file, data, out, *extra) -> list[str]:
+    """The forecast rows of evaluating ``model_file`` on ``data``."""
+    run("evaluate", "--model-file", model_file, "--data", data, "--out", out, *extra)
+    return data_lines(out / "forecasts.csv")[1:]
 
 
 def fit_and_evaluate(data, out, *extra) -> dict[str, tuple[str, np.ndarray, list[str]]]:
@@ -21,12 +31,8 @@ def fit_and_evaluate(data, out, *extra) -> dict[str, tuple[str, np.ndarray, list
     results = {}
     for model in MODELS:
         run("fit", "--model", model, "--data", data, "--out", out)
-        run("evaluate", "--model-file", out / f"{model}.model", "--data", data,
-            "--out", out / model, *extra)
-        rows = [line.split(",") for line in (out / model / "forecasts.csv").read_text().splitlines()
-                if not line.startswith("#")][1:]
-        summary = [line for line in (out / model / "summary.csv").read_text().splitlines()
-                   if not line.startswith("#")][1:]
+        rows = [row.split(",") for row in evaluate(out / f"{model}.model", data, out / model, *extra)]
+        summary = data_lines(out / model / "summary.csv")[1:]
         forecasts = np.array([[float(actual), float(predicted)] for *_, actual, predicted in rows])
         results[model] = ((out / f"{model}.model").read_text(), forecasts, summary)
     return results
@@ -37,14 +43,14 @@ def fixture(tmp_path_factory):
     root = tmp_path_factory.mktemp("metamorphic")
     run("synth", "--days", 30, "--regime", "mixed", "--seed", 7, "--out", root)
     data = root / "synthetic_mixed_30d.csv"
-    return load_csv(data), fit_and_evaluate(data, root / "base")
+    return data, load_csv(data), fit_and_evaluate(data, root / "base")
 
 
 def test_doubling_the_values_doubles_the_forecasts(fixture, tmp_path):
     """Standardization cancels a power-of-two scale exactly: only the
     scaler record moves, every forecast doubles bit for bit, and with the
     MAPE threshold doubled too every MAPE is the same."""
-    series, base = fixture
+    _, series, base = fixture
     doubled = tmp_path / "doubled.csv"
     write_csv(IrradianceSeries(series.start, series.values * 2, series.step), doubled)
     scaled = fit_and_evaluate(doubled, tmp_path, "--mape-threshold", 40)
@@ -64,7 +70,7 @@ def test_doubling_the_values_doubles_the_forecasts(fixture, tmp_path):
 def test_editing_the_test_half_leaves_the_models_alone(fixture, tmp_path):
     """Fitting reads the training half only: any change to the days
     after the split leaves every model file byte-identical."""
-    series, base = fixture
+    _, series, base = fixture
     train, test = split(series)
     factors = np.random.default_rng(0).uniform(0.5, 1.5, test.values.size)
     values = np.concatenate([train.values, test.values * factors])
@@ -73,3 +79,26 @@ def test_editing_the_test_half_leaves_the_models_alone(fixture, tmp_path):
     for model in MODELS:
         run("fit", "--model", model, "--data", edited, "--out", tmp_path)
         assert (tmp_path / f"{model}.model").read_text() == base[model][0]
+
+
+@pytest.mark.parametrize("mode", ((), ("--recursive",)), ids=("direct", "recursive"))
+@pytest.mark.parametrize("model", ("mar", "ar"))
+def test_forecasts_do_not_see_the_future(fixture, tmp_path, model, mode):
+    """Changing every value after a time t of the test half leaves each
+    forecast whose target is at or before t as it was, and moves later
+    ones."""
+    data, series, _ = fixture
+    model_file = data.parent / "base" / f"{model}.model"
+    t = split(series)[1].start + timedelta(days=4, hours=12)
+    cut = (t - series.start) // timedelta(minutes=series.step) + 1  # the first slot after t
+    factors = np.random.default_rng(1).uniform(0.5, 1.5, series.values.size - cut)
+    values = np.concatenate([series.values[:cut], series.values[cut:] * factors])
+    edited = tmp_path / "edited.csv"
+    write_csv(IrradianceSeries(series.start, values, series.step), edited)
+    rows = evaluate(model_file, data, tmp_path / "base", *mode)
+    rows2 = evaluate(model_file, edited, tmp_path / "edited", *mode)
+    assert len(rows) == len(rows2)
+    before = [row.split(",")[0] <= t.isoformat() for row in rows]
+    assert 0 < sum(before) < len(rows)
+    assert all(a == b for a, b, early in zip(rows, rows2, before) if early)
+    assert any(a != b for a, b, early in zip(rows, rows2, before) if not early)

@@ -1,4 +1,4 @@
-"""Peak memory of the fit and forecast paths, as ``tracemalloc`` counts
+"""Peak memory of the generator, fit and forecast paths, as ``tracemalloc`` counts
 it, grows by a bounded number of bytes per added series row (10-minute
 samples) from a 30-day to a 300-day series. The lags are read through
 strided views of the values, copied once into the matrix a model reads,
@@ -9,9 +9,11 @@ read, not a copy of every slot of every day.
 Measured (Python 3.11, numpy 2.4), bytes per added row: a 1-step MAR
 ``forecast`` 44 (recursive 48), ``nn_forecast`` of
 ``tests/data/lstm.model`` 32 and of ``tests/data/cnn.model`` 32,
-``fit_all_horizons`` 36. Gathering through an int64 lag-index array,
-with every series result copied, took them to 68 (72), 51 and 54;
-differencing a copy of the whole day matrix took the CNN's to 36.
+``fit_all_horizons`` 36, ``generate_synthetic`` 8.8. Gathering through
+an int64 lag-index array, with every series result copied, took them
+to 68 (72), 51 and 54; differencing a copy of the whole day matrix
+took the CNN's to 36; a tiled bell and a repeated cloudy-day mask held
+beside the latent took the generator's to 24.
 
 ``evaluate`` forecasts, scores and writes one horizon at a time, so
 its peak does not grow with the number of horizons, and each horizon's
@@ -71,6 +73,12 @@ def test_cnn_forecast_peak_per_row():
 
 def test_fit_all_horizons_peak_per_row():
     assert growth_per_row(fit_all_horizons) < 46
+
+
+def test_synthetic_peak_per_row():
+    """The generator's one array of the series is the values: 8 bytes a
+    row."""
+    assert growth_per_row(lambda s: generate_synthetic(s.n_days, "mixed", seed=8)) < 10
 
 
 @pytest.fixture(scope="module")

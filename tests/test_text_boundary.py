@@ -322,6 +322,46 @@ def test_written_files_take_the_fast_path(tmp_path, monkeypatch, start, step):
     assert seen == path.read_text(encoding="utf-8").split("\n")[:5]
 
 
+OTHER_FORMS = {
+    "space-separated": ("T", " "),
+    "Z offset": (",", "Z,"),
+}
+
+
+@pytest.mark.parametrize("pattern, replacement", OTHER_FORMS.values(), ids=OTHER_FORMS.keys())
+def test_other_timestamp_forms_take_the_fast_path(tmp_path, monkeypatch, pattern, replacement):
+    """The grid's slot texts copy the first row's separator and offset
+    text: of a written file whose timestamps another tool rewrote, the
+    line parser sees only the comments, the header and the first two rows."""
+    if replacement == "Z," and sys.version_info < (3, 11):
+        pytest.skip("datetime.fromisoformat reads a Z offset from Python 3.11 on")
+    seen = parsed_lines(monkeypatch)
+    monkeypatch.setattr(io, "READ_CHUNK_BYTES", 999)
+    series = series_at(datetime(2024, 1, 1), 10, 3)
+    path = tmp_path / "other.csv"
+    write_csv(series, path, header_comments={"command": "synth", "seed": 3})
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[3:-1] = [re.sub(pattern, replacement, row, count=1) for row in lines[3:-1]]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    loaded, oracle = load_csv(path), load_csv_oracle(path)
+    assert (loaded.start, loaded.step) == (oracle.start, oracle.step)
+    assert np.array_equal(loaded.values, series.values)
+    assert seen == lines[:5]
+
+
+def test_the_grid_is_taken_only_in_the_first_rows_form(tmp_path):
+    """Slot texts built from a first row that they do not reproduce (no
+    seconds, so its offset is read as the seconds' place) are not taken:
+    rows spelled as that grid would spell them load as the oracle reads
+    them, not as slots of the grid."""
+    stamps = ["2024-01-01T00:00+05:30", "2024-01-01T00:10+05:30"] + [
+        f"2024-01-01T{minute // 60:02d}:{minute % 60:02d}:00:30" for minute in range(20, 1440, 10)]
+    path = tmp_path / "odd.csv"
+    path.write_text(f"{io.CSV_HEADER}\n" + "".join(f"{ts},1\n" for ts in stamps))
+    assert outcome(load_csv, path) == outcome(load_csv_oracle, path)
+    assert outcome(load_csv, path)[0] == "error"
+
+
 @pytest.mark.parametrize("newline", ("\n", "\r\n"), ids=("lf", "crlf"))
 def test_the_grid_resumes_after_an_odd_block(tmp_path, monkeypatch, newline):
     """A comment line mid-file sends only its own block to the line
