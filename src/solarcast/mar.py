@@ -21,12 +21,15 @@ import numpy as np
 from .errors import DataValidationError, NumericalError, UsageError
 from .metrics import ForecastReport, check_step
 from .series import (
+    PREDICT_BLOCK_ROWS,
     DaylightWindow,
     IrradianceSeries,
     Scaler,
     fit_scaler,
+    forecast_blocks,
     lag_rows,
     row_index,
+    slot_extremes,
     standardize,
 )
 from .stats import (
@@ -231,6 +234,12 @@ def forecast(
 
     ``recursive`` iterates the 1-step weights instead of using the
     horizon's own direct weights; the emitted row set is identical.
+
+    Rows go ``PREDICT_BLOCK_ROWS`` at a time from the raw series: a
+    block holds its rows' lags, standardized and less the profile, so no
+    standardized, deducted or lag-matrix copy of the split exists.
+    Blocks start at the first row, so a row's bits do not change with
+    the rows after it.
     """
     check_step(test, model.step)
     if recursive:
@@ -239,14 +248,15 @@ def forecast(
     elif horizon not in model.weights:
         raise UsageError(f"model was not fitted for horizon {horizon}")
 
-    base_series = standardize(test, model.scaler)
+    extremes = standardize(slot_extremes(test), model.scaler)  # fails where every value would
     if model.ensemble_enabled:
-        base_series = ensemble_deduct(base_series, model.profile)
-    targets, windows = row_index(test, model.daylight, model.order, horizon, base_series.values)
-    lags = lag_rows(windows)
-    # a model file's values may overflow here; the caller that knows the
-    # file checks the result, so no RuntimeWarning goes to stderr
-    with np.errstate(over="ignore", invalid="ignore"):
+        ensemble_deduct(extremes, model.profile)  # as does deducting the profile
+    targets, windows = row_index(test, model.daylight, model.order, horizon)
+
+    def predict(rows: np.ndarray, lags: np.ndarray) -> np.ndarray:
+        slots = targets[rows] % test.samples_per_day
+        if model.ensemble_enabled:  # each lag less its own slot's profile value
+            lags -= model.profile.means[slots[:, None] - horizon - np.arange(model.order)]
         if recursive:
             # feed each 1-step prediction back in as the most recent lag
             for _ in range(horizon):
@@ -255,7 +265,8 @@ def forecast(
         else:
             pred_domain = lags @ model.weights[horizon]
         if model.ensemble_enabled:
-            pred_domain = model.profile.add(pred_domain, targets % test.samples_per_day)
-        predicted = np.maximum(model.scaler.inverse(pred_domain), 0.0)
+            pred_domain = model.profile.add(pred_domain, slots)
+        return np.maximum(model.scaler.inverse(pred_domain), 0.0)
 
+    predicted = forecast_blocks(windows, model.scaler, PREDICT_BLOCK_ROWS, predict)
     return ForecastReport.over(test, model.name, horizon, targets, predicted)

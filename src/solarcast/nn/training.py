@@ -24,12 +24,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..errors import DataValidationError, NumericalError
 from ..metrics import ForecastReport, check_step
 from ..series import (
+    PREDICT_BLOCK_ROWS,
     DaylightWindow,
     IrradianceSeries,
     Scaler,
     fit_scaler,
+    forecast_blocks,
     inverse_difference,
     row_index,
+    slot_extremes,
     standardize,
 )
 from .adam import Adam
@@ -37,13 +40,12 @@ from .flat import FlatParams
 from .networks import CnnNetwork, ConvSpec, LstmNetwork, LstmSpec
 
 MIN_TRAINING_WINDOWS = 1000
-PREDICT_BLOCK_ROWS = 512
 
 
 @dataclass
 class WindowSet:
-    """Model-ready windows plus the bookkeeping needed to map
-    predictions back onto the series."""
+    """Training windows plus the bookkeeping that maps predictions back
+    onto the series; ``nn_forecast`` builds block inputs instead."""
 
     lags: np.ndarray          # (days, rows per day, window) read-only view, chronological
     targets: np.ndarray       # (rows,)
@@ -62,6 +64,15 @@ class WindowSet:
         return self.lags[np.divmod(rows, self.lags.shape[1])].reshape(len(rows), -1, 1)
 
 
+def _window_rows(series: IrradianceSeries, window: int, horizon: int, daylight: DaylightWindow):
+    """``row_index`` for a network's windows, which must not be empty."""
+    targets, lags = row_index(series, daylight, window, horizon)
+    if targets.size == 0:
+        raise DataValidationError(f"no usable windows: daylight window too narrow for window "
+                                  f"{window} and horizon {horizon}")
+    return targets, lags
+
+
 def build_windows(
     z: IrradianceSeries,
     window: int,
@@ -78,12 +89,7 @@ def build_windows(
     the window's first slot, which has no slot before it there, keeps
     its standardized level undifferenced.
     """
-    targets, lags = row_index(z, daylight, window, horizon)
-    if targets.size == 0:
-        raise DataValidationError(
-            f"no usable windows: daylight window too narrow for window {window} "
-            f"and horizon {horizon}"
-        )
+    targets, lags = _window_rows(z, window, horizon, daylight)
     anchors = lags[:, :, 0].reshape(-1)
     lags = lags[:, :, ::-1]
     if differenced:
@@ -226,31 +232,38 @@ def nn_forecast(model: NeuralModel, test: IrradianceSeries) -> ForecastReport:
     """Forecast the test series: apply the model's own pre-processing,
     predict, invert the post-processing, clip at zero.
 
-    The windows go through the network in blocks of
-    ``PREDICT_BLOCK_ROWS`` rows, written one block at a time into one
-    buffer, so neither every window nor the LSTM's per-step state
-    exists for more than one block. The last block is padded to the
-    same size, so every call runs the same BLAS kernels and the
-    forecast's bits do not change with the BLAS thread count."""
+    The inputs are built ``PREDICT_BLOCK_ROWS`` rows at a time from the
+    raw series: a block holds its rows' standardized (CNN: differenced)
+    lags in one reused buffer, so no standardized copy, window set or
+    LSTM step state exists for more than one block. Blocks start at the
+    first row and the last is padded to the same size, so every call
+    runs the same BLAS kernels and a row's bits change neither with the
+    BLAS thread count nor with the rows after it."""
     check_step(test, model.step)
-    z = standardize(test, model.scaler)
-    windows = build_windows(
-        z, model.spec.window, model.horizon, model.daylight, differenced=(model.kind == "cnn")
-    )
+    standardize(slot_extremes(test), model.scaler)  # fails where every value would
+    window, horizon = model.spec.window, model.horizon
+    targets, windows = _window_rows(test, window, horizon, model.daylight)
     network = model.network()
-    pred = np.empty(windows.targets.size)
-    block = np.zeros((PREDICT_BLOCK_ROWS, model.spec.window, 1))
-    # as in mar.forecast: the caller checks the result for overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, pred.size, PREDICT_BLOCK_ROWS):
-            rows = np.arange(start, min(start + PREDICT_BLOCK_ROWS, pred.size))
-            block[: rows.size] = windows.take(rows)
-            block[rows.size :] = 0.0
-            pred[rows] = network.predict(block)[: rows.size]
-        if windows.differenced:
-            pred = inverse_difference(pred, windows.anchors)
-        pred_raw = np.clip(model.scaler.inverse(pred), 0.0, None)
-    return ForecastReport.over(test, model.kind, model.horizon, windows.sample_index, pred_raw)
+    block = np.zeros((PREDICT_BLOCK_ROWS, window, 1))
+
+    def predict(rows: np.ndarray, lags: np.ndarray) -> np.ndarray:
+        inputs = lags[:, ::-1]  # chronological
+        if model.kind == "cnn":
+            # lag-1 differences from the slot before each window; a day's
+            # first window starts at its first daylight slot, which keeps its level
+            before = test.values[targets[rows] - horizon - window] - model.scaler.mu
+            before /= model.scaler.sigma
+            before[rows % windows.shape[1] == 0] = 0.0
+            inputs = np.diff(inputs, axis=1, prepend=before[:, None])
+        block[: rows.size, :, 0] = inputs
+        block[rows.size :] = 0.0
+        pred = network.predict(block)[: rows.size]
+        if model.kind == "cnn":
+            pred = inverse_difference(pred, lags[:, 0])
+        return np.clip(model.scaler.inverse(pred), 0.0, None)
+
+    predicted = forecast_blocks(windows, model.scaler, PREDICT_BLOCK_ROWS, predict)
+    return ForecastReport.over(test, model.kind, horizon, targets, predicted)
 
 
 def loss_curve_csv(model: NeuralModel) -> str:

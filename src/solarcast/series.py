@@ -21,6 +21,10 @@ from .errors import DataValidationError
 
 MINUTES_PER_DAY = 1440
 DEFAULT_SPLIT = 0.70
+# Rows a forecast gathers, standardizes and predicts at once, from the
+# first: their lags and the model's working arrays. Another size runs
+# other BLAS kernels, so blocks are fixed and a network pads the last.
+PREDICT_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -229,8 +233,7 @@ def grid_rows(
 
 
 def row_index(
-    series: IrradianceSeries, daylight: DaylightWindow, lags: int, horizon: int,
-    values: np.ndarray | None = None,
+    series: IrradianceSeries, daylight: DaylightWindow, lags: int, horizon: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The daylight row policy every model shares: one row per day and
     target slot t whose lag slots t-horizon-lags+1 .. t-horizon and t
@@ -238,15 +241,15 @@ def row_index(
 
     Returns the flat indices of the target samples, day-major and
     slot-ascending, and each row's lag samples, most recent first, as a
-    read-only (days, rows per day, lags) strided view of ``values``, an
-    array on the series' grid (by default the series' own values). Both
-    are empty when the window is too narrow for the lags and horizon.
+    read-only (days, rows per day, lags) strided view of the series'
+    values. Both are empty when the window is too narrow for the lags
+    and horizon.
     """
     lo, hi = daylight.slot_bounds(series.step)
     slots = np.arange(lo + lags + horizon - 1, hi + 1, dtype=np.int64)
     day_starts = np.arange(series.n_days, dtype=np.int64) * series.samples_per_day
     targets = (day_starts[:, None] + slots).reshape(-1)
-    days = (series.values if values is None else values).reshape(series.n_days, -1)
+    days = series.day_matrix()
     if slots.size:  # a day's rows span its slots lo .. hi - horizon
         windows = sliding_window_view(days[:, lo : lo + slots.size + lags - 1], lags, axis=1)
     else:
@@ -258,6 +261,33 @@ def row_index(
 def lag_rows(windows: np.ndarray) -> np.ndarray:
     """The lags of a ``row_index`` view as one fresh C-contiguous (rows, lags) matrix."""
     return np.concatenate(windows)  # one copy, where a reshape may return a strided view
+
+
+def forecast_blocks(windows: np.ndarray, scaler: Scaler, size: int, predict: Callable) -> np.ndarray:
+    """Every row's forecast for a ``row_index`` view, one block of
+    ``size`` rows at a time from the first: ``predict(rows, lags)`` gets
+    the block's row numbers and their lags, standardized in a fresh
+    array bit for bit as in a standardized copy of the series."""
+    per_day = windows.shape[1]
+    predicted = np.empty(windows.shape[0] * per_day)
+    # a model file's values may overflow here; the caller that knows the
+    # file checks the result, so no RuntimeWarning goes to stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, predicted.size, size):
+            rows = np.arange(start, min(start + size, predicted.size))
+            lags = windows[np.divmod(rows, per_day)] - scaler.mu
+            lags /= scaler.sigma
+            predicted[rows] = predict(rows, lags)
+    return predicted
+
+
+def slot_extremes(series: IrradianceSeries) -> IrradianceSeries:
+    """Each slot's least, then greatest, value as a two-day series.
+    Standardizing and deducting a profile round monotonically, so they
+    overflow on ``series`` exactly when they overflow on this."""
+    days = series.day_matrix()
+    extremes = np.concatenate([days.min(axis=0), days.max(axis=0)])
+    return IrradianceSeries(series.start, extremes, series.step)
 
 
 @dataclass(frozen=True)
@@ -321,7 +351,8 @@ def fit_scaler(train: IrradianceSeries) -> Scaler:
 def standardize(series: IrradianceSeries, scaler: Scaler) -> IrradianceSeries:
     # a scaler read from a file may take the data past float64
     with np.errstate(over="ignore"):
-        z = (series.values - scaler.mu) / scaler.sigma
+        z = series.values - scaler.mu
+        z /= scaler.sigma  # in place: no second copy
     if not np.isfinite(z).all():
         raise DataValidationError(
             f"standardizing with scaler mu {scaler.mu:.17g}, sigma {scaler.sigma:.17g} "

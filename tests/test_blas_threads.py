@@ -36,7 +36,10 @@ CHILD = textwrap.dedent("""
     data, *models = sys.argv[1:]
     commands = [["diagnose", "--out", "."],
                 ["fit", "--model", "mar", "--order", "auto", "--out", "."],
-                ["evaluate", "--model-file", "mar.model", "--out", "mar"]]
+                ["fit", "--model", "ar", "--out", "."],
+                ["evaluate", "--model-file", "mar.model", "--out", "mar"],
+                ["evaluate", "--model-file", "mar.model", "--recursive", "--out", "mar-recursive"],
+                ["evaluate", "--model-file", "ar.model", "--out", "ar"]]
     for name, path, horizons in zip(models[::3], models[1::3], models[2::3]):
         commands.append(["evaluate", "--model-file", path, "--horizons", horizons, "--out", name])
     for argv in commands:
@@ -112,11 +115,12 @@ def test_auto_order_model_does_not_depend_on_the_thread_count(runs):
     assert (one / "mar.model").read_bytes() == (two / "mar.model").read_bytes()
 
 
-@pytest.mark.parametrize("model", ["mar", *NETWORKS])
+@pytest.mark.parametrize("model", ["mar", "mar-recursive", "ar", *NETWORKS])
 def test_evaluate_rows_do_not_depend_on_the_thread_count(runs, model):
-    """The network forecasts pad their last inference block to the size
-    of the others, so every block runs the same BLAS kernels. Unpadded,
-    the 32-unit LSTM's last h=6 block moved one row in the last bits."""
+    """Every forecast runs in 512-row blocks counted from the first test
+    row. The network forecasts pad their last block to the size of the
+    others, so every block runs the same BLAS kernels. Unpadded, the
+    32-unit LSTM's last h=6 block moved one row in the last bits."""
     (_, one), (_, two) = runs["1"], runs["2"]
     for name in ("forecasts.csv", "summary.csv"):
         rows = data_lines(one / model / name)

@@ -3,16 +3,18 @@ end through ``main()`` on a 30-day file: how the outputs must move when
 the input moves in a known way."""
 
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from solarcast import IrradianceSeries, load_csv, split, write_csv
+from solarcast import IrradianceSeries, generate_synthetic, load_csv, split, write_csv
 from solarcast.cli import main
 
 from conftest import data_lines
 
 MODELS = ("mar", "ar", "cnn")
+DATA = Path(__file__).parent / "data"
 
 
 def run(*argv) -> None:
@@ -102,3 +104,29 @@ def test_forecasts_do_not_see_the_future(fixture, tmp_path, model, mode):
     assert 0 < sum(before) < len(rows)
     assert all(a == b for a, b, early in zip(rows, rows2, before) if early)
     assert any(a != b for a, b, early in zip(rows, rows2, before) if not early)
+
+
+@pytest.mark.parametrize("model, mode", (
+    ("mar", ()), ("mar", ("--recursive",)), ("ar", ()), ("ar", ("--recursive",)),
+    ("cnn", ()), ("lstm", ()),
+), ids=("mar-direct", "mar-recursive", "ar-direct", "ar-recursive", "cnn", "lstm"))
+def test_appending_days_leaves_earlier_forecasts_alone(fixture, tmp_path, model, mode):
+    """Thirty days appended to the file leave every forecast row of the
+    earlier test days byte-identical, so the boundaries of the forecast
+    blocks never reach the bits. Both splits keep the same 21 training
+    days: 0.72 of 30 and 0.36 of 60. The nine test days hold more than
+    one 512-row block per horizon, the last one partial."""
+    data, series, _ = fixture
+    model_file = DATA / "lstm.model" if model == "lstm" else data.parent / "base" / f"{model}.model"
+    extra = ("--horizons", "1,3") if model == "lstm" else ()
+    appended = generate_synthetic(30, "mixed", seed=8).values
+    longer = tmp_path / "longer.csv"
+    write_csv(IrradianceSeries(series.start, np.concatenate([series.values, appended]), series.step),
+              longer)
+    rows = evaluate(model_file, data, tmp_path / "base", "--split", 0.72, *mode, *extra)
+    rows2 = evaluate(model_file, longer, tmp_path / "longer", "--split", 0.36, *mode, *extra)
+    for horizon in {row.split(",")[2] for row in rows}:
+        early = [row for row in rows if row.split(",")[2] == horizon]
+        late = [row for row in rows2 if row.split(",")[2] == horizon]
+        assert 512 < len(early) < len(late) - 512
+        assert late[: len(early)] == early
