@@ -38,7 +38,7 @@ from .model_io import (
     save_mar_model,
     save_nn_models,
 )
-from .nn.training import loss_curve_csv
+from .nn.training import loss_curve_csv, train_network
 from .series import DEFAULT_SPLIT, DaylightWindow, IrradianceSeries, fit_scaler, split, standardize
 from .stats import autocorrelation, ensemble_profile, pacf_from_autocorrelation, select_order, training_residual
 from .svgplot import render_line_chart
@@ -286,13 +286,6 @@ def _fit_mar(train: IrradianceSeries, config: RunConfig) -> MarModel:
     return fit_all_horizons(train, mar_config)
 
 
-def _train_network(
-    kind: str, train: IrradianceSeries, horizon: int, daylight: DaylightWindow, seed: int
-) -> nn.NeuralModel:
-    trainer = nn.train_cnn if kind == "cnn" else nn.train_lstm
-    return trainer(train, horizon=horizon, daylight=daylight, seed=seed)
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Processes started inside the block run BLAS on one thread: the
@@ -320,7 +313,8 @@ def _usable_cpus() -> int:
 def _fit_nn(train: IrradianceSeries, config: RunConfig, kinds: tuple[str, ...]) -> list[nn.NeuralModel]:
     """Train one network per (kind, horizon) in a pool of worker
     processes; returns them in (kind, horizon) order. Each job is the
-    same seeded call as in-process training, so results are identical."""
+    same seeded call as in-process training, so results are identical.
+    The job lives in ``nn.training``, so a worker does not import this module."""
     # imported here, so commands that train nothing start as fast as before
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -338,7 +332,7 @@ def _fit_nn(train: IrradianceSeries, config: RunConfig, kinds: tuple[str, ...]) 
         # workers start on submit; LSTM fits take longest, so they go first
         with _one_blas_thread():
             futures = {
-                job: pool.submit(_train_network, job[0], train, job[1], daylight, config.seed)
+                job: pool.submit(train_network, job[0], train, job[1], daylight, config.seed)
                 for job in sorted(jobs, key=lambda job: job[0] != "lstm")
             }
         return [futures[job].result() for job in jobs]

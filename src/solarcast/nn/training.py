@@ -228,6 +228,16 @@ def train_lstm(
     )
 
 
+def train_network(
+    kind: str, train: IrradianceSeries, horizon: int, daylight: DaylightWindow, seed: int
+) -> NeuralModel:
+    """Train the default ``kind`` ("cnn" or "lstm") network for one horizon:
+    the CLI's training-pool job. A spawned worker unpickles it by reference,
+    so the worker imports this package and not the CLI."""
+    trainer = train_cnn if kind == "cnn" else train_lstm
+    return trainer(train, horizon=horizon, daylight=daylight, seed=seed)
+
+
 def nn_forecast(model: NeuralModel, test: IrradianceSeries) -> ForecastReport:
     """Forecast the test series: apply the model's own pre-processing,
     predict, invert the post-processing, clip at zero.

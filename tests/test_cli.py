@@ -755,7 +755,7 @@ class TestPoolSize:
                 pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "_train_network", lambda kind, train, h, daylight, seed: (kind, h))
+        monkeypatch.setattr(cli, "train_network", lambda kind, train, h, daylight, seed: (kind, h))
         return pools
 
     @pytest.mark.parametrize("cpus, kinds, workers", [

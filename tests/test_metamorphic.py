@@ -2,7 +2,7 @@
 end through ``main()`` on a 30-day file: how the outputs must move when
 the input moves in a known way."""
 
-from datetime import timedelta
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -130,3 +130,27 @@ def test_appending_days_leaves_earlier_forecasts_alone(fixture, tmp_path, model,
         late = [row for row in rows2 if row.split(",")[2] == horizon]
         assert 512 < len(early) < len(late) - 512
         assert late[: len(early)] == early
+
+
+def test_shifting_the_start_by_whole_days_moves_only_the_timestamps(fixture, tmp_path):
+    """No model reads the calendar: moving the file's start by 76 days
+    (2024-01-01 to 2024-03-17, across a leap day) leaves every model
+    file, every summary row and every forecast value bit-identical and
+    moves each forecast's timestamp by exactly those days."""
+    data, series, _ = fixture
+    shift = timedelta(days=76)
+    shifted = tmp_path / "shifted.csv"
+    write_csv(IrradianceSeries(series.start + shift, series.values, series.step), shifted)
+    base_dir = data.parent / "base"
+    for model, mode in (("mar", ()), ("mar", ("--recursive",)), ("ar", ()), ("ar", ("--recursive",)),
+                        ("cnn", ())):
+        run("fit", "--model", model, "--data", shifted, "--out", tmp_path)
+        assert (tmp_path / f"{model}.model").read_text() == (base_dir / f"{model}.model").read_text()
+        out, out2 = tmp_path / "base" / model, tmp_path / "shifted" / model
+        rows = [row.split(",") for row in evaluate(base_dir / f"{model}.model", data, out, *mode)]
+        rows2 = [row.split(",") for row in evaluate(tmp_path / f"{model}.model", shifted, out2, *mode)]
+        assert len(rows) == len(rows2) > 0
+        for (stamp, *values), (stamp2, *values2) in zip(rows, rows2):
+            assert values2 == values
+            assert datetime.fromisoformat(stamp2) - datetime.fromisoformat(stamp) == shift
+        assert data_lines(out2 / "summary.csv") == data_lines(out / "summary.csv")
