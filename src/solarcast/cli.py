@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -22,7 +21,7 @@ import numpy as np
 from . import nn
 from .errors import DataValidationError, NumericalError, UsageError
 from .io import comment_lines, load_csv, read_text, write_csv, write_text
-from .mar import DEFAULT_HORIZONS, MarConfig, MarModel, daylight_values, fit_all_horizons, forecast
+from .mar import DEFAULT_HORIZONS, MarConfig, MarModel, daylight_values, fit_all_horizons
 from .metrics import (
     DEFAULT_MAPE_THRESHOLD,
     ForecastReport,
@@ -31,13 +30,7 @@ from .metrics import (
     summary_csv,
     summary_table,
 )
-from .model_io import (
-    detect_model_kind,
-    load_mar_model,
-    load_nn_models,
-    save_mar_model,
-    save_nn_models,
-)
+from .model_io import load_model, save_mar_model, save_nn_models
 from .nn.training import loss_curve_csv, train_network
 from .series import DEFAULT_SPLIT, DaylightWindow, IrradianceSeries, fit_scaler, split, standardize
 from .stats import autocorrelation, ensemble_profile, pacf_from_autocorrelation, select_order, training_residual
@@ -236,9 +229,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         days=args.days, regime=args.regime, seed=config.seed, daylight=config.daylight_window()
     )
     path = config.data or os.path.join(out_dir, f"synthetic_{args.regime}_{args.days}d.csv")
-    header = _header_lines(config, "synth")
-    header["days"] = args.days
-    header["regime"] = args.regime
+    header = {**_header_lines(config, "synth"), "days": args.days, "regime": args.regime}
     write_csv(series, path, header_comments=header)
     print(path)
     return EXIT_OK
@@ -252,12 +243,10 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     daylight = config.daylight_window()
     train, _ = split(series, config.split)
     scaler = fit_scaler(train)
-    z = standardize(train, scaler)
+    domain = standardize(train, scaler)
     if args.domain == "ens":
-        domain_series = training_residual(z, ensemble_profile(z))
-    else:
-        domain_series = z
-    values = daylight_values(domain_series, daylight)
+        domain = training_residual(domain, ensemble_profile(domain))
+    values = daylight_values(domain, daylight)
     acf = autocorrelation(values, args.max_lag)
     pacf = pacf_from_autocorrelation(acf)
     order = select_order(pacf)
@@ -267,9 +256,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     for lag in range(args.max_lag + 1):
         body_lines.append(f"{lag},{acf.values[lag]:.10g},{pacf.values[lag]:.10g}")
     path = os.path.join(out_dir, "diagnostics.csv")
-    header = _header_lines(config, "diagnose")
-    header["max_lag"] = args.max_lag
-    header["domain"] = args.domain
+    header = {**_header_lines(config, "diagnose"), "max_lag": args.max_lag, "domain": args.domain}
     _write_text(path, header, ("\n".join(body_lines) + "\n",))
     print(f"recommended order: {order}")
     print(path)
@@ -346,9 +333,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     train, _ = split(series, config.split)
     out_dir = _ensure_out(config)
     path = os.path.join(out_dir, f"{config.model}.model")
-    if config.model in ("mar", "ar"):
-        model = _fit_mar(train, config)
-        save_mar_model(model, path)
+    if config.model in ("mar", "ar"):  # the networks train in a pool of worker processes
+        save_mar_model(_fit_mar(train, config), path)
     else:
         models = _fit_nn(train, config, (config.model,))
         save_nn_models(models, path)
@@ -365,30 +351,13 @@ def _evaluate_model_file(
     """Forecast with a saved model: a generator of checked reports, one
     horizon at a time, and the config with the settings the model file
     fixes in place of the flags, so output headers record what ran."""
-    if detect_model_kind(model_file) == "mar":
-        model = load_mar_model(model_file)
-        config = replace(
-            config,
-            model=model.name,
-            order=str(model.order),
-            daylight=str(model.daylight),
-        )
-        predict = functools.partial(forecast, model, test, recursive=config.recursive)
-    else:
-        if config.recursive:
-            raise UsageError("recursive mode applies to mar/ar models only")
-        models = load_nn_models(model_file)
-        first = next(iter(models.values()))
-        config = replace(config, model=first.kind, daylight=str(first.daylight))
-        for h in config.horizon_list():
-            if h not in models:
-                raise UsageError(f"model file has no network for horizon {h}")
-        predict = lambda h: nn.nn_forecast(models[h], test)  # noqa: E731
+    model = load_model(model_file, config.horizon_list(), config.recursive)
+    config = replace(config, **model.settings())
 
     def reports() -> Iterator[ForecastReport]:
         for h in config.horizon_list():
             try:
-                report = predict(h)
+                report = model.forecast(test, h, config.recursive)
             except DataValidationError as exc:  # the file's values do not fit the data
                 raise DataValidationError(f"{model_file}: {exc}") from None
             with np.errstate(over="ignore"):  # squared errors that overflow have no finite metrics
@@ -476,17 +445,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     train, test = split(series, config.split)
     out_dir = _ensure_out(config)
 
-    reports: list[ForecastReport] = []
-    mar_model = _fit_mar(train, replace(config, model="mar"))
-    ar_model = _fit_mar(train, replace(config, model="ar"))
-    for h in config.horizon_list():
-        reports.append(forecast(mar_model, test, h))
-        reports.append(forecast(ar_model, test, h))
+    models = [_fit_mar(train, replace(config, model=name)) for name in ("mar", "ar")]
+    reports = [model.forecast(test, h) for h in config.horizon_list() for model in models]
     # the networks forecast the same target slots, so a MAPE threshold
     # that no actual reaches fails here, before any training
     summarize(reports, min_actual=config.mape_threshold)
-    for model in _fit_nn(train, config, ("cnn", "lstm")):
-        reports.append(nn.nn_forecast(model, test))
+    reports.extend(nn.nn_forecast(model, test) for model in _fit_nn(train, config, ("cnn", "lstm")))
 
     _write_reports(reports, config, "compare", out_dir, step=test.step, prefix="compare_")
     _overlay_charts(reports, test, config, out_dir)

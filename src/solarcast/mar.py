@@ -122,6 +122,14 @@ class MarModel:
         """'mar', or 'ar' when the ensemble step is disabled."""
         return "mar" if self.ensemble_enabled else "ar"
 
+    def settings(self) -> dict[str, str]:
+        """The run settings the model fixes, as ``RunConfig`` fields."""
+        return {"model": self.name, "order": str(self.order), "daylight": str(self.daylight)}
+
+    def forecast(self, test: IrradianceSeries, horizon: int, recursive: bool = False) -> ForecastReport:
+        """The module-level ``forecast`` of this model."""
+        return forecast(self, test, horizon, recursive)
+
 
 def build_design_matrix(
     train: IrradianceSeries,

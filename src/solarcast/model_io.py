@@ -14,10 +14,11 @@ import os
 
 import numpy as np
 
-from .errors import DataValidationError
-from .io import read_text, write_text
+from .errors import DataValidationError, UsageError
+from .io import read_chunks, read_text, write_text
 from .mar import MarModel
-from .series import DaylightWindow, Scaler
+from .metrics import ForecastReport
+from .series import DaylightWindow, IrradianceSeries, Scaler
 from .stats import EnsembleProfile
 
 MAR_MAGIC = "mar-model v1"
@@ -30,16 +31,6 @@ def _fmt(x: float) -> str:
 
 def _fmt_vec(values: np.ndarray) -> str:
     return " ".join(_fmt(v) for v in np.asarray(values, dtype=np.float64))
-
-
-def detect_model_kind(path: str | os.PathLike) -> str:
-    """'mar' or 'nn', from the file's magic line."""
-    first = read_text(path, DataValidationError, "model file").partition("\n")[0].strip()
-    if first == MAR_MAGIC:
-        return "mar"
-    if first == NN_MAGIC:
-        return "nn"
-    raise DataValidationError(f"{path}: not a recognized model file (first line {first!r})")
 
 
 def _parse_values(
@@ -79,15 +70,12 @@ class _RecordReader:
         return self.pos >= len(self.lines)
 
     def peek_key(self) -> str | None:
-        if self.done():
-            return None
-        return self.lines[self.pos].split(" ", 1)[0]
+        return None if self.done() else self.lines[self.pos].split(" ", 1)[0]
 
     def take(self, key: str) -> str:
         if self.done():
             raise DataValidationError(f"missing record {key!r}")
-        line = self.lines[self.pos]
-        head, _, rest = line.partition(" ")
+        head, _, rest = self.lines[self.pos].partition(" ")
         if head != key:
             raise DataValidationError(f"expected record {key!r}, found {head!r}")
         self.pos += 1
@@ -126,9 +114,8 @@ def save_mar_model(model: MarModel, path: str | os.PathLike) -> None:
         f"scaler {_fmt(model.scaler.mu)} {_fmt(model.scaler.sigma)}",
         f"profile_means {_fmt_vec(model.profile.means)}",
         f"profile_support {' '.join(str(int(c)) for c in model.profile.support_counts)}",
+        *(f"weights {h} {_fmt_vec(model.weights[h])}" for h in model.horizons),
     ]
-    for h in model.horizons:
-        lines.append(f"weights {h} {_fmt_vec(model.weights[h])}")
     write_text(path, ("\n".join(lines) + "\n",))
 
 
@@ -214,7 +201,46 @@ def _parse_param(rest: str) -> tuple[str, np.ndarray]:
     raise DataValidationError(f"parameter {name} has shape {shape} but {values.size} values")
 
 
-def load_nn_models(path: str | os.PathLike) -> dict[int, "object"]:
+class NetworkSet(dict):
+    """The ``{horizon: NeuralModel}`` networks of one ``nn-model`` file."""
+
+    def settings(self) -> dict[str, str]:
+        """The ``RunConfig`` fields the file fixes."""
+        first = next(iter(self.values()))
+        return {"model": first.kind, "daylight": str(first.daylight)}
+
+    def check(self, horizons: tuple[int, ...], recursive: bool = False) -> NetworkSet:
+        """This set; a ``UsageError`` for a recursive forecast or a horizon with no network."""
+        if recursive:
+            raise UsageError("recursive mode applies to mar/ar models only")
+        for h in horizons:
+            if h not in self:
+                raise UsageError(f"model file has no network for horizon {h}")
+        return self
+
+    def forecast(self, test: IrradianceSeries, horizon: int, recursive: bool = False) -> ForecastReport:
+        from .nn.training import nn_forecast
+
+        return nn_forecast(self.check((horizon,), recursive)[horizon], test)
+
+
+def load_model(
+    path: str | os.PathLike, horizons: tuple[int, ...] = (), recursive: bool = False
+) -> MarModel | NetworkSet:
+    """The ``MarModel`` or ``NetworkSet`` named by the magic line of the file's first
+    ``read_chunks`` piece, so the records are decoded once. A network file is refused here
+    for forecasts it cannot make (``horizons``, ``recursive``); a ``MarModel`` when it forecasts."""
+    with contextlib.closing(read_chunks(path, DataValidationError, "model file")) as pieces:
+        first = next(pieces, "").partition("\n")[0].strip()
+    if first == MAR_MAGIC:
+        return load_mar_model(path)
+    if first != NN_MAGIC:
+        raise DataValidationError(f"{path}: not a recognized model file (first line {first!r})")
+    NetworkSet().check((), recursive)  # an empty set: refuses only recursion, before parsing
+    return load_nn_models(path).check(horizons)
+
+
+def load_nn_models(path: str | os.PathLike) -> NetworkSet:
     """Load every horizon section from an ``nn-model v1`` file; returns
     {horizon: NeuralModel}."""
     from .nn.flat import FlatParams
@@ -236,7 +262,7 @@ def load_nn_models(path: str | os.PathLike) -> dict[int, "object"]:
                 f"window record {window} does not match the spec's window={spec.window}"
             )
 
-        models: dict[int, NeuralModel] = {}
+        models = NetworkSet()
         while not reader.done():
             [horizon] = reader.take_values("horizon", int, 1)
             if horizon in models:

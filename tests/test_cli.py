@@ -1,6 +1,7 @@
 """Command-line surface: each subcommand, exit codes, output headers."""
 
 import concurrent.futures
+import contextlib
 import os
 import re
 import subprocess
@@ -25,7 +26,9 @@ from solarcast import (
     write_csv,
 )
 from solarcast import cli
+from solarcast import io as solarcast_io
 from solarcast.cli import main
+from solarcast.io import READ_CHUNK_BYTES
 from solarcast.nn import CnnNetwork, ConvSpec, LstmNetwork, LstmSpec, NeuralModel, train_lstm
 from solarcast.series import IrradianceSeries
 
@@ -290,13 +293,16 @@ class TestEvaluate:
             for line in ["# daylight=06:00-18:30", *expected]:
                 assert line in header
 
-    def test_recursive_rejected_for_nn(self, mixed_csv, tmp_path):
+    def test_recursive_rejected_for_nn(self, mixed_csv, tmp_path, capfd):
         assert run("fit", "--data", str(mixed_csv), "--model", "cnn", "--horizons", "1",
                    "--out", str(tmp_path)) == 0
+        capfd.readouterr()
+        out = tmp_path / "out"
         code = run("evaluate", "--data", str(mixed_csv),
                    "--model-file", str(tmp_path / "cnn.model"),
-                   "--horizons", "1", "--recursive", "--out", str(tmp_path))
-        assert code == 1
+                   "--horizons", "1", "--recursive", "--out", str(out))
+        assert (code, capfd.readouterr()) == (1, ("", "error: recursive mode applies to mar/ar models only\n"))
+        assert os.listdir(out) == []
 
 
 def untrained_file_lines(kind, mixed_csv, tmp_path_factory):
@@ -359,6 +365,74 @@ class TestNnModelFileValidation:
         err = capfd.readouterr().err
         assert "window record 6 does not match the spec's window=4" in err
         assert "Traceback" not in err
+
+
+class TestEvaluateRefusals:
+    """A model file that cannot serve the run is refused through ``main()``
+    with its exit code and one stderr line, and nothing is written."""
+
+    @pytest.mark.parametrize("edit, flags, code, message", [
+        (None, ["--horizons", "1,3"], 1, "error: model file has no network for horizon 3"),
+        (lambda lines: ["not-a-model v1", *lines[1:]], [], 2,
+         "data error: {path}: not a recognized model file (first line 'not-a-model v1')"),
+        # the refusal comes before the records are parsed
+        (lambda lines: [ln.replace("param out_b 1 ", "param out_b 1 x") for ln in lines],
+         ["--recursive"], 1, "error: recursive mode applies to mar/ar models only"),
+    ], ids=["missing-horizon", "unknown-first-line", "corrupt-and-recursive"])
+    def test_exits_with_one_line(self, mixed_csv, tmp_path, capfd, cnn_file_lines,
+                                 edit, flags, code, message):
+        lines = edit(cnn_file_lines) if edit else cnn_file_lines
+        assert edit is None or lines != cnn_file_lines
+        path = tmp_path / "cnn.model"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        result = run("evaluate", "--data", str(mixed_csv), "--model-file", str(path),
+                     "--out", str(out), *flags)
+        assert (result, capfd.readouterr()) == (code, ("", message.format(path=path) + "\n"))
+        assert os.listdir(out) == []
+
+
+class TestModelFileReads:
+    def test_evaluate_decodes_the_model_file_once(self, mixed_csv, tmp_path, lstm_file_lines,
+                                                  monkeypatch):
+        """Finding the format reads at most the file's first piece, and
+        the records are decoded once."""
+        path = tmp_path / "lstm.model"
+        path.write_text("\n".join(lstm_file_lines) + "\n")
+        size = path.stat().st_size
+        assert size > READ_CHUNK_BYTES  # so a second full read shows
+        original, decoded = solarcast_io.read_chunks, []
+
+        def counting(where, *args):
+            with contextlib.closing(original(where, *args)) as pieces:
+                for piece in pieces:
+                    if where == str(path):
+                        decoded.append(len(piece))
+                    yield piece
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("solarcast") and vars(module).get("read_chunks") is original:
+                monkeypatch.setattr(module, "read_chunks", counting)
+        assert run("evaluate", "--data", str(mixed_csv), "--model-file", str(path),
+                   "--horizons", "1", "--out", str(tmp_path / "out")) == 0
+        assert size < sum(decoded) <= size + READ_CHUNK_BYTES
+
+    @pytest.mark.parametrize("flags, code, err", [
+        ([], 0, ""),
+        (["--recursive"], 1, "error: recursive mode applies to mar/ar models only\n"),
+    ])
+    def test_no_resource_warning(self, mixed_csv, tmp_path, lstm_file_lines, flags, code, err):
+        """The first-piece read closes the file, also when the file is refused
+        after it: under ``-X dev -W error`` stderr holds no warning."""
+        path = tmp_path / "lstm.model"
+        path.write_text("\n".join(lstm_file_lines) + "\n")
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "solarcast", "evaluate",
+             "--data", str(mixed_csv), "--model-file", str(path), "--horizons", "1",
+             "--out", str(tmp_path / "out"), *flags],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (code, err)
 
 
 class TestScalarRecords:

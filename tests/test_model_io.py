@@ -1,17 +1,26 @@
 """Flat-text model persistence: exact round trips, useful failures."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from solarcast import (
     DataValidationError,
     MarConfig,
+    MarModel,
+    UsageError,
     fit_all_horizons,
     forecast,
     load_mar_model,
+    load_nn_models,
     save_mar_model,
     split,
 )
+from solarcast.model_io import NetworkSet, load_model
+from solarcast.nn import nn_forecast
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +107,57 @@ class TestMarModelFile:
         path = tmp_path / "ar.model"
         save_mar_model(model, path)
         assert load_mar_model(path).ensemble_enabled is False
+
+
+class TestLoadModel:
+    """``load_model`` reads either format by its first line, and both
+    families forecast through one ``forecast(test, horizon, recursive)``."""
+
+    def test_mar_file(self, fitted, tmp_path):
+        model, test = fitted
+        path = tmp_path / "m.model"
+        save_mar_model(model, path)
+        loaded = load_model(path, horizons=(1, 2, 3), recursive=False)  # MAR refuses when it forecasts
+        assert type(loaded) is MarModel
+        assert loaded.settings() == {"model": "mar", "order": "4", "daylight": "06:00-18:30"}
+        for h in model.horizons:
+            for recursive in (False, True):
+                ours = loaded.forecast(test, h, recursive)
+                assert np.array_equal(ours.predicted, forecast(model, test, h, recursive).predicted)
+        with pytest.raises(UsageError, match="model was not fitted for horizon 2"):
+            loaded.forecast(test, 2)
+
+    @pytest.mark.parametrize("kind", ["cnn", "lstm"])
+    def test_network_file(self, mixed_30d, kind):
+        networks = load_model(DATA / f"{kind}.model", horizons=(3, 1))
+        assert type(networks) is NetworkSet and type(load_nn_models(DATA / f"{kind}.model")) is NetworkSet
+        assert sorted(networks) == [1, 3]
+        assert networks.settings() == {"model": kind, "daylight": "06:00-18:30"}
+        _, test = split(mixed_30d, 0.7)
+        for h in (1, 3):
+            ours = networks.forecast(test, h)
+            assert np.array_equal(ours.predicted, nn_forecast(networks[h], test).predicted)
+
+    def test_network_refusals(self, mixed_30d):
+        _, test = split(mixed_30d, 0.7)
+        networks = load_model(DATA / "cnn.model")
+        with pytest.raises(UsageError, match="^recursive mode applies to mar/ar models only$"):
+            networks.forecast(test, 1, recursive=True)
+        for refused in (lambda: networks.forecast(test, 2),
+                        lambda: load_model(DATA / "cnn.model", horizons=(1, 2))):
+            with pytest.raises(UsageError, match="^model file has no network for horizon 2$"):
+                refused()
+        with pytest.raises(UsageError, match="^recursive mode applies"):
+            load_model(DATA / "cnn.model", recursive=True)
+
+    @pytest.mark.parametrize("text, shown", [
+        ("", "''"),
+        ("mar-model v2\nstep 10\n", "'mar-model v2'"),
+        ("  nn-model v1 \r\nkind cnn\n", None),  # the magic line, stripped
+    ])
+    def test_first_line(self, tmp_path, text, shown):
+        path = tmp_path / "x.model"
+        path.write_bytes(text.encode())
+        message = f"not a recognized model file \\(first line {shown}\\)" if shown else "expected a 'nn-model v1'"
+        with pytest.raises(DataValidationError, match=message):
+            load_model(path)
