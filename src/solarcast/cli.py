@@ -20,7 +20,7 @@ import numpy as np
 
 from . import nn
 from .errors import DataValidationError, NumericalError, UsageError
-from .io import comment_lines, load_csv, read_text, write_csv, write_text
+from .io import comment_lines, csv_text, load_csv, read_text, write_text
 from .mar import DEFAULT_HORIZONS, MarConfig, MarModel, daylight_values, fit_all_horizons
 from .metrics import (
     DEFAULT_MAPE_THRESHOLD,
@@ -35,7 +35,7 @@ from .nn.training import loss_curve_csv, train_network
 from .series import DEFAULT_SPLIT, DaylightWindow, IrradianceSeries, fit_scaler, split, standardize
 from .stats import autocorrelation, ensemble_profile, pacf_from_autocorrelation, select_order, training_residual
 from .svgplot import render_line_chart
-from .synthetic import generate_synthetic
+from .synthetic import SYNTH_START, SYNTH_STEP, synthetic_days
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -225,12 +225,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.days < 1:
         raise UsageError(f"--days must be >= 1, got {args.days}")
     out_dir = _ensure_out(config)
-    series = generate_synthetic(
-        days=args.days, regime=args.regime, seed=config.seed, daylight=config.daylight_window()
-    )
+    blocks = synthetic_days(args.days, args.regime, config.seed, daylight=config.daylight_window())
     path = config.data or os.path.join(out_dir, f"synthetic_{args.regime}_{args.days}d.csv")
     header = {**_header_lines(config, "synth"), "days": args.days, "regime": args.regime}
-    write_csv(series, path, header_comments=header)
+    write_text(path, csv_text(SYNTH_START, SYNTH_STEP, blocks, header))  # no array of the series
     print(path)
     return EXIT_OK
 

@@ -321,5 +321,19 @@ def write_csv(
 ) -> None:
     """Write a series in the canonical schema, with optional
     ``# key=value`` metadata lines before the header."""
-    body = grid_rows(series.start, series.step, None, ",%.17g\n", series.values)
-    write_text(path, itertools.chain(comment_lines(header_comments or {}), (f"{CSV_HEADER}\n",), body))
+    write_text(path, csv_text(series.start, series.step, ((0, series.values),), header_comments))
+
+
+def csv_text(
+    start: datetime,
+    step: int,
+    blocks: Iterable[tuple[int, np.ndarray]],
+    header_comments: dict[str, object] | None = None,
+) -> Iterator[str]:
+    """The canonical schema's text, in chunks, of a series given as
+    whole-day blocks of values, (first day, values) pairs in order,
+    each block taken as the text reaches it."""
+    yield from comment_lines(header_comments or {})
+    yield f"{CSV_HEADER}\n"
+    for first, values in blocks:
+        yield from grid_rows(start + timedelta(days=first), step, None, ",%.17g\n", values)

@@ -14,6 +14,7 @@ slots the neural baselines use.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,9 @@ from .series import (
     Scaler,
     fit_scaler,
     forecast_blocks,
-    lag_rows,
+    row_blocks,
     row_index,
+    row_spans,
     slot_extremes,
     standardize,
 )
@@ -45,38 +47,49 @@ DEFAULT_HORIZONS = (1, 3, 6)
 PACF_MAX_LAG = 12
 MIN_ROWS_PER_COLUMN = 10
 ORTHOGONALITY_TOL = 1e-8
+EPS = np.finfo(np.float64).eps
 
 
-@dataclass(frozen=True)
 class DesignMatrix:
     """Lagged training rows for one horizon.
 
-    ``lags[i]`` holds the m values before the prediction base slot,
-    most recent first; ``targets[i]`` is the value h steps ahead.
+    Row i's lags are the m values before its prediction base slot, most
+    recent first, and its target is the value h steps ahead. They are
+    held as given: a (rows, m) matrix and (rows,) targets, or a series'
+    (days, rows per day, m) ``row_index`` view and (days, rows per day)
+    target view, so a fit gathers a block of rows at a time and no lag
+    matrix exists. ``lags`` and ``targets`` make the flat copies.
     """
 
-    lags: np.ndarray
-    targets: np.ndarray
-    order: int
-    horizon: int
-
-    def __post_init__(self) -> None:
-        lags = np.asarray(self.lags, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.float64)
-        if lags.ndim != 2 or targets.ndim != 1 or lags.shape[0] != targets.size:
+    def __init__(self, lags: np.ndarray, targets: np.ndarray, order: int, horizon: int) -> None:
+        lags = np.asarray(lags, dtype=np.float64)
+        targets = np.asarray(targets, dtype=np.float64)
+        if lags.ndim == 2:  # the rows as one block of the view's shape
+            lags, targets = lags[None], targets[None]
+        if lags.ndim != 3 or lags.shape[:2] != targets.shape:
             raise DataValidationError("design matrix rows and targets are misaligned")
-        if lags.shape[1] != self.order:
+        if lags.shape[2] != order:
             raise DataValidationError(
-                f"design matrix has {lags.shape[1]} columns, expected order {self.order}"
+                f"design matrix has {lags.shape[2]} columns, expected order {order}"
             )
-        lags.setflags(write=False)
-        targets.setflags(write=False)
-        object.__setattr__(self, "lags", lags)
-        object.__setattr__(self, "targets", targets)
+        self.windows, self.target_rows, self.order, self.horizon = lags, targets, order, horizon
+
+    @property
+    def lags(self) -> np.ndarray:
+        return np.concatenate(self.windows)
+
+    @property
+    def targets(self) -> np.ndarray:
+        return self.target_rows.reshape(-1)
 
     @property
     def n_rows(self) -> int:
-        return self.targets.size
+        return self.target_rows.size
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Lags and targets of ``PREDICT_BLOCK_ROWS`` rows at a time, from the first."""
+        for _, at in row_blocks(self.windows, PREDICT_BLOCK_ROWS):
+            yield self.windows[at], self.target_rows[at]
 
 
 @dataclass
@@ -126,6 +139,17 @@ class MarModel:
         """The run settings the model fixes, as ``RunConfig`` fields."""
         return {"model": self.name, "order": str(self.order), "daylight": str(self.daylight)}
 
+    def check(self, horizons: tuple[int, ...], recursive: bool = False) -> MarModel:
+        """This model; a ``UsageError`` for a forecast it has no weights for."""
+        if recursive:
+            if 1 not in self.weights:
+                raise UsageError("recursive forecasting needs a fitted 1-step horizon")
+            return self
+        for h in horizons:
+            if h not in self.weights:
+                raise UsageError(f"model was not fitted for horizon {h}")
+        return self
+
     def forecast(self, test: IrradianceSeries, horizon: int, recursive: bool = False) -> ForecastReport:
         """The module-level ``forecast`` of this model."""
         return forecast(self, test, horizon, recursive)
@@ -143,48 +167,55 @@ def build_design_matrix(
         raise DataValidationError(f"order must be >= 1, got {order}")
     if horizon < 1:
         raise DataValidationError(f"horizon must be >= 1, got {horizon}")
-    targets, windows = row_index(train, daylight, order, horizon)
-    if targets.size < MIN_ROWS_PER_COLUMN * order:
+    spans = row_spans(train, daylight, order + horizon)  # each row's target, then its lags
+    days, per_day, _ = spans.shape
+    if days * per_day < MIN_ROWS_PER_COLUMN * order:
         lo, hi = daylight.slot_bounds(train.step)
-        slots = hi - lo + 1
         raise DataValidationError(
-            f"horizon {horizon}: only {targets.size} design rows for order {order} "
-            f"({train.n_days} days x {max(slots - order - horizon + 1, 0)} rows per day); "
+            f"horizon {horizon}: only {days * per_day} design rows for order {order} "
+            f"({days} days x {per_day} rows per day); "
             f"a row spans order + horizon = {order + horizon} slots and daylight window "
-            f"{daylight} holds {slots} at {train.step}-minute steps; need at least "
+            f"{daylight} holds {hi - lo + 1} at {train.step}-minute steps; need at least "
             f"{MIN_ROWS_PER_COLUMN * order} for a stable fit"
         )
-    return DesignMatrix(
-        lags=lag_rows(windows), targets=train.values[targets], order=order, horizon=horizon
-    )
+    return DesignMatrix(spans[:, :, horizon:], spans[:, :, 0], order, horizon)
 
 
 def fit_weights(matrix: DesignMatrix) -> np.ndarray:
     """Least-squares weights minimizing the squared prediction error,
-    via an SVD factorization (no explicit normal-matrix inverse)."""
-    X, y = matrix.lags, matrix.targets
-    if X.shape[0] < X.shape[1]:
-        raise DataValidationError(
-            f"underdetermined fit: {X.shape[0]} rows for {X.shape[1]} columns"
-        )
-    w, _, rank, singular_values = np.linalg.lstsq(X, y, rcond=None)
-    if rank < matrix.order:
+    back-solved from the triangular factor R of a QR factorization of
+    [lags | targets], folded one block of rows at a time (a tall-skinny
+    QR), so no lag matrix and no explicit normal-matrix inverse exist."""
+    order, n_rows = matrix.order, matrix.n_rows
+    if n_rows < order:
+        raise DataValidationError(f"underdetermined fit: {n_rows} rows for {order} columns")
+    r = np.empty((0, order + 1))
+    for lags, targets in matrix.blocks():
+        r = np.linalg.qr(np.vstack([r, np.column_stack([lags, targets])]), mode="r")
+    singular_values = np.linalg.svd(r[:order, :order], compute_uv=False)  # those of the lags
+    # the rank lstsq finds with rcond=None
+    rank = np.count_nonzero(singular_values > EPS * max(n_rows, order) * singular_values[0])
+    if rank < order:
         cond = float(singular_values[0] / singular_values[-1]) if singular_values[-1] else np.inf
         raise NumericalError(
-            f"rank-deficient design matrix: rank {rank} < order {matrix.order} "
+            f"rank-deficient design matrix: rank {rank} < order {order} "
             f"(condition estimate {cond:.3e})"
         )
-    residual = X @ w - y
-    gradients = np.abs(X.T @ residual)
-    gradient = gradients.max()
-    scale = np.abs(X.T @ y).max()
+    w = np.linalg.solve(r[:order, :order], r[:order, order])
+    gradients, scales = np.zeros(order), np.zeros(order)
+    for lags, targets in matrix.blocks():  # X'r and X'y, summed a block at a time
+        gradients += lags.T @ (lags @ w - targets)
+        scales += lags.T @ targets
+    gradients = np.abs(gradients)
+    gradient, scale = gradients.max(), np.abs(scales).max()
     if scale > 0 and gradient > ORTHOGONALITY_TOL * scale:
         lag = int(gradients.argmax())
+        peak = max(np.abs(lags[:, lag]).max() for lags, _ in matrix.blocks())
         raise NumericalError(
             f"horizon {matrix.horizon}: normal-equation optimality violated: "
             f"|X'r| = {gradient:.3e} exceeds {ORTHOGONALITY_TOL} * |X'y| = "
             f"{ORTHOGONALITY_TOL * scale:.3e}; "
-            f"lag {lag + 1} column peaks at |x| = {np.abs(X[:, lag]).max():.3e}"
+            f"lag {lag + 1} column peaks at |x| = {peak:.3e}"
         )
     return w
 
@@ -200,7 +231,7 @@ def fit_all_horizons(train: IrradianceSeries, config: MarConfig | None = None) -
     scaler = fit_scaler(train)
     domain = standardize(train, scaler)
     profile = ensemble_profile(domain)
-    if config.ensemble_enabled:  # the residual replaces z, so only one is held
+    if config.ensemble_enabled:  # deducted in place: z becomes the residual
         domain = training_residual(domain, profile)
 
     order = config.order
@@ -250,11 +281,7 @@ def forecast(
     the rows after it.
     """
     check_step(test, model.step)
-    if recursive:
-        if 1 not in model.weights:
-            raise UsageError("recursive forecasting needs a fitted 1-step horizon")
-    elif horizon not in model.weights:
-        raise UsageError(f"model was not fitted for horizon {horizon}")
+    model.check((horizon,), recursive)
 
     extremes = standardize(slot_extremes(test), model.scaler)  # fails where every value would
     if model.ensemble_enabled:

@@ -228,12 +228,12 @@ def load_model(
     path: str | os.PathLike, horizons: tuple[int, ...] = (), recursive: bool = False
 ) -> MarModel | NetworkSet:
     """The ``MarModel`` or ``NetworkSet`` named by the magic line of the file's first
-    ``read_chunks`` piece, so the records are decoded once. A network file is refused here
-    for forecasts it cannot make (``horizons``, ``recursive``); a ``MarModel`` when it forecasts."""
+    ``read_chunks`` piece, so the records are decoded once. Either is refused here, before
+    any forecast, for forecasts it cannot make (``horizons``, ``recursive``)."""
     with contextlib.closing(read_chunks(path, DataValidationError, "model file")) as pieces:
         first = next(pieces, "").partition("\n")[0].strip()
     if first == MAR_MAGIC:
-        return load_mar_model(path)
+        return load_mar_model(path).check(horizons, recursive)
     if first != NN_MAGIC:
         raise DataValidationError(f"{path}: not a recognized model file (first line {first!r})")
     NetworkSet().check((), recursive)  # an empty set: refuses only recursion, before parsing

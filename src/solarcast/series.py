@@ -242,40 +242,52 @@ def row_index(
     Returns the flat indices of the target samples, day-major and
     slot-ascending, and each row's lag samples, most recent first, as a
     read-only (days, rows per day, lags) strided view of the series'
-    values. Both are empty when the window is too narrow for the lags
-    and horizon.
+    values: ``row_spans(...)[:, :, horizon:]``. Both are empty when the
+    window is too narrow for the lags and horizon.
     """
-    lo, hi = daylight.slot_bounds(series.step)
-    slots = np.arange(lo + lags + horizon - 1, hi + 1, dtype=np.int64)
+    spans = row_spans(series, daylight, lags + horizon)
+    first = daylight.slot_bounds(series.step)[0] + lags + horizon - 1
+    slots = np.arange(first, first + spans.shape[1], dtype=np.int64)
     day_starts = np.arange(series.n_days, dtype=np.int64) * series.samples_per_day
-    targets = (day_starts[:, None] + slots).reshape(-1)
-    days = series.day_matrix()
-    if slots.size:  # a day's rows span its slots lo .. hi - horizon
-        windows = sliding_window_view(days[:, lo : lo + slots.size + lags - 1], lags, axis=1)
-    else:
-        windows = np.empty((series.n_days, 0, lags))
+    return (day_starts[:, None] + slots).reshape(-1), spans[:, :, horizon:]
+
+
+def row_spans(series: IrradianceSeries, daylight: DaylightWindow, width: int) -> np.ndarray:
+    """Each ``row_index`` row's ``width`` = lags + horizon slots, most
+    recent first, so the target first and its lags last, as a read-only
+    (days, rows per day, width) strided view of the series' values."""
+    lo, hi = daylight.slot_bounds(series.step)
+    if hi - lo + 1 < width:
+        windows = np.empty((series.n_days, 0, width))
         windows.setflags(write=False)
-    return targets, windows[:, :, ::-1]
+        return windows
+    return sliding_window_view(series.day_matrix()[:, lo : hi + 1], width, axis=1)[:, :, ::-1]
 
 
-def lag_rows(windows: np.ndarray) -> np.ndarray:
-    """The lags of a ``row_index`` view as one fresh C-contiguous (rows, lags) matrix."""
-    return np.concatenate(windows)  # one copy, where a reshape may return a strided view
+def row_blocks(windows: np.ndarray, size: int) -> Iterator[tuple[np.ndarray, tuple]]:
+    """``size`` rows at a time from the first, of a (days, rows per day,
+    ...) view such as ``row_index``'s: the block's row numbers, and their
+    (day, row of the day) index, which gathers the block's values from
+    that view, or a view of the same rows, into a fresh array."""
+    per_day = windows.shape[1]
+    n_rows = windows.shape[0] * per_day
+    for start in range(0, n_rows, size):
+        rows = np.arange(start, min(start + size, n_rows))
+        yield rows, np.divmod(rows, per_day)
 
 
 def forecast_blocks(windows: np.ndarray, scaler: Scaler, size: int, predict: Callable) -> np.ndarray:
-    """Every row's forecast for a ``row_index`` view, one block of
-    ``size`` rows at a time from the first: ``predict(rows, lags)`` gets
-    the block's row numbers and their lags, standardized in a fresh
-    array bit for bit as in a standardized copy of the series."""
-    per_day = windows.shape[1]
-    predicted = np.empty(windows.shape[0] * per_day)
+    """Every row's forecast for a ``row_index`` view, one ``row_blocks``
+    block of ``size`` rows at a time: ``predict(rows, lags)`` gets the
+    block's row numbers and their lags, standardized in a fresh array
+    bit for bit as in a standardized copy of the series."""
+    predicted = np.empty(windows.shape[0] * windows.shape[1])
     # a model file's values may overflow here; the caller that knows the
     # file checks the result, so no RuntimeWarning goes to stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, predicted.size, size):
-            rows = np.arange(start, min(start + size, predicted.size))
-            lags = windows[np.divmod(rows, per_day)] - scaler.mu
+        for rows, at in row_blocks(windows, size):
+            lags = windows[at]
+            lags -= scaler.mu
             lags /= scaler.sigma
             predicted[rows] = predict(rows, lags)
     return predicted

@@ -103,15 +103,21 @@ def ensemble_add(series: IrradianceSeries, profile: EnsembleProfile) -> Irradian
 
 def training_residual(z: IrradianceSeries, profile: EnsembleProfile) -> IrradianceSeries:
     """``z`` less the ensemble profile fitted on it: the signal an
-    ensemble model fits. Raises when no signal is left, as after a
-    training split of one day, whose profile is that day."""
-    residual = ensemble_deduct(z, profile)
-    if not residual.values.any():
+    ensemble model fits. It is deducted in place, so ``z`` must hold
+    values no other series shares, as a ``standardize`` result does, and
+    is returned holding the residual. Raises when no signal is left, as
+    after a training split of one day, whose profile is that day."""
+    _check_alignment(z, profile)
+    z.values.setflags(write=True)  # raises for values z does not own
+    days = z.day_matrix()
+    days -= profile.means
+    z.values.setflags(write=False)
+    if not z.values.any():
         raise DataValidationError(
             "the ensemble-deducted training series is all zero: every training day equals "
             "the ensemble profile, as the only day of a one-day training split does"
         )
-    return residual
+    return z
 
 
 def autocorrelation(x: np.ndarray, max_lag: int) -> CorrelationSequence:

@@ -25,7 +25,7 @@ from solarcast import (
     split,
     write_csv,
 )
-from solarcast import cli
+from solarcast import cli, mar
 from solarcast import io as solarcast_io
 from solarcast.cli import main
 from solarcast.io import READ_CHUNK_BYTES
@@ -389,6 +389,26 @@ class TestEvaluateRefusals:
         result = run("evaluate", "--data", str(mixed_csv), "--model-file", str(path),
                      "--out", str(out), *flags)
         assert (result, capfd.readouterr()) == (code, ("", message.format(path=path) + "\n"))
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("fitted, flags, message", [
+        ("1", ["--horizons", "1,6"], "error: model was not fitted for horizon 6"),
+        ("3", ["--horizons", "3", "--recursive"],
+         "error: recursive forecasting needs a fitted 1-step horizon"),
+    ], ids=["unfitted-horizon", "recursive-without-1"])
+    def test_mar_file_refused_before_any_forecast(self, mixed_csv, tmp_path, capfd, monkeypatch,
+                                                  fitted, flags, message):
+        """Every requested horizon is checked when the file loads, so a
+        horizon the file can serve is not forecast first."""
+        assert run("fit", "--data", str(mixed_csv), "--model", "mar", "--horizons", fitted,
+                   "--out", str(tmp_path)) == 0
+        capfd.readouterr()
+        calls = []
+        monkeypatch.setattr(mar, "forecast", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        result = run("evaluate", "--data", str(mixed_csv), "--model-file",
+                     str(tmp_path / "mar.model"), "--out", str(out), *flags)
+        assert (result, capfd.readouterr(), calls) == (1, ("", message + "\n"), [])
         assert os.listdir(out) == []
 
 

@@ -13,15 +13,20 @@ from solarcast import (
     UsageError,
     build_design_matrix,
     destandardize,
+    ensemble_profile,
     fit_all_horizons,
+    fit_scaler,
     fit_weights,
     forecast,
     generate_synthetic,
     mape,
     rmse,
     split,
+    standardize,
 )
 from solarcast.mar import DesignMatrix
+from solarcast.series import PREDICT_BLOCK_ROWS
+from solarcast.stats import training_residual
 
 from conftest import FULL_DAY_WINDOW, make_series, sinusoid_recurrence
 
@@ -133,6 +138,41 @@ class TestFitWeights:
         dm = DesignMatrix(lags=np.ones((2, 3)), targets=np.ones(2), order=3, horizon=1)
         with pytest.raises(DataValidationError, match="underdetermined"):
             fit_weights(dm)
+
+
+class TestBlockFit:
+    """``fit_weights`` folds blocks of ``PREDICT_BLOCK_ROWS`` rows into a QR
+    factor; its weights are ``lstsq``'s to 1e-12 relative, at row counts on
+    both sides of a block edge and on a series' whole view."""
+
+    @pytest.fixture(scope="class")
+    def domains(self):
+        train, _ = split(generate_synthetic(60, "mixed", seed=6), 0.7)
+        scaler = fit_scaler(train)
+        z = standardize(train, scaler)
+        residual = standardize(train, scaler)  # deducted in place
+        return {"ar": z, "mar": training_residual(residual, ensemble_profile(residual))}
+
+    @pytest.mark.parametrize("rows", (511, 512, 513, 1025, None))
+    @pytest.mark.parametrize("horizon", (1, 3, 6))
+    @pytest.mark.parametrize("domain", ("mar", "ar"))
+    def test_weights_match_lstsq(self, domains, domain, horizon, rows):
+        dm = build_design_matrix(domains[domain], 4, horizon)
+        if rows is not None:
+            dm = DesignMatrix(lags=dm.lags[:rows], targets=dm.targets[:rows], order=4,
+                              horizon=horizon)
+        want = np.linalg.lstsq(dm.lags, dm.targets, rcond=None)[0]
+        assert np.abs(fit_weights(dm) - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_view_and_matrix_fit_bit_for_bit(self, domains):
+        """A series' design matrix holds views of its values, and fits as
+        its rows copied into one matrix do."""
+        dm = build_design_matrix(domains["mar"], 4, 3)
+        assert dm.n_rows > 4 * PREDICT_BLOCK_ROWS
+        assert np.shares_memory(dm.windows, domains["mar"].values)
+        assert np.shares_memory(dm.target_rows, domains["mar"].values)
+        copied = DesignMatrix(lags=dm.lags, targets=dm.targets, order=4, horizon=3)
+        assert fit_weights(dm).tobytes() == fit_weights(copied).tobytes()
 
 
 class TestFitAllHorizons:

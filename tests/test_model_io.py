@@ -117,7 +117,9 @@ class TestLoadModel:
         model, test = fitted
         path = tmp_path / "m.model"
         save_mar_model(model, path)
-        loaded = load_model(path, horizons=(1, 2, 3), recursive=False)  # MAR refuses when it forecasts
+        loaded = load_model(path, horizons=(1, 3), recursive=False)
+        with pytest.raises(UsageError, match="model was not fitted for horizon 2"):
+            load_model(path, horizons=(1, 2, 3))  # refused when it loads, as a network file is
         assert type(loaded) is MarModel
         assert loaded.settings() == {"model": "mar", "order": "4", "daylight": "06:00-18:30"}
         for h in model.horizons:

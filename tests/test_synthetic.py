@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solarcast import DaylightWindow, generate_synthetic
-from solarcast.synthetic import REGIMES
+from solarcast import DaylightWindow, generate_synthetic, write_csv
+from solarcast.cli import main
+from solarcast.synthetic import REGIMES, SYNTH_BLOCK_DAYS
 
 from conftest import generate_synthetic_oracle
 
@@ -32,6 +33,22 @@ def test_matches_the_oracle_bit_for_bit(days, regime, seed, step):
 @pytest.mark.parametrize("regime", REGIMES)
 def test_ten_years_match_the_oracle(regime):
     assert_same_series(3650, regime, 7, 10)
+
+
+@pytest.mark.parametrize("seed", (0, 7, 123))
+@pytest.mark.parametrize("days", (1, 7, SYNTH_BLOCK_DAYS - 1, SYNTH_BLOCK_DAYS, SYNTH_BLOCK_DAYS + 1, 100))
+@pytest.mark.parametrize("regime", REGIMES)
+def test_synth_streams_the_generated_series(tmp_path, regime, days, seed):
+    """``synth`` writes its blocks of days as they are made, byte for
+    byte as ``write_csv`` writes the whole generated series."""
+    assert main(["synth", "--days", str(days), "--regime", regime, "--seed", str(seed),
+                 "--out", str(tmp_path)]) == 0
+    streamed = tmp_path / f"synthetic_{regime}_{days}d.csv"
+    lines = streamed.read_text().splitlines()
+    header = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+    assert len(lines) == len(header) + 1 + days * 144
+    write_csv(generate_synthetic(days, regime, seed=seed), tmp_path / "whole.csv", header)
+    assert streamed.read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_the_bell_spans_the_daylight_window():
