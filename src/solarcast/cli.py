@@ -95,11 +95,7 @@ def _coerce(name: str, raw: str, current) -> object:
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise UsageError(f"config key {name}: cannot parse boolean {raw!r}")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    return raw
+    return type(current)(raw)
 
 
 def load_config_file(path: str) -> RunConfig:
@@ -137,6 +133,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         )
     if not 0 < config.split < 1:
         raise UsageError(f"split fraction must lie in (0, 1), got {config.split}")
+    config.horizon_list()  # parsed where used, refused here before any data is read
+    config.order_value()
     try:
         config.daylight_window()
     except DataValidationError as exc:  # the text itself, not how it meets the data
@@ -308,10 +306,11 @@ def _fit_nn(train: IrradianceSeries, config: RunConfig, kinds: tuple[str, ...]) 
     jobs = [(kind, h) for kind in kinds for h in config.horizon_list()]
     # an LSTM fit costs ~15 CNN fits, so each gets its own worker and the
     # OS shares the CPUs among them; queued behind a second LSTM fit, a
-    # worker would leave the other CPUs idle at the end
+    # worker would leave the other CPUs idle at the end. Each worker holds
+    # its own numpy, so there are at most two per CPU
     cpus = _usable_cpus()
     lstm_jobs = sum(kind == "lstm" for kind, _ in jobs)
-    workers = min(len(jobs), cpus if cpus == 1 else max(cpus, lstm_jobs))
+    workers = min(len(jobs), cpus if cpus == 1 else max(cpus, lstm_jobs), 2 * cpus)
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
     try:
         # workers start on submit; LSTM fits take longest, so they go first

@@ -12,6 +12,7 @@ dense 8 -> 1, Adam starting at 0.05 with the rate dropped by 10x every
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -26,18 +27,18 @@ from .layers import (
     dense_forward,
 )
 from .flat import FlatParams
-from .lstm import (
-    GATE_PARAMS,
-    Workspace,
-    gate_shapes,
-    lstm_sequence_backward,
-    lstm_sequence_forward,
-)
+from .lstm import Workspace, gate_shapes, lstm_sequence_backward, lstm_sequence_forward
 
 
 class _TextSpec:
     """The ``name=value`` text of a spec's fields, as a model file's
-    ``spec`` record holds it."""
+    ``spec`` record holds it. Every field must be positive; a subclass's
+    ``family`` names its network in that refusal."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise DataValidationError(f"{self.family} spec field {f.name} must be positive")
 
     def to_text(self) -> str:
         return " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
@@ -61,6 +62,7 @@ class _TextSpec:
 
 @dataclass(frozen=True)
 class ConvSpec(_TextSpec):
+    family = "CNN"
     kernel_count: int = 16
     kernel_size: int = 2
     pool_size: int = 1
@@ -72,9 +74,7 @@ class ConvSpec(_TextSpec):
     epochs: int = 30
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise DataValidationError(f"CNN spec field {f.name} must be positive")
+        super().__post_init__()
         if self.kernel_size > self.window:
             raise DataValidationError(
                 f"kernel size {self.kernel_size} exceeds the {self.window}-sample window"
@@ -106,6 +106,7 @@ class ConvSpec(_TextSpec):
 
 @dataclass(frozen=True)
 class LstmSpec(_TextSpec):
+    family = "LSTM"
     units: int = 32
     layers: int = 1
     dense_hidden: int = 8
@@ -117,9 +118,7 @@ class LstmSpec(_TextSpec):
     epochs: int = 100
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise DataValidationError(f"LSTM spec field {f.name} must be positive")
+        super().__post_init__()
         if self.layers != 1:
             raise DataValidationError("only a single LSTM layer is supported")
 
@@ -130,32 +129,17 @@ class LstmSpec(_TextSpec):
         return {**gate_shapes(h, 1), **head}
 
 
-def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def init_cnn_params(spec: ConvSpec, rng: np.random.Generator) -> FlatParams:
-    """Glorot-uniform weights and zero biases."""
-    k, f = spec.kernel_size, spec.kernel_count
-    flat, fc1, fc2 = spec.flat_units, spec.fc1_units, spec.fc2_units
+def init_params(spec: ConvSpec | LstmSpec, seed: int) -> FlatParams:
+    """Glorot-uniform weights, drawn in layout order from one generator,
+    and zero biases. A weight of shape (..., a, b) has fan-in plus
+    fan-out prod(...) * (a + b): a conv kernel's k + k * f, a dense
+    layer's in + out, an LSTM gate's h + (h + 1)."""
+    rng = np.random.default_rng(seed)
     params = FlatParams(spec.param_shapes())
-    params["conv_w"] = glorot_uniform(rng, (k, 1, f), fan_in=k, fan_out=k * f)
-    params["fc1_w"] = glorot_uniform(rng, (flat, fc1), flat, fc1)
-    params["fc2_w"] = glorot_uniform(rng, (fc1, fc2), fc1, fc2)
-    params["out_w"] = glorot_uniform(rng, (fc2, 1), fc2, 1)
-    return params
-
-
-def init_lstm_params(spec: LstmSpec, rng: np.random.Generator) -> FlatParams:
-    """Glorot-uniform weights and zero biases."""
-    h, dense = spec.units, spec.dense_hidden
-    concat = h + 1  # scalar input per step
-    params = FlatParams(spec.param_shapes())
-    for name in GATE_PARAMS[:4]:
-        params[name] = glorot_uniform(rng, (h, concat), fan_in=concat, fan_out=h)
-    params["fc_w"] = glorot_uniform(rng, (h, dense), h, dense)
-    params["out_w"] = glorot_uniform(rng, (dense, 1), dense, 1)
+    for name, shape in params.shapes.items():
+        if len(shape) > 1:
+            limit = np.sqrt(6.0 / (math.prod(shape[:-2]) * sum(shape[-2:])))
+            params[name] = rng.uniform(-limit, limit, size=shape)
     return params
 
 
@@ -165,7 +149,7 @@ class CnnNetwork:
     def __init__(self, spec: ConvSpec | None = None, seed: int = 0, params: FlatParams | None = None):
         self.spec = spec or ConvSpec()
         if params is None:
-            params = init_cnn_params(self.spec, np.random.default_rng(seed))
+            params = init_params(self.spec, seed)
         self.params = params
 
     def forward_with_cache(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -209,7 +193,7 @@ class LstmNetwork:
     def __init__(self, spec: LstmSpec | None = None, seed: int = 0, params: FlatParams | None = None):
         self.spec = spec or LstmSpec()
         if params is None:
-            params = init_lstm_params(self.spec, np.random.default_rng(seed))
+            params = init_params(self.spec, seed)
         self.params = params
         # step state and backward scratch, reused batch after batch, and
         # the one step of state prediction keeps

@@ -319,12 +319,6 @@ class DifferencedSeries:
         return np.cumsum(self.deltas) + self.anchor
 
 
-def _as_values(series: IrradianceSeries | np.ndarray) -> np.ndarray:
-    if isinstance(series, IrradianceSeries):
-        return series.values
-    return np.asarray(series, dtype=np.float64)
-
-
 def split(
     series: IrradianceSeries, fraction: float = DEFAULT_SPLIT
 ) -> tuple[IrradianceSeries, IrradianceSeries]:
@@ -350,11 +344,8 @@ def split(
 
 def fit_scaler(train: IrradianceSeries) -> Scaler:
     """Mean and population standard deviation of the training values."""
-    values = train.values
-    if values.size == 0:
-        raise DataValidationError("cannot fit a scaler on an empty series")
-    mu = float(np.mean(values))
-    sigma = float(np.std(values))
+    mu = float(np.mean(train.values))
+    sigma = float(np.std(train.values))
     if sigma == 0.0:
         raise DataValidationError("cannot fit a scaler on a constant-valued series")
     return Scaler(mu=mu, sigma=sigma)
@@ -381,7 +372,8 @@ def destandardize(series: IrradianceSeries, scaler: Scaler) -> IrradianceSeries:
 def difference_transform(series: IrradianceSeries | np.ndarray) -> DifferencedSeries:
     """Lag-1 difference with the first element anchored at zero:
     [x0 - 0, x1 - x0, ..., xn - x(n-1)]."""
-    values = _as_values(series)
+    values = series.values if isinstance(series, IrradianceSeries) else series
+    values = np.asarray(values, dtype=np.float64)
     if values.size < 2:
         raise DataValidationError("difference transform needs at least two samples")
     deltas = np.empty_like(values)

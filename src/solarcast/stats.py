@@ -70,8 +70,6 @@ class CorrelationSequence:
 
 def ensemble_profile(train: IrradianceSeries) -> EnsembleProfile:
     """Per-slot arithmetic mean over all training days."""
-    if train.n_days < 1:
-        raise DataValidationError("ensemble profile needs at least one whole training day")
     day_matrix = train.day_matrix()
     means = day_matrix.mean(axis=0)
     counts = np.full(train.samples_per_day, train.n_days, dtype=np.int64)

@@ -521,6 +521,12 @@ class TestExitCodes:
             run("fit", "--bogus-flag")
         assert exc.value.code == 1
 
+    def test_usage_error_no_data_flag(self, tmp_path, capfd):
+        out = tmp_path / "out"
+        assert run("fit", "--model", "mar", "--out", str(out)) == 1
+        assert capfd.readouterr().err == "error: --data is required for this command\n"
+        assert not out.exists()
+
     def test_data_error_missing_file(self, tmp_path):
         assert run("fit", "--data", str(tmp_path / "absent.csv"), "--model", "mar",
                    "--out", str(tmp_path)) == 2
@@ -793,6 +799,12 @@ class TestConfigFile:
                    "--out", str(tmp_path)) == 0
         assert "horizons 1,3" in (tmp_path / "mar.model").read_text()
 
+    @pytest.mark.parametrize("text, value", [("on", True), ("FALSE", False), ("0", False)])
+    def test_boolean_key(self, tmp_path, text, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"recursive={text}\n")
+        assert cli.load_config_file(str(cfg)).recursive is value
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no_such_key=1\n")
@@ -826,8 +838,9 @@ def test_blas_pinned_only_while_workers_start(monkeypatch):
 
 
 class TestPoolSize:
-    """The pool gets one worker per LSTM fit even past the CPU count,
-    and never more workers than jobs; no network is trained here."""
+    """The pool gets one worker per LSTM fit even past the CPU count, but
+    no more than two per CPU, and never more workers than jobs; no
+    network is trained and no process is started here."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -852,17 +865,19 @@ class TestPoolSize:
         monkeypatch.setattr(cli, "train_network", lambda kind, train, h, daylight, seed: (kind, h))
         return pools
 
-    @pytest.mark.parametrize("cpus, kinds, workers", [
-        (2, ("cnn", "lstm"), 3),
-        (2, ("cnn",), 2),
-        (1, ("cnn", "lstm"), 1),
-        (8, ("cnn", "lstm"), 6),
-    ], ids=["compare-2-cpus", "fit-cnn-2-cpus", "compare-1-cpu", "compare-8-cpus"])
-    def test_workers(self, pools, monkeypatch, cpus, kinds, workers):
+    @pytest.mark.parametrize("cpus, kinds, workers, horizons", [
+        (2, ("cnn", "lstm"), 3, (1, 3, 6)),
+        (2, ("cnn",), 2, (1, 3, 6)),
+        (1, ("cnn", "lstm"), 1, (1, 3, 6)),
+        (8, ("cnn", "lstm"), 6, (1, 3, 6)),
+        (2, ("lstm",), 4, tuple(range(1, 65))),
+    ], ids=["compare-2-cpus", "fit-cnn-2-cpus", "compare-1-cpu", "compare-8-cpus",
+            "fit-lstm-64-horizons-2-cpus"])
+    def test_workers(self, pools, monkeypatch, cpus, kinds, workers, horizons):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        models = cli._fit_nn(None, cli.RunConfig(), kinds)
+        models = cli._fit_nn(None, cli.RunConfig(horizons=",".join(map(str, horizons))), kinds)
         assert [pool.max_workers for pool in pools] == [workers]
-        assert models == [(kind, h) for kind in kinds for h in (1, 3, 6)]
+        assert models == [(kind, h) for kind in kinds for h in horizons]
         # LSTM fits go first, and every worker starts with BLAS pinned
         submitted = pools[0].submitted
         lstm_first = sorted(models, key=lambda job: job[0] != "lstm")
@@ -937,6 +952,22 @@ class TestFlagValueExitCodes:
     def test_exits_1(self, mixed_csv, tmp_path, capfd, flag, value, message):
         code = run("diagnose", "--data", str(mixed_csv), flag, value, "--out", str(tmp_path))
         assert (code, capfd.readouterr().err) == (1, f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("fit", "--model", "mar", "--horizons", "0"), "horizons must be positive step counts, got '0'"),
+        (("fit", "--model", "mar", "--horizons", "1,1"), "horizons must not repeat, got '1,1'"),
+        (("fit", "--model", "mar", "--order", "0"), "order must be >= 1, got 0"),
+        (("fit", "--model", "mar", "--order", "x"), "order must be an integer or 'auto', got 'x'"),
+        (("synth", "--days", "1", "--horizons", "0"), "horizons must be positive step counts, got '0'"),
+        (("synth", "--days", "1", "--split", "1.5"), "split fraction must lie in (0, 1), got 1.5"),
+    ], ids=["horizons-0", "horizons-repeat", "order-0", "order-x", "synth-horizons", "synth-split"])
+    def test_refused_before_the_data_is_read(self, tmp_path, capfd, argv, message):
+        """A missing data file is not reached: the flag is refused first,
+        and nothing is written. ``synth`` writes its series to ``--data``."""
+        data, out = tmp_path / "missing.csv", tmp_path / "out"
+        code = run(*argv, "--data", str(data), "--out", str(out))
+        assert (code, capfd.readouterr().err) == (1, f"error: {message}\n")
+        assert not out.exists() and not data.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--daylight", "06:05-18:00", "does not fall on the 10-minute grid"),

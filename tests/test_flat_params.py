@@ -219,6 +219,12 @@ class TestViews:
         with pytest.raises(DataValidationError, match="FlatParams"):
             _stacked({name: params[name].copy() for name in GATE_PARAMS}, 3, 1)
 
+    def test_span_is_none_unless_the_names_lie_back_to_back(self):
+        params = FlatParams({"a": (2,), "b": (3,), "c": (1,)})
+        assert params.span(("a", "b")).size == 5 and params.span(("a", "b")).base is params.flat
+        for names in [("a", "c"), ("b", "a"), ("a", "z")]:
+            assert params.span(names) is None
+
     def test_pickle_rebuilds_one_buffer(self, network):
         restored = pickle.loads(pickle.dumps(network.params))
         assert isinstance(restored, FlatParams)

@@ -78,6 +78,16 @@ class TestBuildDesignMatrix:
         with pytest.raises(DataValidationError, match=f"^{re.escape(message)}$"):
             build_design_matrix(series, 2, 1, window)  # 6 rows < 20
 
+    @pytest.mark.parametrize("lags, targets, message", [
+        (np.zeros((5, 4)), np.zeros(4), "^design matrix rows and targets are misaligned$"),
+        (np.zeros((2, 5, 4)), np.zeros((2, 4)), "^design matrix rows and targets are misaligned$"),
+        (np.zeros(5), np.zeros(5), "^design matrix rows and targets are misaligned$"),
+        (np.zeros((5, 3)), np.zeros(5), "^design matrix has 3 columns, expected order 4$"),
+    ], ids=["rows", "view-rows", "1-d", "width"])
+    def test_design_matrix_checks_its_shape(self, lags, targets, message):
+        with pytest.raises(DataValidationError, match=message):
+            DesignMatrix(lags=lags, targets=targets, order=4, horizon=1)
+
     def test_bad_order_and_horizon(self):
         series = make_series(np.zeros(144))
         with pytest.raises(DataValidationError):
@@ -213,6 +223,11 @@ class TestFitAllHorizons:
         assert model.scaler == scaler
         profile = ensemble_profile(standardize(train, scaler))
         assert np.array_equal(model.profile.means, profile.means)
+
+    def test_no_horizon_rejected(self, mixed_30d):
+        train, _ = split(mixed_30d, 0.7)
+        with pytest.raises(DataValidationError, match="^need at least one horizon$"):
+            fit_all_horizons(train, MarConfig(horizons=()))
 
     def test_repeated_horizon_rejected(self, mixed_30d):
         # its model file would hold two weight records, which the loader refuses

@@ -69,6 +69,16 @@ class TestRmse:
         with pytest.raises(DataValidationError):
             rmse(np.array([]), np.array([]))
 
+    @pytest.mark.parametrize("actual, predicted, message", [
+        (np.ones(3), np.ones(2), r"1-D and aligned, got \(3,\) vs \(2,\)"),
+        (np.ones((2, 2)), np.ones((2, 2)), r"1-D and aligned, got \(2, 2\) vs \(2, 2\)"),
+        (np.ones(2), np.array([1.0, np.nan]), "^metrics need finite inputs$"),
+        (np.array([np.inf, 1.0]), np.ones(2), "^metrics need finite inputs$"),
+    ], ids=["misaligned", "2-d", "nan-predicted", "inf-actual"])
+    def test_pairs_must_be_aligned_and_finite(self, actual, predicted, message):
+        with pytest.raises(DataValidationError, match=message):
+            rmse(actual, predicted)
+
 
 class TestMae:
     def test_perfect_prediction(self):
@@ -119,6 +129,11 @@ def make_report(model, horizon, n=50, seed=0):
 
 
 class TestSummaries:
+    def test_report_rows_must_align(self):
+        with pytest.raises(DataValidationError, match="^report rows must align sample"):
+            ForecastReport(model="mar", horizon=1, start=datetime(2024, 3, 1), step=10,
+                           sample_index=np.arange(48, 51), actual=np.ones(3), predicted=np.ones(2))
+
     def test_single_report_shape(self):
         cells = summarize([make_report("mar", 1)])
         assert len(cells) == 1

@@ -163,3 +163,11 @@ class TestLoadModel:
         message = f"not a recognized model file \\(first line {shown}\\)" if shown else "expected a 'nn-model v1'"
         with pytest.raises(DataValidationError, match=message):
             load_model(path)
+
+    @pytest.mark.parametrize("name", ["cnn.model", "lstm.model"])
+    def test_network_file_without_a_horizon_section(self, tmp_path, name):
+        lines = (DATA / name).read_text().splitlines(keepends=True)
+        path = tmp_path / name
+        path.write_text("".join(lines[: lines.index("horizon 1\n")]))
+        with pytest.raises(DataValidationError, match="no horizon sections found"):
+            load_nn_models(path)

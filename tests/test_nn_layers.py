@@ -106,6 +106,20 @@ class TestConv1d:
         with pytest.raises(DataValidationError, match="kernel"):
             conv1d_forward(np.zeros((1, 2, 1)), np.zeros((3, 1, 1)), np.zeros(1))
 
+    @pytest.mark.parametrize("x, w, b, activation, message", [
+        (np.zeros((1, 4)), np.zeros((2, 1, 1)), np.zeros(1), "relu",
+         "^conv1d expects rank-3 input and weights$"),
+        (np.zeros((1, 4, 2)), np.zeros((2, 1, 1)), np.zeros(1), "relu",
+         r"^conv1d shape mismatch: input channels 2, weights \(2, 1, 1\), bias \(1,\)$"),
+        (np.zeros((1, 4, 1)), np.zeros((2, 1, 3)), np.zeros(2), "relu",
+         r"^conv1d shape mismatch: input channels 1, weights \(2, 1, 3\), bias \(2,\)$"),
+        (np.zeros((1, 4, 1)), np.zeros((2, 1, 1)), np.zeros(1), "tanh",
+         r"^unknown activation 'tanh', expected one of \('identity', 'relu'\)$"),
+    ], ids=["rank", "channels", "bias", "activation"])
+    def test_refusals(self, x, w, b, activation, message):
+        with pytest.raises(DataValidationError, match=message):
+            conv1d_forward(x, w, b, activation=activation)
+
     def test_output_length_arithmetic(self):
         # 4-sample window, kernel 2: conv output length 3
         out, _ = conv1d_forward(np.zeros((5, 4, 1)), np.zeros((2, 1, 16)), np.zeros(16))
@@ -132,6 +146,14 @@ class TestAvgPool:
         with pytest.raises(DataValidationError, match="divisible"):
             avg_pool_forward(np.zeros((1, 5, 1)), 2)
 
+    @pytest.mark.parametrize("shape, size, message", [
+        ((1, 4), 2, "^avg_pool expects a rank-3 input$"),
+        ((1, 4, 1), 0, "^pool size must be >= 1, got 0$"),
+    ], ids=["rank", "size"])
+    def test_refusals(self, shape, size, message):
+        with pytest.raises(DataValidationError, match=message):
+            avg_pool_forward(np.zeros(shape), size)
+
 
 class TestDense:
     def test_identity_weights(self):
@@ -151,6 +173,16 @@ class TestDense:
         b = rng.standard_normal(3)
         out, _ = dense_forward(x, w, b)
         assert np.abs(out - loop_dense(x, w, b)).max() < 1e-12
+
+    @pytest.mark.parametrize("x, w, b, message", [
+        ((2, 3), (4, 1), (1,), r"^dense shape mismatch: input \(2, 3\) vs weights \(4, 1\)$"),
+        ((3,), (3, 1), (1,), r"^dense shape mismatch: input \(3,\) vs weights \(3, 1\)$"),
+        ((2, 3), (3,), (1,), r"^dense shape mismatch: input \(2, 3\) vs weights \(3,\)$"),
+        ((2, 3), (3, 2), (3,), r"^dense bias shape \(3,\) mismatches \(3, 2\)$"),
+    ], ids=["features", "input-rank", "weight-rank", "bias"])
+    def test_refusals(self, x, w, b, message):
+        with pytest.raises(DataValidationError, match=message):
+            dense_forward(np.zeros(x), np.zeros(w), np.zeros(b))
 
 
 def split_exp_sigmoid(x):
@@ -277,6 +309,27 @@ class TestLstmCell:
         params = small_lstm_params(rng)
         with pytest.raises(DataValidationError):
             lstm_cell_forward(np.zeros((2, 5)), np.zeros((2, 3)), np.zeros((2, 3)), params)
+        states = "^lstm cell expects \\(batch, n_in\\) input and matching states$"
+        for x, h, c in [((2,), (2, 3), (2, 3)), ((2, 2), (3,), (3,)), ((2, 2), (2, 3), (2, 4))]:
+            with pytest.raises(DataValidationError, match=states):
+                lstm_cell_forward(np.zeros(x), np.zeros(h), np.zeros(c), params)
+        with pytest.raises(DataValidationError, match="^lstm sequence expects"):
+            lstm_sequence_forward(np.zeros((2, 4)), params, 3)
+
+    def test_backward_needs_a_step(self):
+        params = small_lstm_params(np.random.default_rng(8), n_in=1)
+        h_final, state = lstm_sequence_forward(np.zeros((2, 0, 1)), params, 3)
+        assert np.array_equal(h_final, np.zeros((2, 3)))
+        with pytest.raises(DataValidationError, match="^no forward steps to backpropagate"):
+            lstm_sequence_backward(np.ones((2, 3)), state, params)
+
+    def test_workspace_grows_a_buffer_for_a_larger_shape(self):
+        workspace = Workspace()
+        small, = workspace.take((2, 3))
+        large, = workspace.take((4, 3))
+        assert large.shape == (4, 3) and not np.shares_memory(small, large)
+        again, = workspace.take((2, 3))  # a smaller shape reuses the larger buffer
+        assert np.shares_memory(again, large) and workspace.calls == 3
 
     def test_sequence_helpers_equal_a_loop_over_the_cell(self):
         rng = np.random.default_rng(9)

@@ -264,6 +264,26 @@ def untrained_model(kind: str, train: IrradianceSeries) -> NeuralModel:
                        scaler=fit_scaler(train), daylight=DaylightWindow(), step=train.step)
 
 
+def glorot_oracle(spec: ConvSpec | LstmSpec, seed: int) -> FlatParams:
+    """Each family's initial parameters, with every weight's fan-in and
+    fan-out written out by hand: Glorot-uniform weights drawn in layout
+    order from one seeded generator, zero biases."""
+    rng = np.random.default_rng(seed)
+    params = FlatParams(spec.param_shapes())
+    if isinstance(spec, ConvSpec):
+        k, f, fc1, fc2 = spec.kernel_size, spec.kernel_count, spec.fc1_units, spec.fc2_units
+        fans = {"conv_w": (k, k * f), "fc1_w": (spec.flat_units, fc1), "fc2_w": (fc1, fc2),
+                "out_w": (fc2, 1)}
+    else:
+        h, dense = spec.units, spec.dense_hidden
+        gates = {name: (h + 1, h) for name in ("w_f", "w_i", "w_o", "w_c")}
+        fans = {**gates, "fc_w": (h, dense), "out_w": (dense, 1)}
+    for name, (fan_in, fan_out) in fans.items():
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        params[name] = rng.uniform(-limit, limit, size=params.shapes[name])
+    return params
+
+
 class TestBlockwiseForecast:
     @pytest.mark.parametrize("kind", ["cnn", "lstm"])
     def test_blocks_match_one_batch(self, mixed_40d_split, monkeypatch, kind):
@@ -359,15 +379,36 @@ class TestPersistence:
         params = network(spec=spec, seed=0).params
         assert {name: arr.shape for name, arr in params.items()} == spec.param_shapes()
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("network, spec", [
+        (CnnNetwork, ConvSpec()),
+        (CnnNetwork, ConvSpec(kernel_size=3, kernel_count=5, pool_size=2)),
+        (LstmNetwork, LstmSpec()),
+        (LstmNetwork, LstmSpec(units=7, dense_hidden=3, window=6)),
+    ])
+    def test_initial_params_are_the_per_family_glorot_draws(self, network, spec, seed):
+        assert network(spec=spec, seed=seed).params.flat.tobytes() == \
+            glorot_oracle(spec, seed).flat.tobytes()
+
     @pytest.mark.parametrize("spec, text, message", [
         (ConvSpec, "pool_size=0", "pool_size must be positive"),
         (ConvSpec, "learning_rate=fast", "learning_rate: cannot parse 'fast'"),
         (LstmSpec, "epochs=two", "epochs: cannot parse 'two'"),
         (LstmSpec, "units", "units: cannot parse ''"),
+        (ConvSpec, "epochs=-1", "^CNN spec field epochs must be positive$"),
+        (LstmSpec, "units=0", "^LSTM spec field units must be positive$"),
+        (LstmSpec, "layers=2", "^only a single LSTM layer is supported$"),
+        (ConvSpec, "kernel_size=5", "^kernel size 5 exceeds the 4-sample window$"),
+        (ConvSpec, "pool_size=2", "^conv output length 3 is not divisible by pool size 2$"),
     ])
     def test_bad_spec_text_is_a_data_error(self, spec, text, message):
         with pytest.raises(DataValidationError, match=message):
             spec.from_text(text)
+
+    def test_nothing_to_save(self, tmp_path):
+        with pytest.raises(DataValidationError, match="^nothing to save$"):
+            save_nn_models([], tmp_path / "empty.model")
+        assert not (tmp_path / "empty.model").exists()
 
     def test_mixed_kinds_rejected(self, mixed_40d_split, tmp_path):
         train, _ = mixed_40d_split

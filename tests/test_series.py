@@ -205,6 +205,11 @@ class TestScaler:
         with pytest.raises(DataValidationError, match="constant"):
             fit_scaler(make_series(np.full(144, 42.0)))
 
+    @pytest.mark.parametrize("mu, sigma", [(np.nan, 1.0), (0.0, np.inf)])
+    def test_parameters_must_be_finite(self, mu, sigma):
+        with pytest.raises(DataValidationError, match="^scaler parameters must be finite$"):
+            Scaler(mu=mu, sigma=sigma)
+
     def test_sigma_must_be_positive(self):
         with pytest.raises(DataValidationError):
             Scaler(mu=1.0, sigma=0.0)
@@ -359,6 +364,18 @@ class TestSeriesType:
         values[3] = np.nan
         with pytest.raises(DataValidationError):
             make_series(values)
+
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros((2, 144)), "series values must be one-dimensional"),
+        (np.zeros(0), "series must contain at least one sample"),
+    ], ids=["2-d", "empty"])
+    def test_rejects_values_that_are_not_one_flat_vector(self, values, message):
+        with pytest.raises(DataValidationError, match=f"^{message}$"):
+            make_series(values)
+
+    def test_with_values_keeps_the_grid_shape(self, mixed_30d):
+        with pytest.raises(DataValidationError, match=r"shape \(144,\), expected \(4320,\)"):
+            mixed_30d.with_values(np.zeros(144))
 
     def test_rejects_bad_step(self):
         with pytest.raises(DataValidationError):

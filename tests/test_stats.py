@@ -116,6 +116,15 @@ class TestAutocorrelation:
         with pytest.raises(DataValidationError):
             autocorrelation(np.ones(10), 10)
 
+    def test_negative_max_lag(self):
+        with pytest.raises(DataValidationError, match="^max_lag must be non-negative, got -1$"):
+            autocorrelation(np.ones(10), -1)
+
+    @pytest.mark.parametrize("values", [np.array([]), np.ones((2, 2))], ids=["empty", "2-d"])
+    def test_sequence_must_be_a_non_empty_vector(self, values):
+        with pytest.raises(DataValidationError, match="non-empty vector"):
+            CorrelationSequence(values=values)
+
     def test_all_zero_signal(self):
         with pytest.raises(DataValidationError):
             autocorrelation(np.zeros(100), 5)
@@ -199,3 +208,5 @@ class TestSelectOrder:
     def test_needs_lag_one(self):
         with pytest.raises(DataValidationError):
             select_order(CorrelationSequence(values=np.array([1.0])))
+        with pytest.raises(DataValidationError, match="partial autocorrelation needs at least lag 1"):
+            pacf_from_autocorrelation(CorrelationSequence(values=np.array([1.0])))

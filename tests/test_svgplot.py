@@ -63,11 +63,16 @@ def test_write_to_file(tmp_path):
 def test_empty_curves_rejected():
     with pytest.raises(DataValidationError):
         render_line_chart([])
+    with pytest.raises(DataValidationError, match="^curves are empty$"):
+        render_line_chart([("none", np.array([]), np.array([]))])
 
 
 def test_constant_curve_does_not_crash():
     curves = [("flat", np.array([0.0, 1.0, 2.0]), np.array([5.0, 5.0, 5.0]))]
     ET.fromstring(render_line_chart(curves))
+    # one x value, and y all zero: each axis spans one unit from its value
+    for x, y in [(np.full(3, 2.0), np.arange(3.0)), (np.arange(3.0), np.zeros(3))]:
+        ET.fromstring(render_line_chart([("flat", x, y)]))
 
 
 def pinned_chart() -> str:
