@@ -14,8 +14,31 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+
+def _resolver(package: str, namespace: dict, public: dict[str, str]):
+    """``package``'s module ``__getattr__`` and ``__all__``, from its public
+    names by the module that defines them. A name or a submodule is imported
+    on first access, and a name is then bound in ``namespace``, the
+    package's globals, so later lookups do not come here."""
+    home = {name: module for module, names in public.items() for name in names.split()}
+
+    def __getattr__(name: str):
+        if name in home:
+            value = namespace[name] = getattr(import_module(f".{home[name]}", package), name)
+            return value
+        if not name.startswith("_"):
+            try:
+                return import_module(f".{name}", package)
+            except ModuleNotFoundError as exc:
+                if exc.name != f"{package}.{name}":  # the submodule exists; an import inside it failed
+                    raise
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    return __getattr__, sorted(home)
+
+
 # every public name, by the module that defines it
-_PUBLIC = {
+__getattr__, __all__ = _resolver(__name__, globals(), {
     "errors": "DataValidationError NumericalError SolarcastError UsageError",
     "io": "load_csv write_csv",
     "mar": "DesignMatrix MarConfig MarModel build_design_matrix fit_all_horizons fit_weights forecast",
@@ -26,21 +49,4 @@ _PUBLIC = {
     "stats": "CorrelationSequence EnsembleProfile autocorrelation ensemble_add ensemble_deduct "
              "ensemble_profile partial_autocorrelation select_order",
     "synthetic": "generate_synthetic",
-}
-_HOME = {name: module for module, names in _PUBLIC.items() for name in names.split()}
-__all__ = sorted(_HOME)
-
-
-def __getattr__(name: str):
-    """A public name or a submodule, imported on first access. Either is
-    then bound on the package, so later lookups do not come here."""
-    if name in _HOME:
-        value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
-        return value
-    if not name.startswith("_"):
-        try:
-            return import_module(f".{name}", __name__)
-        except ModuleNotFoundError as exc:
-            if exc.name != f"{__name__}.{name}":  # the submodule exists; an import inside it failed
-                raise
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+})

@@ -18,7 +18,6 @@ from itertools import chain, islice
 
 import numpy as np
 
-from . import nn
 from .errors import DataValidationError, NumericalError, UsageError
 from .io import comment_lines, csv_text, load_csv, read_text, write_text
 from .mar import DEFAULT_HORIZONS, MarConfig, MarModel, daylight_values, fit_all_horizons
@@ -31,7 +30,7 @@ from .metrics import (
     summary_table,
 )
 from .model_io import load_model, save_mar_model, save_nn_models
-from .nn.training import loss_curve_csv, train_network
+from .nn.training import NeuralModel, loss_curve_csv, nn_forecast, train_network
 from .series import DEFAULT_SPLIT, DaylightWindow, IrradianceSeries, fit_scaler, split, standardize
 from .stats import autocorrelation, ensemble_profile, pacf_from_autocorrelation, select_order, training_residual
 from .svgplot import render_line_chart
@@ -293,7 +292,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fit_nn(train: IrradianceSeries, config: RunConfig, kinds: tuple[str, ...]) -> list[nn.NeuralModel]:
+def _fit_nn(train: IrradianceSeries, config: RunConfig, kinds: tuple[str, ...]) -> list[NeuralModel]:
     """Train one network per (kind, horizon) in a pool of worker
     processes; returns them in (kind, horizon) order. Each job is the
     same seeded call as in-process training, so results are identical.
@@ -447,7 +446,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # the networks forecast the same target slots, so a MAPE threshold
     # that no actual reaches fails here, before any training
     summarize(reports, min_actual=config.mape_threshold)
-    reports.extend(nn.nn_forecast(model, test) for model in _fit_nn(train, config, ("cnn", "lstm")))
+    reports.extend(nn_forecast(model, test) for model in _fit_nn(train, config, ("cnn", "lstm")))
 
     _write_reports(reports, config, "compare", out_dir, step=test.step, prefix="compare_")
     _overlay_charts(reports, test, config, out_dir)

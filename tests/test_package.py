@@ -10,13 +10,15 @@ from pathlib import Path
 import pytest
 
 import solarcast
+import solarcast.nn
 from solarcast import DaylightWindow, generate_synthetic, split
 from solarcast.nn.training import train_network
 
 SRC = str(Path(solarcast.__file__).parent.parent)
 
 # what a training job never runs: the CLI and its argument parser and
-# charts, and the data, model-file and statistics code around training
+# charts, the data, model-file and statistics code around training, and
+# the networks' gradient check
 NOT_IN_WORKERS = (
     "solarcast.cli",
     "argparse",
@@ -26,7 +28,9 @@ NOT_IN_WORKERS = (
     "solarcast.model_io",
     "solarcast.stats",
     "solarcast.synthetic",
+    "solarcast.nn.gradcheck",
 )
+PACKAGES = (solarcast, solarcast.nn)
 
 
 def run_python(code: str, stdin: bytes = b"") -> str:
@@ -39,25 +43,28 @@ def run_python(code: str, stdin: bytes = b"") -> str:
 
 
 def test_public_names_are_their_home_modules_objects():
-    for name in solarcast.__all__:
-        value = getattr(solarcast, name)
-        home = sys.modules[value.__module__]
-        assert home.__name__.startswith("solarcast.") and getattr(home, name) is value
+    for package in PACKAGES:
+        for name in package.__all__:
+            value = getattr(package, name)
+            home = sys.modules[value.__module__]
+            assert home.__name__.startswith(f"{package.__name__}.") and getattr(home, name) is value
 
 
 def test_star_import_binds_exactly_all():
-    namespace = {}
-    exec("from solarcast import *", namespace)
-    del namespace["__builtins__"]
-    assert sorted(namespace) == sorted(solarcast.__all__)
-    assert "io" not in namespace
+    for package in PACKAGES:
+        namespace = {}
+        exec(f"from {package.__name__} import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(package.__all__)
+        assert "io" not in namespace and "training" not in namespace
 
 
 def test_unknown_name_raises_attribute_error():
-    for name in ("no_such_name", "_private", "__wrapped__"):
-        with pytest.raises(AttributeError, match=name):
-            getattr(solarcast, name)
-    assert not hasattr(solarcast, "no_such_module")
+    for package in PACKAGES:
+        for name in ("no_such_name", "_private", "__wrapped__"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(package, name)
+        assert not hasattr(package, "no_such_module")
 
 
 def test_fresh_import_loads_no_submodule_until_used():
@@ -68,6 +75,17 @@ def test_fresh_import_loads_no_submodule_until_used():
         "print(solarcast.mar.forecast is solarcast.forecast, 'solarcast.mar' in loaded())\n"
     )
     assert run_python(code).splitlines() == ["['solarcast']", "True True"]
+
+
+def test_fresh_nn_import_loads_no_submodule_until_used():
+    code = (
+        "import sys, solarcast.nn\n"
+        "loaded = lambda: [m for m in sys.modules if m.startswith('solarcast')]\n"
+        "print(loaded())\n"
+        "print(solarcast.nn.adam.Adam is solarcast.nn.Adam, loaded())\n"
+    )
+    assert run_python(code).splitlines() == [
+        "['solarcast', 'solarcast.nn']", "True ['solarcast', 'solarcast.nn', 'solarcast.nn.adam']"]
 
 
 def test_training_worker_imports_only_training_code():

@@ -3,7 +3,7 @@ it, grows by a bounded number of bytes per added series row (10-minute
 samples) from a 30-day to a 300-day series. The lags are read through
 strided views of the values, and no index array per lag exists; a
 series keeps read-only values without copying them. A fit deducts the
-profile in place on the standardized series and folds 512 rows of lags
+profile in place on the standardized series and folds 2,048 rows of lags
 and targets at a time from those views into a QR factor, so it holds
 no lag matrix. A forecast gathers, standardizes and predicts 512 rows
 at a time from the raw values, so past the values it holds only the

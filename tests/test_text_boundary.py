@@ -399,6 +399,34 @@ def test_only_a_day_aligned_grid_is_taken(tmp_path, first, step, rows, row, expe
     assert outcome(load_csv, path) == outcome(load_csv_oracle, path) == ("error", message)
 
 
+def test_the_calendars_last_day_loads_like_the_oracle(tmp_path):
+    """A block that runs past the grid's last day, 9999-12-31, has no
+    text for the day after: it goes to the line parser, which finds the
+    repeated last slot as the oracle does, and nothing overflows."""
+    stamps = [f"9999-12-31T{minute // 60:02d}:{minute % 60:02d}:00" for minute in range(0, 1440, 10)]
+    path = tmp_path / "last.csv"
+    path.write_text(f"{io.CSV_HEADER}\n" + "".join(f"{ts},1\n" for ts in [*stamps, stamps[-1]]))
+    message = "duplicate timestamp 9999-12-31T23:50:00"
+    assert outcome(load_csv, path) == outcome(load_csv_oracle, path) == ("error", message)
+
+
+def test_a_row_without_its_comma_is_not_taken_with_the_next(tmp_path, monkeypatch):
+    """A row that lacks its comma, followed by a row with two, holds the
+    grid's text and field count between them; the block still goes to
+    the line parser, which names the first of the two as the oracle does."""
+    seen = parsed_lines(monkeypatch)
+    monkeypatch.setattr(io, "READ_CHUNK_BYTES", 999)
+    path = tmp_path / "commas.csv"
+    write_csv(series_at(datetime(2024, 1, 1), 10, 3), path)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    row = next(i for i, line in enumerate(lines) if line.startswith("2024-01-02T01:40:00,"))
+    lines[row : row + 2] = ["2024-01-02T01:40:00", "1,2024-01-02T01:50:00,2"]
+    path.write_text("\n".join(lines), encoding="utf-8")
+    message = f"line {row + 1}: expected two comma-separated fields, got 1"
+    assert outcome(load_csv, path) == outcome(load_csv_oracle, path) == ("error", message)
+    assert seen == lines[:3]  # the header and the two rows that fix the grid
+
+
 @pytest.mark.parametrize("case, lines", [
     ("bad header", ["time,value", "2024-01-01T00:00:00,1"]),
     ("nan", ["timestamp,irradiance_wm2", "2024-01-01T00:00:00,1", "2024-01-01T00:10:00,nan"]),
