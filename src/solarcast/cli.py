@@ -13,13 +13,14 @@ import contextlib
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
+from datetime import datetime
 from itertools import chain, islice
 
 import numpy as np
 
 from .errors import DataValidationError, NumericalError, UsageError
-from .io import comment_lines, csv_text, load_csv, read_text, write_text
+from .io import comment_lines, csv_text, load_csv, write_text
 from .mar import DEFAULT_HORIZONS, MarConfig, MarModel, daylight_values, fit_all_horizons
 from .metrics import (
     DEFAULT_MAPE_THRESHOLD,
@@ -47,8 +48,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 @dataclass
 class RunConfig:
-    """Resolved run settings; every field can come from a key=value
-    config file and be overridden by a flag."""
+    """Resolved run settings: a command's flags, the defaults for the
+    rest. Every field is echoed into the output headers."""
 
     data: str = ""
     split: float = DEFAULT_SPLIT
@@ -87,41 +88,32 @@ class RunConfig:
         return DaylightWindow.parse(self.daylight)
 
 
-def _coerce(name: str, raw: str, current) -> object:
-    if isinstance(current, bool):
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise UsageError(f"config key {name}: cannot parse boolean {raw!r}")
-    return type(current)(raw)
-
-
-def load_config_file(path: str) -> RunConfig:
-    config = RunConfig()
-    lines = read_text(path, UsageError, "config file").splitlines()
-    known = {f.name for f in fields(RunConfig)}
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or key not in known:
-            raise UsageError(f"{path} line {lineno}: unknown config entry {stripped!r}")
-        try:
-            config = replace(config, **{key: _coerce(key, value, getattr(config, key))})
-        except ValueError as exc:
-            raise UsageError(f"{path} line {lineno}: {exc}") from None
-    return config
+# each RunConfig field's flag, --name with "_" as "-"
+SETTING_FLAGS = {
+    "data": dict(help="input CSV path"),
+    "split": dict(type=float, help=f"training fraction (default {DEFAULT_SPLIT:.2f})"),
+    "order": dict(help="lag count or 'auto'"),
+    "horizons": dict(help=f"comma-separated step counts (default {RunConfig.horizons})"),
+    "daylight": dict(help="daylight window HH:MM-HH:MM"),
+    "model": dict(help=f"one of {', '.join(MODELS)}"),
+    "seed": dict(type=int, help="random seed"),
+    "out": dict(help="output directory"),
+    "mape_threshold": dict(type=float, help="minimum actual W/m2 for MAPE rows"),
+    "recursive": dict(action="store_true",
+                      help="iterate the 1-step model instead of direct per-horizon weights"),
+}
+# the RunConfig fields each command takes a flag for; any other is a usage error
+COMMAND_SETTINGS = {
+    "synth": ("data", "daylight", "seed", "out"),
+    "diagnose": ("data", "split", "daylight", "out"),
+    "fit": ("data", "split", "order", "horizons", "daylight", "model", "seed", "out"),
+    "evaluate": ("data", "split", "horizons", "out", "mape_threshold", "recursive"),
+    "compare": ("data", "split", "order", "horizons", "daylight", "seed", "out", "mape_threshold"),
+}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = load_config_file(args.config) if getattr(args, "config", None) else RunConfig()
-    # every field with a flag of its own name; a store_true flag left
-    # off reads False and keeps the config file's value
-    flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    config = replace(config, **{k: v for k, v in flags.items() if v is not None and v is not False})
+    config = RunConfig(**{name: getattr(args, name) for name in COMMAND_SETTINGS[args.cmd]})
     if config.model not in MODELS:
         raise UsageError(f"unknown model {config.model!r}, expected one of {MODELS}")
     if config.seed < 0:  # numpy's generators take non-negative seeds only
@@ -159,27 +151,17 @@ def _ensure_out(config: RunConfig) -> str:
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage problems; this tool reserves 2 for
-    data validation, so remap to 1."""
+    data validation, so remap to 1. A flag is spelled in full, so one a
+    command does not take is never read as a prefix of one it does
+    (``evaluate --model`` as ``--model-file``)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(EXIT_USAGE)
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--data", help="input CSV path")
-    parser.add_argument("--split", type=float, help=f"training fraction (default {DEFAULT_SPLIT:.2f})")
-    parser.add_argument("--order", help="lag count or 'auto'")
-    parser.add_argument("--horizons", help=f"comma-separated step counts (default {RunConfig.horizons})")
-    parser.add_argument("--daylight", help="daylight window HH:MM-HH:MM")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--mape-threshold", dest="mape_threshold", type=float,
-                        help="minimum actual W/m2 for MAPE rows")
-    parser.add_argument("--recursive", action="store_true",
-                        help="iterate the 1-step model instead of direct per-horizon weights")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,25 +171,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth", help="generate a synthetic irradiance CSV")
     p_synth.add_argument("--days", type=int, required=True)
     p_synth.add_argument("--regime", choices=("clear", "cloudy", "mixed"), default="mixed")
-    _add_common(p_synth)
 
     p_diag = sub.add_parser("diagnose", help="ACF/PACF diagnostics and order recommendation")
     p_diag.add_argument("--max-lag", dest="max_lag", type=int, default=24)
     p_diag.add_argument("--domain", choices=("ens", "z"), default="ens",
                         help="correlate ensemble-deducted (default) or standardized data")
-    _add_common(p_diag)
 
-    p_fit = sub.add_parser("fit", help="fit a model and persist it")
-    p_fit.add_argument("--model", help=f"one of {', '.join(MODELS)}")
-    _add_common(p_fit)
+    sub.add_parser("fit", help="fit a model and persist it")
 
     p_eval = sub.add_parser("evaluate", help="forecast the test split with a saved model")
     p_eval.add_argument("--model-file", dest="model_file", required=True)
-    _add_common(p_eval)
 
-    p_cmp = sub.add_parser("compare", help="fit and evaluate all four models on one split")
-    _add_common(p_cmp)
+    sub.add_parser("compare", help="fit and evaluate all four models on one split")
 
+    for command, settings in COMMAND_SETTINGS.items():
+        for name in settings:
+            sub.choices[command].add_argument(
+                f"--{name.replace('_', '-')}", default=getattr(RunConfig, name), **SETTING_FLAGS[name])
     return parser
 
 
@@ -221,6 +201,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     if args.days < 1:
         raise UsageError(f"--days must be >= 1, got {args.days}")
+    max_days = (datetime.max - SYNTH_START).days + 1  # the calendar ends on datetime.max's day
+    if args.days > max_days:
+        raise UsageError(f"--days {args.days} runs past {datetime.max.date()}, the last date: "
+                         f"at most {max_days} days fit from {SYNTH_START.date()}")
     out_dir = _ensure_out(config)
     blocks = synthetic_days(args.days, args.regime, config.seed, daylight=config.daylight_window())
     path = config.data or os.path.join(out_dir, f"synthetic_{args.regime}_{args.days}d.csv")

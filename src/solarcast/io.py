@@ -4,7 +4,7 @@ Schema: UTF-8, LF line endings, header ``timestamp,irradiance_wm2``,
 one row per sampling slot with an ISO-8601 timestamp. Lines starting
 with ``#`` are metadata comments (tools in this package write their
 resolved configuration there) and are skipped on load. ``read_chunks``
-is the one place that opens a text input (CSV, model or config file),
+is the one place that opens a text input (CSV or model file),
 ``write_text`` the one place that writes an output.
 """
 
@@ -20,7 +20,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import DataValidationError, SolarcastError, UsageError
+from .errors import DataValidationError, UsageError
 from .series import MINUTES_PER_DAY, IrradianceSeries, grid_rows, grid_text
 
 CSV_HEADER = "timestamp,irradiance_wm2"
@@ -34,12 +34,12 @@ OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 MINUTE = timedelta(minutes=1)
 
 
-def read_chunks(path: str | os.PathLike, error: type[SolarcastError], what: str) -> Iterator[str]:
+def read_chunks(path: str | os.PathLike, what: str) -> Iterator[str]:
     """The file's UTF-8 text, line endings untouched, decoded
     ``READ_CHUNK_BYTES`` bytes at a time, so the file is read once and
     only one piece of its text exists at a time. A file that is missing,
-    unreadable or not UTF-8 raises ``error``; a byte that is not UTF-8
-    is named by its offset in the file."""
+    unreadable or not UTF-8 raises ``DataValidationError``; a byte that
+    is not UTF-8 is named by its offset in the file."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     read = 0  # bytes read before this piece
     try:
@@ -52,20 +52,20 @@ def read_chunks(path: str | os.PathLike, error: type[SolarcastError], what: str)
                     text = decoder.decode(data, final=not data)
                 except UnicodeDecodeError as exc:
                     offset = read - held + exc.start
-                    raise error(f"{what} {path}: not UTF-8 text (byte {offset})") from None
+                    raise DataValidationError(f"{what} {path}: not UTF-8 text (byte {offset})") from None
                 if not data:
                     return
                 read += len(data)
                 yield text
     except FileNotFoundError:
-        raise error(f"{what} not found: {path}") from None
+        raise DataValidationError(f"{what} not found: {path}") from None
     except OSError as exc:
-        raise error(f"cannot read {what} {path}: {exc.strerror}") from None
+        raise DataValidationError(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
-def read_text(path: str | os.PathLike, error: type[SolarcastError], what: str) -> str:
-    """The whole of ``read_chunks``: for the small model and config files."""
-    return "".join(read_chunks(path, error, what))
+def read_text(path: str | os.PathLike, what: str) -> str:
+    """The whole of ``read_chunks``: for the small model files."""
+    return "".join(read_chunks(path, what))
 
 
 def write_text(path: str | os.PathLike, chunks: Iterable[str]) -> None:
@@ -107,7 +107,7 @@ def load_csv(path: str | os.PathLike) -> IrradianceSeries:
     before the next is read, so the memory a load needs grows with the
     values, not the text.
     """
-    chunks = read_chunks(path, DataValidationError, "input file")
+    chunks = read_chunks(path, "input file")
     rows = _Rows(path)
     try:
         for block in _line_blocks(chunks):

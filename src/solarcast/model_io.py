@@ -96,7 +96,7 @@ class _RecordReader:
 def _records(path: str | os.PathLike, magic: str):
     """A reader of the model file at ``path``; a ``DataValidationError``
     raised in the block names the file."""
-    text = read_text(path, DataValidationError, "model file")
+    text = read_text(path, "model file")
     try:
         yield _RecordReader(text, magic)
     except DataValidationError as exc:
@@ -230,7 +230,7 @@ def load_model(
     """The ``MarModel`` or ``NetworkSet`` named by the magic line of the file's first
     ``read_chunks`` piece, so the records are decoded once. Either is refused here, before
     any forecast, for forecasts it cannot make (``horizons``, ``recursive``)."""
-    with contextlib.closing(read_chunks(path, DataValidationError, "model file")) as pieces:
+    with contextlib.closing(read_chunks(path, "model file")) as pieces:
         first = next(pieces, "").partition("\n")[0].strip()
     if first == MAR_MAGIC:
         return load_mar_model(path).check(horizons, recursive)

@@ -118,6 +118,30 @@ class TestSynth:
             assert data_lines(out / "synthetic_mixed_37d.csv") == oracle
 
 
+class TestSynthCalendarEnd:
+    """A series that would run past the calendar's last date is refused
+    before any value is made or ``--out`` is created."""
+
+    @pytest.mark.parametrize("days", ["1000000000000", "2913175"])
+    def test_exits_1(self, tmp_path, capsys, days):
+        out = tmp_path / "out"
+        assert run("synth", "--days", days, "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: --days {days} runs past 9999-12-31, the last date: "
+            "at most 2913174 days fit from 2024-01-01\n")
+        assert not out.exists()
+
+    def test_last_day_that_fits_is_written(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SYNTH_START", datetime(9999, 12, 30))
+        assert run("synth", "--days", "3", "--out", str(tmp_path / "late")) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "late").exists()
+        assert run("synth", "--days", "2", "--regime", "clear", "--out", str(tmp_path)) == 0
+        lines = data_lines(tmp_path / "synthetic_clear_2d.csv")
+        assert (lines[1], lines[-1]) == ("9999-12-30T00:00:00,0", "9999-12-31T23:50:00,0")
+        assert len(lines) == 1 + 2 * 144
+
+
 def ar4_csv(path, days=40, seed=3):
     """Solar-grid CSV whose fluctuations follow the reference AR(4):
     offset keeps every value non-negative without clipping."""
@@ -279,18 +303,18 @@ class TestEvaluate:
         ("cnn", ["# model=cnn"]),
     ])
     def test_header_records_model_file_settings(self, mixed_csv, tmp_path, kind, expected):
-        # the model file fixes these settings, so flags that disagree
-        # must not be echoed in their place
+        # the model file fixes these settings, so evaluate's defaults,
+        # which differ, must not be echoed in their place
         fit_dir = tmp_path / "fit"
         assert run("fit", "--data", str(mixed_csv), "--model", kind, "--order", "3",
-                   "--horizons", "1", "--out", str(fit_dir)) == 0
+                   "--daylight", "05:00-19:00", "--horizons", "1", "--out", str(fit_dir)) == 0
         assert run("evaluate", "--data", str(mixed_csv),
                    "--model-file", str(fit_dir / f"{kind}.model"), "--horizons", "1",
-                   "--daylight", "00:00-03:00", "--order", "5", "--out", str(tmp_path)) == 0
+                   "--out", str(tmp_path)) == 0
         for name in ("summary.csv", "forecasts.csv"):
             header = [ln for ln in (tmp_path / name).read_text().splitlines()
                       if ln.startswith("#")]
-            for line in ["# daylight=06:00-18:30", *expected]:
+            for line in ["# daylight=05:00-19:00", *expected]:
                 assert line in header
 
     def test_recursive_rejected_for_nn(self, mixed_csv, tmp_path, capfd):
@@ -639,18 +663,15 @@ class TestMapeThreshold:
     """At a threshold of 0 or below, MAPE divides by dawn's near-zero
     actuals, so such a threshold is a usage error."""
 
-    @pytest.mark.parametrize("argv, shown", [
-        (("--mape-threshold", "0"), "0.0"),
-        (("--mape-threshold", "-5"), "-5.0"),
-        (("--mape-threshold", "nan"), "nan"),
-        (("--config", "{cfg}"), "0.0"),
-    ], ids=["zero", "negative", "nan", "config-file"])
-    def test_exits_1(self, mixed_csv, mar_file, tmp_path, capfd, argv, shown):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("mape_threshold=0\n")
+    @pytest.mark.parametrize("value, shown", [
+        ("0", "0.0"),
+        ("-5", "-5.0"),
+        ("nan", "nan"),
+    ], ids=["zero", "negative", "nan"])
+    def test_exits_1(self, mixed_csv, mar_file, tmp_path, capfd, value, shown):
         out = tmp_path / "out"
         code = run("evaluate", "--data", str(mixed_csv), "--model-file", str(mar_file),
-                   "--out", str(out), *(arg.format(cfg=cfg) for arg in argv))
+                   "--out", str(out), "--mape-threshold", value)
         err = capfd.readouterr().err
         assert code == 1
         assert err == f"error: mape threshold must be a positive, finite W/m2 value, got {shown}\n"
@@ -664,16 +685,12 @@ class TestNegativeSeed:
     @pytest.mark.parametrize("argv", [
         ("synth", "--days", "1", "--seed", "-1"),
         ("fit", "--model", "cnn", "--seed", "-1"),
-        ("fit", "--model", "mar", "--config", "{cfg}"),
-    ], ids=["synth", "fit-cnn", "config-file"])
+    ], ids=["synth", "fit-cnn"])
     def test_exits_1(self, mixed_csv, tmp_path, capfd, monkeypatch, argv):
         def no_training(*args):
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(cli, "_fit_nn", no_training)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed=-1\n")
-        argv = [arg.format(cfg=cfg) for arg in argv]
         out = tmp_path / "out"
         code = run(*argv, "--data", str(mixed_csv), "--out", str(out))
         err = capfd.readouterr().err
@@ -787,28 +804,50 @@ class TestScalerOverflowingTheData:
             "sigma 2.2250738585072014e-308 overflows float64\n"))
 
 
-class TestConfigFile:
-    def test_config_file_and_flag_override(self, mixed_csv, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"data={mixed_csv}\nhorizons=1\nseed=3\norder=4\n")
-        assert run("fit", "--config", str(cfg), "--model", "mar", "--out", str(tmp_path)) == 0
-        text = (tmp_path / "mar.model").read_text()
-        assert "horizons 1" in text
-        # flag overrides the file
-        assert run("fit", "--config", str(cfg), "--model", "mar", "--horizons", "1,3",
-                   "--out", str(tmp_path)) == 0
-        assert "horizons 1,3" in (tmp_path / "mar.model").read_text()
+# every flag each command takes, its own and its settings'
+COMMAND_FLAGS = {
+    "synth": {"--days", "--regime", "--data", "--daylight", "--seed", "--out"},
+    "diagnose": {"--max-lag", "--domain", "--data", "--split", "--daylight", "--out"},
+    "fit": {"--data", "--split", "--order", "--horizons", "--daylight", "--model", "--seed", "--out"},
+    "evaluate": {"--model-file", "--data", "--split", "--horizons", "--out", "--mape-threshold",
+                 "--recursive"},
+    "compare": {"--data", "--split", "--order", "--horizons", "--daylight", "--seed", "--out",
+                "--mape-threshold"},
+}
+SETTING_FLAGS = ["--data", "--split", "--order", "--horizons", "--daylight", "--model", "--seed",
+                 "--out", "--mape-threshold", "--recursive", "--config"]
 
-    @pytest.mark.parametrize("text, value", [("on", True), ("FALSE", False), ("0", False)])
-    def test_boolean_key(self, tmp_path, text, value):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"recursive={text}\n")
-        assert cli.load_config_file(str(cfg)).recursive is value
 
-    def test_unknown_config_key(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("no_such_key=1\n")
-        assert run("fit", "--config", str(cfg), "--out", str(tmp_path)) == 1
+class TestCommandFlags:
+    """Each command takes a flag for only the settings it uses; any other
+    setting's flag, or ``--config``, is argparse's usage error, found
+    before the data is read or ``--out`` is made."""
+
+    REQUIRED = {"synth": ("--days", "1"), "evaluate": ("--model-file", "missing.model")}
+
+    @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+    def test_help_lists_exactly_its_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", *COMMAND_FLAGS[command]}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, taken in COMMAND_FLAGS.items()
+        for flag in SETTING_FLAGS if flag not in taken
+    ])
+    def test_other_flags_exit_1(self, tmp_path, capfd, command, flag):
+        data, out = tmp_path / "missing.csv", tmp_path / "out"
+        value = () if flag == "--recursive" else ("1",)
+        with pytest.raises(SystemExit) as exc:
+            run(command, *self.REQUIRED.get(command, ()), "--data", str(data), flag, *value,
+                "--out", str(out))
+        err = capfd.readouterr().err
+        assert exc.value.code == 1
+        assert err.endswith(f"solarcast: error: unrecognized arguments: {' '.join((flag, *value))}\n")
+        assert "Traceback" not in err
+        assert not out.exists() and not data.exists()
 
 
 class TestNoEnsembleKnob:
@@ -818,13 +857,6 @@ class TestNoEnsembleKnob:
         with pytest.raises(SystemExit) as exc:
             run("fit", "--data", str(mixed_csv), "--model", "mar", "--no-ensemble", "--out", str(tmp_path))
         assert exc.value.code == 1
-        assert not (tmp_path / "mar.model").exists()
-
-    def test_config_key_exits_1(self, mixed_csv, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"data={mixed_csv}\nensemble=0\n")
-        assert run("fit", "--config", str(cfg), "--model", "mar", "--out", str(tmp_path)) == 1
-        assert "unknown config entry 'ensemble=0'" in capsys.readouterr().err
         assert not (tmp_path / "mar.model").exists()
 
 
@@ -958,9 +990,8 @@ class TestFlagValueExitCodes:
         (("fit", "--model", "mar", "--horizons", "1,1"), "horizons must not repeat, got '1,1'"),
         (("fit", "--model", "mar", "--order", "0"), "order must be >= 1, got 0"),
         (("fit", "--model", "mar", "--order", "x"), "order must be an integer or 'auto', got 'x'"),
-        (("synth", "--days", "1", "--horizons", "0"), "horizons must be positive step counts, got '0'"),
-        (("synth", "--days", "1", "--split", "1.5"), "split fraction must lie in (0, 1), got 1.5"),
-    ], ids=["horizons-0", "horizons-repeat", "order-0", "order-x", "synth-horizons", "synth-split"])
+        (("synth", "--days", "1", "--daylight", "dawn-dusk"), "cannot parse daylight window 'dawn-dusk'"),
+    ], ids=["horizons-0", "horizons-repeat", "order-0", "order-x", "synth-daylight"])
     def test_refused_before_the_data_is_read(self, tmp_path, capfd, argv, message):
         """A missing data file is not reached: the flag is refused first,
         and nothing is written. ``synth`` writes its series to ``--data``."""

@@ -1,5 +1,5 @@
-"""Property tests for the file loaders: whatever a CSV, model or config
-file is mutated into, loading it either succeeds or raises a
+"""Property tests for the file loaders: whatever a CSV or model file is
+mutated into, loading it either succeeds or raises a
 ``SolarcastError`` subclass, which the CLI maps onto exit codes 1/2/3.
 Any other exception would end a command in a traceback. A model file's
 error names the file exactly once."""
@@ -24,7 +24,6 @@ from solarcast import (
     split,
     write_csv,
 )
-from solarcast.cli import load_config_file
 from solarcast.nn import CnnNetwork, ConvSpec, LstmNetwork, LstmSpec, NeuralModel
 
 # tokens that sit on the edges of int()/float() and of the range checks
@@ -64,16 +63,11 @@ def valid_files(tmp_path_factory):
     save_mar_model(fit_all_horizons(train, MarConfig(horizons=(1, 3))), root / "mar.model")
     _nn_file("cnn", train, root / "cnn.model")
     _nn_file("lstm", train, root / "lstm.model")
-    (root / "run.cfg").write_text(
-        "# comment\ndata=x.csv\nsplit=0.7\norder=auto\nhorizons=1,3\nseed=3\n"
-        "recursive=true\nmape_threshold=20.5\ndaylight=06:00-18:30\n"
-    )
     return {
         "csv": (load_csv, (root / "data.csv").read_bytes()),
         "mar": (load_mar_model, (root / "mar.model").read_bytes()),
         "cnn": (load_nn_models, (root / "cnn.model").read_bytes()),
         "lstm": (load_nn_models, (root / "lstm.model").read_bytes()),
-        "config": (load_config_file, (root / "run.cfg").read_bytes()),
     }
 
 
@@ -133,11 +127,11 @@ def _load_mutated(valid_files, target, kind, mutate, draw):
     try:
         loader(target)
     except SolarcastError as exc:
-        if kind not in ("csv", "config"):  # a model file's errors name it once
+        if kind != "csv":  # a model file's errors name it once
             assert str(exc).count(str(target)) == 1, exc
 
 
-KINDS = ["csv", "mar", "cnn", "lstm", "config"]
+KINDS = ["csv", "mar", "cnn", "lstm"]
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -1,6 +1,6 @@
 """Metamorphic properties of the MAR, AR and CNN pipeline, run end to
-end through ``main()`` on a 30-day file: how the outputs must move when
-the input moves in a known way."""
+end through ``main()`` on a 30-day file, and of the LSTM through the
+library: how the outputs must move when the input moves in a known way."""
 
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -10,6 +10,7 @@ import pytest
 
 from solarcast import IrradianceSeries, generate_synthetic, load_csv, split, write_csv
 from solarcast.cli import main
+from solarcast.nn import LstmSpec, nn_forecast, train_lstm
 
 from conftest import data_lines
 
@@ -67,6 +68,23 @@ def test_doubling_the_values_doubles_the_forecasts(fixture, tmp_path):
         assert forecasts.shape == (1881, 2)
         assert np.array_equal(forecasts2, 2 * forecasts)
         assert [row.split(",")[4] for row in summary2] == [row.split(",")[4] for row in summary]
+
+
+def test_doubling_the_values_doubles_the_lstm_forecasts(fixture):
+    """As above for a small LSTM at horizon 3, trained and run through
+    the library: its scaler doubles and every forecast doubles bit for bit."""
+    _, series, _ = fixture
+    spec = LstmSpec(units=4, dense_hidden=2, epochs=2)
+    reports = []
+    for values in (series.values, series.values * 2):
+        train, test = split(IrradianceSeries(series.start, values, series.step))
+        model = train_lstm(train, spec=spec, horizon=3, seed=0)
+        reports.append((model.scaler, nn_forecast(model, test)))
+    (scaler, report), (scaler2, report2) = reports
+    assert (scaler2.mu, scaler2.sigma) == (2 * scaler.mu, 2 * scaler.sigma)
+    assert report.predicted.size > 0
+    assert np.array_equal(report2.actual, 2 * report.actual)
+    assert np.array_equal(report2.predicted, 2 * report.predicted)
 
 
 def test_editing_the_test_half_leaves_the_models_alone(fixture, tmp_path):
