@@ -1,7 +1,9 @@
 """Command-line surface: synth, diagnose, fit, evaluate, compare.
 
-Every command is deterministic given its resolved configuration, which
-is echoed as ``# key=value`` header comments into every output file.
+Every command is deterministic given its flags. The ``# key=value``
+header comments of each output file record what ran: the command, each
+flag it takes, the settings a model file fixes (``evaluate``), and
+``ensemble`` where the model is known (``fit``, ``evaluate``).
 Exit codes: 0 success, 1 usage error, 2 data validation error, 3
 numerical failure.
 """
@@ -12,10 +14,10 @@ import argparse
 import contextlib
 import os
 import sys
-from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, replace
+from collections.abc import Callable, Iterable, Iterator
 from datetime import datetime
 from itertools import chain, islice
+from typing import Any
 
 import numpy as np
 
@@ -46,65 +48,75 @@ MODELS = ("mar", "ar", "cnn", "lstm")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@dataclass
-class RunConfig:
-    """Resolved run settings: a command's flags, the defaults for the
-    rest. Every field is echoed into the output headers."""
-
-    data: str = ""
-    split: float = DEFAULT_SPLIT
-    order: str = str(MarConfig.order)  # lag count, or "auto" for PACF selection
-    horizons: str = ",".join(map(str, DEFAULT_HORIZONS))
-    daylight: str = str(DaylightWindow())
-    model: str = "mar"
-    seed: int = 0
-    out: str = "out"
-    mape_threshold: float = DEFAULT_MAPE_THRESHOLD
-    recursive: bool = False
-
-    def horizon_list(self) -> tuple[int, ...]:
-        try:
-            horizons = tuple(int(tok) for tok in self.horizons.split(","))
-        except ValueError:
-            raise UsageError(f"cannot parse horizons {self.horizons!r}") from None
-        if not horizons or any(h < 1 for h in horizons):
-            raise UsageError(f"horizons must be positive step counts, got {self.horizons!r}")
-        if len(set(horizons)) < len(horizons):
-            raise UsageError(f"horizons must not repeat, got {self.horizons!r}")
-        return horizons
-
-    def order_value(self) -> int | None:
-        if self.order == "auto":
-            return None
-        try:
-            order = int(self.order)
-        except ValueError:
-            raise UsageError(f"order must be an integer or 'auto', got {self.order!r}") from None
-        if order < 1:
-            raise UsageError(f"order must be >= 1, got {order}")
-        return order
-
-    def daylight_window(self) -> DaylightWindow:
-        return DaylightWindow.parse(self.daylight)
+def horizon_list(text: str) -> tuple[int, ...]:
+    try:
+        horizons = tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise UsageError(f"cannot parse horizons {text!r}") from None
+    if not horizons or any(h < 1 for h in horizons):
+        raise UsageError(f"horizons must be positive step counts, got {text!r}")
+    if len(set(horizons)) < len(horizons):
+        raise UsageError(f"horizons must not repeat, got {text!r}")
+    return horizons
 
 
-# each RunConfig field's flag, --name with "_" as "-"
-SETTING_FLAGS = {
-    "data": dict(help="input CSV path"),
-    "split": dict(type=float, help=f"training fraction (default {DEFAULT_SPLIT:.2f})"),
-    "order": dict(help="lag count or 'auto'"),
-    "horizons": dict(help=f"comma-separated step counts (default {RunConfig.horizons})"),
-    "daylight": dict(help="daylight window HH:MM-HH:MM"),
-    "model": dict(help=f"one of {', '.join(MODELS)}"),
-    "seed": dict(type=int, help="random seed"),
-    "out": dict(help="output directory"),
-    "mape_threshold": dict(type=float, help="minimum actual W/m2 for MAPE rows"),
-    "recursive": dict(action="store_true",
-                      help="iterate the 1-step model instead of direct per-horizon weights"),
+def order_value(text: str) -> int | None:
+    """The lag count, or None for "auto" (PACF selection)."""
+    if text == "auto":
+        return None
+    try:
+        order = int(text)
+    except ValueError:
+        raise UsageError(f"order must be an integer or 'auto', got {text!r}") from None
+    if order < 1:
+        raise UsageError(f"order must be >= 1, got {order}")
+    return order
+
+
+def daylight_window(text: str) -> DaylightWindow:
+    try:
+        return DaylightWindow.parse(text)
+    except DataValidationError as exc:  # the text itself, not how it meets the data
+        raise UsageError(str(exc)) from None
+
+
+def _refuse_unless(accepts: Callable[[Any], bool], message: str) -> Callable[[Any], None]:
+    """A check that raises a ``UsageError`` of ``message`` for a value ``accepts`` refuses."""
+
+    def check(value: Any) -> None:
+        if not accepts(value):
+            raise UsageError(message.format(value))
+    return check
+
+
+# each setting: its flag, --name with "_" as "-", and the check that
+# refuses a value no data could make valid; main runs the checks in this
+# order, before the command reads its data or makes --out
+SETTINGS = {
+    "data": (dict(required=True, help="input CSV path"), None),
+    "out": (dict(default="out", help="output directory"), None),
+    # numpy's generators take non-negative seeds only
+    "seed": (dict(type=int, default=0, help="random seed"),
+             _refuse_unless(lambda seed: seed >= 0, "seed must be >= 0, got {}")),
+    # at 0, MAPE divides by dawn's near-zero actuals
+    "mape_threshold": (dict(type=float, default=DEFAULT_MAPE_THRESHOLD,
+                            help="minimum actual W/m2 for MAPE rows"),
+                       _refuse_unless(lambda value: 0 < value < np.inf,
+                                      "mape threshold must be a positive, finite W/m2 value, got {}")),
+    "split": (dict(type=float, default=DEFAULT_SPLIT, help="training fraction (default %(default).2f)"),
+              _refuse_unless(lambda value: 0 < value < 1, "split fraction must lie in (0, 1), got {}")),
+    "horizons": (dict(default=",".join(map(str, DEFAULT_HORIZONS)),
+                      help="comma-separated step counts (default %(default)s)"), horizon_list),
+    "order": (dict(default=str(MarConfig.order), help="lag count or 'auto'"), order_value),
+    "daylight": (dict(default=str(DaylightWindow()), help="daylight window HH:MM-HH:MM"),
+                 daylight_window),
+    "model": (dict(choices=MODELS, default="mar", help="ar is mar without the ensemble step"), None),
+    "recursive": (dict(action="store_true",
+                       help="iterate the 1-step model instead of direct per-horizon weights"), None),
 }
-# the RunConfig fields each command takes a flag for; any other is a usage error
+# the settings each command takes a flag for; any other is a usage error
 COMMAND_SETTINGS = {
-    "synth": ("data", "daylight", "seed", "out"),
+    "synth": ("daylight", "seed", "out"),
     "diagnose": ("data", "split", "daylight", "out"),
     "fit": ("data", "split", "order", "horizons", "daylight", "model", "seed", "out"),
     "evaluate": ("data", "split", "horizons", "out", "mape_threshold", "recursive"),
@@ -112,41 +124,26 @@ COMMAND_SETTINGS = {
 }
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(**{name: getattr(args, name) for name in COMMAND_SETTINGS[args.cmd]})
-    if config.model not in MODELS:
-        raise UsageError(f"unknown model {config.model!r}, expected one of {MODELS}")
-    if config.seed < 0:  # numpy's generators take non-negative seeds only
-        raise UsageError(f"seed must be >= 0, got {config.seed}")
-    if not 0 < config.mape_threshold < np.inf:  # at 0, MAPE divides by dawn's near-zero actuals
-        raise UsageError(
-            f"mape threshold must be a positive, finite W/m2 value, got {config.mape_threshold}"
-        )
-    if not 0 < config.split < 1:
-        raise UsageError(f"split fraction must lie in (0, 1), got {config.split}")
-    config.horizon_list()  # parsed where used, refused here before any data is read
-    config.order_value()
-    try:
-        config.daylight_window()
-    except DataValidationError as exc:  # the text itself, not how it meets the data
-        raise UsageError(str(exc)) from None
-    return config
-
-
-def _header_lines(config: RunConfig, command: str) -> dict[str, object]:
-    return {"command": command, **asdict(config), "ensemble": config.model != "ar"}
+def _header(args: argparse.Namespace, **fixed: str) -> dict[str, object]:
+    """An output's header comments: the command and its flags, then the
+    settings a model file fixes; whether the ensemble step ran where the
+    model is known."""
+    header = {**vars(args), **fixed}
+    if "model" in header:
+        header["ensemble"] = header["model"] != "ar"
+    return header
 
 
 def _write_text(path: str, header: dict[str, object], chunks: Iterable[str]) -> None:
     write_text(path, chain(comment_lines(header), chunks))
 
 
-def _ensure_out(config: RunConfig) -> str:
+def _ensure_out(out: str) -> str:
     try:
-        os.makedirs(config.out, exist_ok=True)
+        os.makedirs(out, exist_ok=True)
     except OSError as exc:
-        raise UsageError(f"cannot create output directory {config.out}: {exc.strerror}") from None
-    return config.out
+        raise UsageError(f"cannot create output directory {out}: {exc.strerror}") from None
+    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,11 +163,13 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="solarcast", description=__doc__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic irradiance CSV")
     p_synth.add_argument("--days", type=int, required=True)
     p_synth.add_argument("--regime", choices=("clear", "cloudy", "mixed"), default="mixed")
+    p_synth.add_argument("--data", default="", help="output CSV path "
+                         "(default synthetic_<regime>_<days>d.csv in the output directory)")
 
     p_diag = sub.add_parser("diagnose", help="ACF/PACF diagnostics and order recommendation")
     p_diag.add_argument("--max-lag", dest="max_lag", type=int, default=24)
@@ -186,68 +185,56 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command, settings in COMMAND_SETTINGS.items():
         for name in settings:
-            sub.choices[command].add_argument(
-                f"--{name.replace('_', '-')}", default=getattr(RunConfig, name), **SETTING_FLAGS[name])
+            sub.choices[command].add_argument(f"--{name.replace('_', '-')}", **SETTINGS[name][0])
     return parser
 
 
-def _require_data(config: RunConfig) -> IrradianceSeries:
-    if not config.data:
-        raise UsageError("--data is required for this command")
-    return load_csv(config.data)
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
     if args.days < 1:
         raise UsageError(f"--days must be >= 1, got {args.days}")
     max_days = (datetime.max - SYNTH_START).days + 1  # the calendar ends on datetime.max's day
     if args.days > max_days:
         raise UsageError(f"--days {args.days} runs past {datetime.max.date()}, the last date: "
                          f"at most {max_days} days fit from {SYNTH_START.date()}")
-    out_dir = _ensure_out(config)
-    blocks = synthetic_days(args.days, args.regime, config.seed, daylight=config.daylight_window())
-    path = config.data or os.path.join(out_dir, f"synthetic_{args.regime}_{args.days}d.csv")
-    header = {**_header_lines(config, "synth"), "days": args.days, "regime": args.regime}
-    write_text(path, csv_text(SYNTH_START, SYNTH_STEP, blocks, header))  # no array of the series
+    blocks = synthetic_days(args.days, args.regime, args.seed, daylight=daylight_window(args.daylight))
+    # --out is made only when the series is written into it
+    path = args.data or os.path.join(_ensure_out(args.out), f"synthetic_{args.regime}_{args.days}d.csv")
+    write_text(path, csv_text(SYNTH_START, SYNTH_STEP, blocks, _header(args)))  # no array of the series
     print(path)
     return EXIT_OK
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
     if args.max_lag < 1:  # the PACF starts at lag 1
         raise UsageError(f"--max-lag must be >= 1, got {args.max_lag}")
-    series = _require_data(config)
-    daylight = config.daylight_window()
-    train, _ = split(series, config.split)
+    series = load_csv(args.data)
+    train, _ = split(series, args.split)
     scaler = fit_scaler(train)
     domain = standardize(train, scaler)
     if args.domain == "ens":
         domain = training_residual(domain, ensemble_profile(domain))
-    values = daylight_values(domain, daylight)
+    values = daylight_values(domain, daylight_window(args.daylight))
     acf = autocorrelation(values, args.max_lag)
     pacf = pacf_from_autocorrelation(acf)
     order = select_order(pacf)
 
-    out_dir = _ensure_out(config)
+    out_dir = _ensure_out(args.out)
     body_lines = ["lag,acf,pacf"]
     for lag in range(args.max_lag + 1):
         body_lines.append(f"{lag},{acf.values[lag]:.10g},{pacf.values[lag]:.10g}")
     path = os.path.join(out_dir, "diagnostics.csv")
-    header = {**_header_lines(config, "diagnose"), "max_lag": args.max_lag, "domain": args.domain}
-    _write_text(path, header, ("\n".join(body_lines) + "\n",))
+    _write_text(path, _header(args), ("\n".join(body_lines) + "\n",))
     print(f"recommended order: {order}")
     print(path)
     return EXIT_OK
 
 
-def _fit_mar(train: IrradianceSeries, config: RunConfig) -> MarModel:
+def _fit_mar(train: IrradianceSeries, args: argparse.Namespace, model: str) -> MarModel:
     mar_config = MarConfig(
-        order=config.order_value(),
-        horizons=config.horizon_list(),
-        daylight=config.daylight_window(),
-        ensemble_enabled=config.model != "ar",
+        order=order_value(args.order),
+        horizons=horizon_list(args.horizons),
+        daylight=daylight_window(args.daylight),
+        ensemble_enabled=model != "ar",
     )
     return fit_all_horizons(train, mar_config)
 
@@ -276,7 +263,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fit_nn(train: IrradianceSeries, config: RunConfig, kinds: tuple[str, ...]) -> list[NeuralModel]:
+def _fit_nn(train: IrradianceSeries, args: argparse.Namespace, kinds: tuple[str, ...]) -> list[NeuralModel]:
     """Train one network per (kind, horizon) in a pool of worker
     processes; returns them in (kind, horizon) order. Each job is the
     same seeded call as in-process training, so results are identical.
@@ -285,8 +272,8 @@ def _fit_nn(train: IrradianceSeries, config: RunConfig, kinds: tuple[str, ...]) 
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    daylight = config.daylight_window()
-    jobs = [(kind, h) for kind in kinds for h in config.horizon_list()]
+    daylight = daylight_window(args.daylight)
+    jobs = [(kind, h) for kind in kinds for h in horizon_list(args.horizons)]
     # an LSTM fit costs ~15 CNN fits, so each gets its own worker and the
     # OS shares the CPUs among them; queued behind a second LSTM fit, a
     # worker would leave the other CPUs idle at the end. Each worker holds
@@ -299,7 +286,7 @@ def _fit_nn(train: IrradianceSeries, config: RunConfig, kinds: tuple[str, ...]) 
         # workers start on submit; LSTM fits take longest, so they go first
         with _one_blas_thread():
             futures = {
-                job: pool.submit(train_network, job[0], train, job[1], daylight, config.seed)
+                job: pool.submit(train_network, job[0], train, job[1], daylight, args.seed)
                 for job in sorted(jobs, key=lambda job: job[0] != "lstm")
             }
         return [futures[job].result() for job in jobs]
@@ -308,54 +295,52 @@ def _fit_nn(train: IrradianceSeries, config: RunConfig, kinds: tuple[str, ...]) 
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    series = _require_data(config)
-    train, _ = split(series, config.split)
-    out_dir = _ensure_out(config)
-    path = os.path.join(out_dir, f"{config.model}.model")
-    if config.model in ("mar", "ar"):  # the networks train in a pool of worker processes
-        save_mar_model(_fit_mar(train, config), path)
+    series = load_csv(args.data)
+    train, _ = split(series, args.split)
+    out_dir = _ensure_out(args.out)
+    path = os.path.join(out_dir, f"{args.model}.model")
+    if args.model in ("mar", "ar"):  # the networks train in a pool of worker processes
+        save_mar_model(_fit_mar(train, args, args.model), path)
     else:
-        models = _fit_nn(train, config, (config.model,))
+        models = _fit_nn(train, args, (args.model,))
         save_nn_models(models, path)
         for m in models:
-            curve_path = os.path.join(out_dir, f"{config.model}_h{m.horizon}_loss.csv")
-            _write_text(curve_path, _header_lines(config, "fit"), (loss_curve_csv(m),))
+            curve_path = os.path.join(out_dir, f"{args.model}_h{m.horizon}_loss.csv")
+            _write_text(curve_path, _header(args), (loss_curve_csv(m),))
     print(path)
     return EXIT_OK
 
 
 def _evaluate_model_file(
-    model_file: str, test: IrradianceSeries, config: RunConfig
-) -> tuple[Iterator[ForecastReport], RunConfig]:
-    """Forecast with a saved model: a generator of checked reports, one
-    horizon at a time, and the config with the settings the model file
-    fixes in place of the flags, so output headers record what ran."""
-    model = load_model(model_file, config.horizon_list(), config.recursive)
-    config = replace(config, **model.settings())
+    test: IrradianceSeries, args: argparse.Namespace
+) -> tuple[Iterator[ForecastReport], dict[str, object]]:
+    """Forecast with the saved model: a generator of checked reports, one
+    horizon at a time, and the output header, which adds the settings the
+    model file fixes to the flags, so it records what ran."""
+    horizons = horizon_list(args.horizons)
+    model = load_model(args.model_file, horizons, args.recursive)
 
     def reports() -> Iterator[ForecastReport]:
-        for h in config.horizon_list():
+        for h in horizons:
             try:
-                report = model.forecast(test, h, config.recursive)
+                report = model.forecast(test, h, args.recursive)
             except DataValidationError as exc:  # the file's values do not fit the data
-                raise DataValidationError(f"{model_file}: {exc}") from None
+                raise DataValidationError(f"{args.model_file}: {exc}") from None
             with np.errstate(over="ignore"):  # squared errors that overflow have no finite metrics
                 finite = np.isfinite(np.square(report.predicted - report.actual).sum())
             if not finite:
-                raise DataValidationError(f"{model_file}: horizon {h} forecasts overflow float64; "
+                raise DataValidationError(f"{args.model_file}: horizon {h} forecasts overflow float64; "
                                           "check its scaler, profile and weights")
             yield report
             del report  # not held while the next horizon is forecast
 
-    return reports(), config
+    return reports(), _header(args, **model.settings())
 
 
 def _write_reports(
     reports: Iterable[ForecastReport],
-    config: RunConfig,
-    command: str,
-    out_dir: str,
+    args: argparse.Namespace,
+    header: dict[str, object],
     step: int,
     prefix: str = "",
 ) -> None:
@@ -365,41 +350,37 @@ def _write_reports(
 
     def rows() -> Iterator[str]:
         for report in reports:
-            cells.extend(summarize([report], min_actual=config.mape_threshold))
+            cells.extend(summarize([report], min_actual=args.mape_threshold))
             # each report's header-then-rows text, the header only once
             yield from islice(report_rows_csv([report]), len(cells) > 1, None)
             del report  # not held while the next report is made
 
-    header = _header_lines(config, command)
-    _write_text(os.path.join(out_dir, f"{prefix}forecasts.csv"), header, rows())
+    _write_text(os.path.join(args.out, f"{prefix}forecasts.csv"), header, rows())
     cells.sort()  # comparison order
-    _write_text(os.path.join(out_dir, f"{prefix}summary.csv"), header, (summary_csv(cells),))
+    _write_text(os.path.join(args.out, f"{prefix}summary.csv"), header, (summary_csv(cells),))
     print(summary_table(cells, step=step), end="")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    series = _require_data(config)
-    _, test = split(series, config.split)
-    out_dir = _ensure_out(config)
-    reports, used = _evaluate_model_file(args.model_file, test, config)
-    _write_reports(reports, used, "evaluate", out_dir, step=test.step)
+    series = load_csv(args.data)
+    _, test = split(series, args.split)
+    _ensure_out(args.out)
+    reports, header = _evaluate_model_file(test, args)
+    _write_reports(reports, args, header, step=test.step)
     return EXIT_OK
 
 
 def _overlay_charts(
     reports: list[ForecastReport],
     test: IrradianceSeries,
-    config: RunConfig,
-    out_dir: str,
+    args: argparse.Namespace,
 ) -> None:
     """One SVG per horizon: the first test day's observed curve with
     every model's predictions overlaid."""
     by_horizon: dict[int, list[ForecastReport]] = {}
     for report in reports:
         by_horizon.setdefault(report.horizon, []).append(report)
-    header = _header_lines(config, "compare")
-    comment = " ".join(f"{k}={v}" for k, v in header.items())
+    comment = " ".join(f"{k}={v}" for k, v in _header(args).items())
     for horizon, horizon_reports in sorted(by_horizon.items()):
         first = horizon_reports[0]
         # the first test day's slots are the indices below one day
@@ -416,24 +397,23 @@ def _overlay_charts(
         svg = render_line_chart(
             curves, title=title, x_label="hour of day", y_label="irradiance W/m2", comment=comment
         )
-        write_text(os.path.join(out_dir, f"overlay_h{horizon}.svg"), (svg,))
+        write_text(os.path.join(args.out, f"overlay_h{horizon}.svg"), (svg,))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = resolve_config(args)
-    series = _require_data(config)
-    train, test = split(series, config.split)
-    out_dir = _ensure_out(config)
+    series = load_csv(args.data)
+    train, test = split(series, args.split)
+    _ensure_out(args.out)
 
-    models = [_fit_mar(train, replace(config, model=name)) for name in ("mar", "ar")]
-    reports = [model.forecast(test, h) for h in config.horizon_list() for model in models]
+    models = [_fit_mar(train, args, name) for name in ("mar", "ar")]
+    reports = [model.forecast(test, h) for h in horizon_list(args.horizons) for model in models]
     # the networks forecast the same target slots, so a MAPE threshold
     # that no actual reaches fails here, before any training
-    summarize(reports, min_actual=config.mape_threshold)
-    reports.extend(nn_forecast(model, test) for model in _fit_nn(train, config, ("cnn", "lstm")))
+    summarize(reports, min_actual=args.mape_threshold)
+    reports.extend(nn_forecast(model, test) for model in _fit_nn(train, args, ("cnn", "lstm")))
 
-    _write_reports(reports, config, "compare", out_dir, step=test.step, prefix="compare_")
-    _overlay_charts(reports, test, config, out_dir)
+    _write_reports(reports, args, _header(args), step=test.step, prefix="compare_")
+    _overlay_charts(reports, test, args)
     return EXIT_OK
 
 
@@ -450,7 +430,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.cmd](args)
+        for name, (_, check) in SETTINGS.items():
+            if check and name in COMMAND_SETTINGS[args.command]:
+                check(getattr(args, name))
+        return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -139,7 +139,7 @@ class MarModel:
         return "mar" if self.ensemble_enabled else "ar"
 
     def settings(self) -> dict[str, str]:
-        """The run settings the model fixes, as ``RunConfig`` fields."""
+        """The run settings the model fixes, as output header keys."""
         return {"model": self.name, "order": str(self.order), "daylight": str(self.daylight)}
 
     def check(self, horizons: tuple[int, ...], recursive: bool = False) -> MarModel:

@@ -205,7 +205,7 @@ class NetworkSet(dict):
     """The ``{horizon: NeuralModel}`` networks of one ``nn-model`` file."""
 
     def settings(self) -> dict[str, str]:
-        """The ``RunConfig`` fields the file fixes."""
+        """The run settings the file fixes, as output header keys."""
         first = next(iter(self.values()))
         return {"model": first.kind, "daylight": str(first.daylight)}
 

@@ -29,7 +29,7 @@ from solarcast import cli, mar
 from solarcast import io as solarcast_io
 from solarcast.cli import main
 from solarcast.io import READ_CHUNK_BYTES
-from solarcast.nn import CnnNetwork, ConvSpec, LstmNetwork, LstmSpec, NeuralModel, train_lstm
+from solarcast.nn import CnnNetwork, ConvSpec, LstmNetwork, LstmSpec, NeuralModel, train_cnn, train_lstm
 from solarcast.series import IrradianceSeries
 
 from conftest import (
@@ -94,6 +94,19 @@ class TestSynth:
         text = (tmp_path / "synthetic_clear_3d.csv").read_text()
         assert "# command=synth" in text
         assert "# seed=9" in text
+
+    def test_data_path_makes_no_out_directory(self, tmp_path, monkeypatch, capsys):
+        """--out is made only when the series is written into it."""
+        monkeypatch.chdir(tmp_path)
+        assert run("synth", "--days", "1", "--data", "one.csv", "--out", "nodir") == 0
+        assert capsys.readouterr().out == "one.csv\n"
+        assert os.listdir(tmp_path) == ["one.csv"]
+        assert load_csv(tmp_path / "one.csv").n_days == 1
+
+    def test_help_names_data_the_output_path(self, capsys):
+        with pytest.raises(SystemExit):
+            run("synth", "--help")
+        assert "--data DATA output CSV path" in " ".join(capsys.readouterr().out.split())
 
     def test_daylight_bounds_the_bell(self, tmp_path):
         """The window the header records is the one the bell spans: every
@@ -535,10 +548,79 @@ class TestCompare:
             ET.parse(path)
 
 
+def header_keys(path) -> set[str]:
+    return {line[2:].split("=", 1)[0] for line in path.read_text().splitlines() if line.startswith("# ")}
+
+
+def help_flags(capsys, command) -> set[str]:
+    """The flags a command's --help lists."""
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--help")
+    assert exc.value.code == 0
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+
+
+def help_dests(capsys, command) -> set[str]:
+    return {flag[2:].replace("-", "_") for flag in help_flags(capsys, command) - {"--help"}}
+
+
+class TestHeadersRecordWhatRan:
+    """Each output's header names the command, each flag it takes, and
+    for evaluate the settings its model file fixes; no setting the
+    command does not take is echoed at a default."""
+
+    def test_synth(self, tmp_path, capsys):
+        assert run("synth", "--days", "1", "--out", str(tmp_path)) == 0
+        expected = {"command", *help_dests(capsys, "synth")}
+        assert header_keys(tmp_path / "synthetic_mixed_1d.csv") == expected
+
+    def test_diagnose(self, mixed_csv, tmp_path, capsys):
+        assert run("diagnose", "--data", str(mixed_csv), "--out", str(tmp_path)) == 0
+        expected = {"command", *help_dests(capsys, "diagnose")}
+        assert header_keys(tmp_path / "diagnostics.csv") == expected
+
+    def test_fit(self, mixed_csv, tmp_path, capsys, monkeypatch):
+        def one_epoch(train, args, kinds):  # in process, so the test trains for one epoch
+            return [train_cnn(train, spec=ConvSpec(epochs=1), horizon=1, seed=args.seed)]
+
+        monkeypatch.setattr(cli, "_fit_nn", one_epoch)
+        assert run("fit", "--data", str(mixed_csv), "--model", "cnn", "--horizons", "1",
+                   "--out", str(tmp_path)) == 0
+        expected = {"command", *help_dests(capsys, "fit"), "ensemble"}
+        assert header_keys(tmp_path / "cnn_h1_loss.csv") == expected
+
+    @pytest.mark.parametrize("kind", ["mar", "ar", "cnn"])
+    def test_evaluate(self, mixed_csv, tmp_path, capsys, cnn_file_lines, kind):
+        model_file = tmp_path / f"{kind}.model"
+        if kind == "cnn":
+            model_file.write_text("\n".join(cnn_file_lines) + "\n")
+        else:
+            assert run("fit", "--data", str(mixed_csv), "--model", kind, "--horizons", "1",
+                       "--out", str(tmp_path)) == 0
+        assert run("evaluate", "--data", str(mixed_csv), "--model-file", str(model_file),
+                   "--horizons", "1", "--out", str(tmp_path)) == 0
+        fixed = {"model", "daylight", "ensemble"} | ({"order"} if kind != "cnn" else set())
+        expected = {"command", *help_dests(capsys, "evaluate"), *fixed}
+        for name in ("forecasts.csv", "summary.csv"):
+            assert header_keys(tmp_path / name) == expected
+
+    def test_compare(self, compare_out, capsys):
+        expected = {"command", *help_dests(capsys, "compare")}
+        for name in ("compare_forecasts.csv", "compare_summary.csv"):
+            assert header_keys(compare_out / name) == expected
+        for h in (1, 3, 6):
+            comment = (compare_out / f"overlay_h{h}.svg").read_text().split("<!--", 1)[1].split("-->")[0]
+            assert set(re.findall(r"(?<!\S)(\w+)=", comment)) == expected
+
+
 class TestExitCodes:
-    def test_usage_error_unknown_model(self, mixed_csv, tmp_path):
-        assert run("fit", "--data", str(mixed_csv), "--model", "prophet",
-                   "--out", str(tmp_path)) == 1
+    def test_usage_error_unknown_model(self, mixed_csv, tmp_path, capfd):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--data", str(mixed_csv), "--model", "prophet", "--out", str(out))
+        assert exc.value.code == 1
+        assert "solarcast fit: error: argument --model: invalid choice: 'prophet'" in capfd.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_from_argparse(self):
         with pytest.raises(SystemExit) as exc:
@@ -547,9 +629,14 @@ class TestExitCodes:
 
     def test_usage_error_no_data_flag(self, tmp_path, capfd):
         out = tmp_path / "out"
-        assert run("fit", "--model", "mar", "--out", str(out)) == 1
-        assert capfd.readouterr().err == "error: --data is required for this command\n"
-        assert not out.exists()
+        for command in ("diagnose", "fit", "evaluate", "compare"):
+            extra = ("--model-file", str(tmp_path / "missing.model")) if command == "evaluate" else ()
+            with pytest.raises(SystemExit) as exc:
+                run(command, *extra, "--out", str(out))
+            assert exc.value.code == 1
+            assert capfd.readouterr().err.endswith(
+                f"solarcast {command}: error: the following arguments are required: --data\n")
+            assert not out.exists()
 
     def test_data_error_missing_file(self, tmp_path):
         assert run("fit", "--data", str(tmp_path / "absent.csv"), "--model", "mar",
@@ -827,11 +914,7 @@ class TestCommandFlags:
 
     @pytest.mark.parametrize("command", list(COMMAND_FLAGS))
     def test_help_lists_exactly_its_flags(self, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            run(command, "--help")
-        assert exc.value.code == 0
-        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
-        assert listed == {"--help", *COMMAND_FLAGS[command]}
+        assert help_flags(capsys, command) == {"--help", *COMMAND_FLAGS[command]}
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command, taken in COMMAND_FLAGS.items()
@@ -907,7 +990,9 @@ class TestPoolSize:
             "fit-lstm-64-horizons-2-cpus"])
     def test_workers(self, pools, monkeypatch, cpus, kinds, workers, horizons):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        models = cli._fit_nn(None, cli.RunConfig(horizons=",".join(map(str, horizons))), kinds)
+        args = cli.build_parser().parse_args(
+            ["compare", "--data", "unread.csv", "--horizons", ",".join(map(str, horizons))])
+        models = cli._fit_nn(None, args, kinds)
         assert [pool.max_workers for pool in pools] == [workers]
         assert models == [(kind, h) for kind in kinds for h in horizons]
         # LSTM fits go first, and every worker starts with BLAS pinned

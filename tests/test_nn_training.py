@@ -254,7 +254,8 @@ class TestNnForecast:
         path = tmp_path / "cnn.model"
         save_nn_models([model], path)
         with pytest.raises(UsageError, match="no network for horizon 1"):
-            cli._evaluate_model_file(str(path), test, cli.RunConfig(horizons="1"))
+            cli._evaluate_model_file(test, cli.build_parser().parse_args(
+                ["evaluate", "--model-file", str(path), "--data", "unread.csv", "--horizons", "1"]))
 
 
 def untrained_model(kind: str, train: IrradianceSeries) -> NeuralModel:

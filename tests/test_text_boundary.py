@@ -131,10 +131,9 @@ def test_overlay_charts_match_timestamp_masks(tmp_path, start):
     from a first-day mask and hours computed on datetimes."""
     test = series_at(start, 10, 3)
     reports = reports_for(test)
-    config = cli.RunConfig()
-    cli._overlay_charts(reports, test, config, str(tmp_path))
-    header = cli._header_lines(config, "compare")
-    comment = " ".join(f"{k}={v}" for k, v in header.items())
+    args = cli.build_parser().parse_args(["compare", "--data", "unread.csv", "--out", str(tmp_path)])
+    cli._overlay_charts(reports, test, args)
+    comment = " ".join(f"{k}={v}" for k, v in cli._header(args).items())
     day_end = start.replace(hour=23, minute=59)
     for h in (1, 3):
         horizon_reports = [r for r in reports if r.horizon == h]
