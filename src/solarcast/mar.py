@@ -20,23 +20,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataValidationError, NumericalError, UsageError
-from .metrics import ForecastReport, check_step
+from .metrics import ForecastReport
 from .series import (
     PREDICT_BLOCK_ROWS,
     DaylightWindow,
     IrradianceSeries,
     Scaler,
     fit_scaler,
-    forecast_blocks,
     row_blocks,
-    row_index,
     row_spans,
-    slot_extremes,
     standardize,
 )
 from .stats import (
     EnsembleProfile,
-    ensemble_deduct,
     ensemble_profile,
     partial_autocorrelation,
     select_order,
@@ -272,27 +268,15 @@ def forecast(
     recursive: bool = False,
 ) -> ForecastReport:
     """Forecast every in-window slot of the test series with full lag
-    support. Pure function of (model, test).
+    support, one ``ForecastReport.forecast`` block at a time, deducting the
+    profile from each block's lags in place. Pure function of (model, test).
 
     ``recursive`` iterates the 1-step weights instead of using the
-    horizon's own direct weights; the emitted row set is identical.
-
-    Rows go ``PREDICT_BLOCK_ROWS`` at a time from the raw series: a
-    block holds its rows' lags, standardized and less the profile, so no
-    standardized, deducted or lag-matrix copy of the split exists.
-    Blocks start at the first row, so a row's bits do not change with
-    the rows after it.
-    """
-    check_step(test, model.step)
+    horizon's own direct weights; the emitted row set is identical."""
     model.check((horizon,), recursive)
 
-    extremes = standardize(slot_extremes(test), model.scaler)  # fails where every value would
-    if model.ensemble_enabled:
-        ensemble_deduct(extremes, model.profile)  # as does deducting the profile
-    targets, windows = row_index(test, model.daylight, model.order, horizon)
-
-    def predict(rows: np.ndarray, lags: np.ndarray) -> np.ndarray:
-        slots = targets[rows] % test.samples_per_day
+    def predict(targets: np.ndarray, at: tuple, lags: np.ndarray) -> np.ndarray:
+        slots = targets % test.samples_per_day
         if model.ensemble_enabled:  # each lag less its own slot's profile value
             lags -= model.profile.means[slots[:, None] - horizon - np.arange(model.order)]
         if recursive:
@@ -302,9 +286,8 @@ def forecast(
                 lags = np.column_stack([pred_domain, lags[:, :-1]])
         else:
             pred_domain = lags @ model.weights[horizon]
-        if model.ensemble_enabled:
-            pred_domain = model.profile.add(pred_domain, slots)
-        return np.maximum(model.scaler.inverse(pred_domain), 0.0)
+        return model.profile.add(pred_domain, slots) if model.ensemble_enabled else pred_domain
 
-    predicted = forecast_blocks(windows, model.scaler, PREDICT_BLOCK_ROWS, predict)
-    return ForecastReport.over(test, model.name, horizon, targets, predicted)
+    return ForecastReport.forecast(
+        model, model.name, test, model.order, horizon, PREDICT_BLOCK_ROWS, predict
+    )

@@ -1,15 +1,24 @@
-"""Forecast error metrics and the model x horizon comparison table."""
+"""The forecast driver every model shares, forecast error metrics and
+the model x horizon comparison table."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, time
 
 import numpy as np
 
 from .errors import DataValidationError
-from .series import MINUTES_PER_DAY, IrradianceSeries, grid_rows
+from .series import (
+    MINUTES_PER_DAY,
+    IrradianceSeries,
+    grid_rows,
+    row_blocks,
+    row_index,
+    slot_extremes,
+    standardize,
+)
 
 DEFAULT_MAPE_THRESHOLD = 20.0
 
@@ -83,12 +92,42 @@ class ForecastReport:
             )
 
     @classmethod
-    def over(
-        cls, test: IrradianceSeries, model: str, horizon: int, sample_index, predicted
-    ) -> "ForecastReport":
-        """The report of ``predicted`` at the test series' slots ``sample_index``."""
-        actual = test.values[sample_index]
-        return cls(model, horizon, test.start, test.step, sample_index, actual, predicted)
+    def forecast(cls, model, name: str, test: IrradianceSeries, lags: int, horizon: int,
+                 size: int, predict: Callable) -> "ForecastReport":
+        """The report ``name`` of every ``row_index`` row of the test series,
+        ``horizon`` steps past its ``lags`` lags, from ``model``'s ``step``,
+        ``scaler`` and ``daylight``: the forecast path of every model.
+
+        ``predict(targets, at, lags)`` gets a ``row_blocks`` block of ``size`` rows,
+        from the first: their target indices, (day, row of day) and lags, in a fresh
+        array, standardized bit for bit as in a standardized copy of the series. Its
+        forecasts are destandardized, refused if their squares have no finite sum
+        (a model file's values may overflow either way) and clipped at zero."""
+        if test.step != model.step:
+            raise DataValidationError(
+                f"test series step {test.step} does not match model step {model.step}"
+            )
+        standardize(slot_extremes(test), model.scaler)  # fails where every value would
+        targets, windows = row_index(test, model.daylight, lags, horizon)
+        if targets.size == 0:
+            raise DataValidationError(f"horizon {horizon}: no row to forecast; daylight window "
+                                      f"{model.daylight} is too narrow for {lags} lags and this horizon")
+        predicted = np.empty(targets.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows, at in row_blocks(windows, size):
+                block = windows[at]
+                block -= model.scaler.mu
+                block /= model.scaler.sigma
+                predicted[rows] = model.scaler.inverse(predict(targets[rows], at, block))
+            # actuals are irradiance, so the squared errors have a finite sum when
+            # the forecasts' squares do; the dot product and the clip copy nothing
+            finite = np.isfinite(predicted @ predicted)
+        if not finite:
+            raise DataValidationError(f"horizon {horizon} forecasts overflow float64; "
+                                      "check its scaler, profile and weights")
+        np.maximum(predicted, 0.0, out=predicted)
+        actual = test.values[targets]  # after the blocks, so not held beside their work
+        return cls(name, horizon, test.start, test.step, targets, actual, predicted)
 
     def __len__(self) -> int:
         return self.actual.size
@@ -100,14 +139,6 @@ class ForecastReport:
             rmse=rmse(self.actual, self.predicted),
             mae=mae(self.actual, self.predicted),
             mape=mape(self.actual, self.predicted, min_actual=min_actual),
-        )
-
-
-def check_step(test: IrradianceSeries, model_step: int) -> None:
-    """Refuse a test series sampled at another step than the model's."""
-    if test.step != model_step:
-        raise DataValidationError(
-            f"test series step {test.step} does not match model step {model_step}"
         )
 
 

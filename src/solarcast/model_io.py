@@ -18,7 +18,7 @@ from .errors import DataValidationError, UsageError
 from .io import read_chunks, read_text, write_text
 from .mar import MarModel
 from .metrics import ForecastReport
-from .series import DaylightWindow, IrradianceSeries, Scaler
+from .series import MINUTES_PER_DAY, DaylightWindow, IrradianceSeries, Scaler
 from .stats import EnsembleProfile
 
 MAR_MAGIC = "mar-model v1"
@@ -134,6 +134,9 @@ def load_mar_model(path: str | os.PathLike) -> MarModel:
         means = reader.take_values("profile_means", float)
         support = reader.take_values("profile_support", np.int64)
         profile = _built("profile records", EnsembleProfile, means, support)
+        if step > 0 and len(profile) != MINUTES_PER_DAY // step:  # else the forecast refuses the step
+            raise DataValidationError(f"profile has {len(profile)} slots but the series has "
+                                      f"{MINUTES_PER_DAY // step} samples per day")
         weights: dict[int, np.ndarray] = {}
         while not reader.done():
             h_text, _, vec_text = reader.take("weights").partition(" ")

@@ -22,17 +22,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DataValidationError, NumericalError
-from ..metrics import ForecastReport, check_step
+from ..metrics import ForecastReport
 from ..series import (
     PREDICT_BLOCK_ROWS,
     DaylightWindow,
     IrradianceSeries,
     Scaler,
     fit_scaler,
-    forecast_blocks,
     inverse_difference,
     row_index,
-    slot_extremes,
     standardize,
 )
 from .adam import Adam
@@ -64,15 +62,6 @@ class WindowSet:
         return self.lags[np.divmod(rows, self.lags.shape[1])].reshape(len(rows), -1, 1)
 
 
-def _window_rows(series: IrradianceSeries, window: int, horizon: int, daylight: DaylightWindow):
-    """``row_index`` for a network's windows, which must not be empty."""
-    targets, lags = row_index(series, daylight, window, horizon)
-    if targets.size == 0:
-        raise DataValidationError(f"no usable windows: daylight window too narrow for window "
-                                  f"{window} and horizon {horizon}")
-    return targets, lags
-
-
 def build_windows(
     z: IrradianceSeries,
     window: int,
@@ -89,7 +78,10 @@ def build_windows(
     the window's first slot, which has no slot before it there, keeps
     its standardized level undifferenced.
     """
-    targets, lags = _window_rows(z, window, horizon, daylight)
+    targets, lags = row_index(z, daylight, window, horizon)
+    if targets.size == 0:
+        raise DataValidationError(f"no usable windows: daylight window too narrow for window "
+                                  f"{window} and horizon {horizon}")
     anchors = lags[:, :, 0].reshape(-1)
     lags = lags[:, :, ::-1]
     if differenced:
@@ -239,41 +231,30 @@ def train_network(
 
 
 def nn_forecast(model: NeuralModel, test: IrradianceSeries) -> ForecastReport:
-    """Forecast the test series: apply the model's own pre-processing,
-    predict, invert the post-processing, clip at zero.
-
-    The inputs are built ``PREDICT_BLOCK_ROWS`` rows at a time from the
-    raw series: a block holds its rows' standardized (CNN: differenced)
-    lags in one reused buffer, so no standardized copy, window set or
-    LSTM step state exists for more than one block. Blocks start at the
-    first row and the last is padded to the same size, so every call
-    runs the same BLAS kernels and a row's bits change neither with the
-    BLAS thread count nor with the rows after it."""
-    check_step(test, model.step)
-    standardize(slot_extremes(test), model.scaler)  # fails where every value would
+    """Forecast the test series through ``ForecastReport.forecast``. Each
+    block's lags (CNN: differenced) go into one reused buffer, so no window
+    set or LSTM step state exists for more than one block; the last block
+    is padded to the same size, so every call runs the same BLAS kernels
+    and a row's bits do not change with the BLAS thread count."""
     window, horizon = model.spec.window, model.horizon
-    targets, windows = _window_rows(test, window, horizon, model.daylight)
     network = model.network()
     block = np.zeros((PREDICT_BLOCK_ROWS, window, 1))
 
-    def predict(rows: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    def predict(targets: np.ndarray, at: tuple, lags: np.ndarray) -> np.ndarray:
         inputs = lags[:, ::-1]  # chronological
         if model.kind == "cnn":
             # lag-1 differences from the slot before each window; a day's
             # first window starts at its first daylight slot, which keeps its level
-            before = test.values[targets[rows] - horizon - window] - model.scaler.mu
+            before = test.values[targets - horizon - window] - model.scaler.mu
             before /= model.scaler.sigma
-            before[rows % windows.shape[1] == 0] = 0.0
+            before[at[1] == 0] = 0.0
             inputs = np.diff(inputs, axis=1, prepend=before[:, None])
-        block[: rows.size, :, 0] = inputs
-        block[rows.size :] = 0.0
-        pred = network.predict(block)[: rows.size]
-        if model.kind == "cnn":
-            pred = inverse_difference(pred, lags[:, 0])
-        return np.clip(model.scaler.inverse(pred), 0.0, None)
+        block[: len(lags), :, 0] = inputs
+        block[len(lags) :] = 0.0
+        pred = network.predict(block)[: len(lags)]
+        return inverse_difference(pred, lags[:, 0]) if model.kind == "cnn" else pred
 
-    predicted = forecast_blocks(windows, model.scaler, PREDICT_BLOCK_ROWS, predict)
-    return ForecastReport.over(test, model.kind, horizon, targets, predicted)
+    return ForecastReport.forecast(model, model.kind, test, window, horizon, PREDICT_BLOCK_ROWS, predict)
 
 
 def loss_curve_csv(model: NeuralModel) -> str:

@@ -145,11 +145,12 @@ class DaylightWindow:
 
     @classmethod
     def parse(cls, text: str) -> "DaylightWindow":
-        """Parse 'HH:MM-HH:MM'."""
+        """Parse 'HH:MM-HH:MM', each minute part 0-59 (an hour past 23
+        leaves the day, which the window itself refuses)."""
         try:
-            lo, hi = text.split("-")
-            h0, m0 = (int(p) for p in lo.strip().split(":"))
-            h1, m1 = (int(p) for p in hi.strip().split(":"))
+            (h0, m0), (h1, m1) = ([int(p) for p in part.split(":")] for part in text.split("-"))
+            if not (0 <= m0 < 60 and 0 <= m1 < 60):
+                raise ValueError("minute out of range")
         except ValueError as exc:
             raise DataValidationError(f"cannot parse daylight window {text!r}") from exc
         return cls(start_minute=h0 * 60 + m0, end_minute=h1 * 60 + m1)
@@ -276,27 +277,10 @@ def row_blocks(windows: np.ndarray, size: int) -> Iterator[tuple[np.ndarray, tup
         yield rows, np.divmod(rows, per_day)
 
 
-def forecast_blocks(windows: np.ndarray, scaler: Scaler, size: int, predict: Callable) -> np.ndarray:
-    """Every row's forecast for a ``row_index`` view, one ``row_blocks``
-    block of ``size`` rows at a time: ``predict(rows, lags)`` gets the
-    block's row numbers and their lags, standardized in a fresh array
-    bit for bit as in a standardized copy of the series."""
-    predicted = np.empty(windows.shape[0] * windows.shape[1])
-    # a model file's values may overflow here; the caller that knows the
-    # file checks the result, so no RuntimeWarning goes to stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows, at in row_blocks(windows, size):
-            lags = windows[at]
-            lags -= scaler.mu
-            lags /= scaler.sigma
-            predicted[rows] = predict(rows, lags)
-    return predicted
-
-
 def slot_extremes(series: IrradianceSeries) -> IrradianceSeries:
     """Each slot's least, then greatest, value as a two-day series.
-    Standardizing and deducting a profile round monotonically, so they
-    overflow on ``series`` exactly when they overflow on this."""
+    Standardizing rounds monotonically, so it overflows on ``series``
+    exactly when it overflows on this."""
     days = series.day_matrix()
     extremes = np.concatenate([days.min(axis=0), days.max(axis=0)])
     return IrradianceSeries(series.start, extremes, series.step)

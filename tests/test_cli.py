@@ -448,6 +448,18 @@ class TestEvaluateRefusals:
         assert (result, capfd.readouterr(), calls) == (1, ("", message + "\n"), [])
         assert os.listdir(out) == []
 
+    def test_horizon_with_no_row_exits_2(self, mixed_csv, mar_file, tmp_path, capfd):
+        """A recursive horizon too long for any row of the daylight window is
+        refused, naming the file, the horizon and the window, and no file is
+        written."""
+        out = tmp_path / "out"
+        code = run("evaluate", "--data", str(mixed_csv), "--model-file", str(mar_file),
+                   "--recursive", "--horizons", "80", "--out", str(out))
+        assert (code, capfd.readouterr()) == (2, ("", (
+            f"data error: {mar_file}: horizon 80: no row to forecast; daylight window "
+            "06:00-18:30 is too narrow for 4 lags and this horizon\n")))
+        assert os.listdir(out) == []
+
 
 class TestModelFileReads:
     def test_evaluate_decodes_the_model_file_once(self, mixed_csv, tmp_path, lstm_file_lines,
@@ -794,7 +806,11 @@ class TestOverflowingModelFile:
         ("mar_file", "scaler", lambda fields: ["0", "1e308"]),
         ("mar_file", "weights", lambda fields: [fields[0], "1e308", *fields[2:]]),
         ("cnn_file_lines", "param", lambda fields: [*fields[:2], "1e308", *fields[3:]]),
-    ], ids=["mar-scaler", "mar-weight", "cnn-param"])
+        # deducting this profile from the lags does not overflow; the forecasts do
+        ("mar_file", "profile_means", lambda fields: ["-1.7e308"] * len(fields)),
+        # the forecasts overflow toward -inf, which a clip at zero would hide
+        ("mar_file", "profile_means", lambda fields: ["1.7e308"] * len(fields)),
+    ], ids=["mar-scaler", "mar-weight", "cnn-param", "mar-profile", "mar-profile-up"])
     def test_exits_2(self, request, mixed_csv, tmp_path, lines, record, edit):
         lines = request.getfixturevalue(lines)
         if not isinstance(lines, list):
@@ -815,6 +831,29 @@ class TestOverflowingModelFile:
         assert result.returncode == 2
         assert result.stderr == f"data error: {path}: horizon 1 forecasts overflow float64; " \
                                 "check its scaler, profile and weights\n"
+
+    @pytest.mark.parametrize("edit", [
+        lambda fields: fields[:-1],
+        lambda fields: fields + fields,
+    ], ids=["one-slot-short", "doubled"])
+    def test_misaligned_profile_exits_2(self, mixed_csv, mar_file, tmp_path, edit):
+        """A profile with another slot count than the model's step gives a day
+        is refused naming the file, and no traceback is printed."""
+        lines = []
+        for line in mar_file.read_text().splitlines():
+            key, _, rest = line.partition(" ")
+            lines.append(" ".join([key, *edit(rest.split())]) if key.startswith("profile_") else line)
+        path = tmp_path / "edited.model"
+        path.write_text("\n".join(lines) + "\n")
+        slots = len(lines[[ln.split()[0] for ln in lines].index("profile_means")].split()) - 1
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "solarcast", "evaluate",
+             "--data", str(mixed_csv), "--model-file", str(path), "--horizons", "1",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert (result.returncode, result.stderr) == (2, f"data error: {path}: profile has {slots} "
+                                                         "slots but the series has 144 samples per day\n")
 
     def test_late_horizon_leaves_no_output(self, mixed_csv, mar_file, tmp_path, capfd):
         """Horizons 1 and 3 forecast and stream their rows before horizon 6
@@ -1064,6 +1103,9 @@ class TestFlagValueExitCodes:
         ("--daylight", "25:00-26:00",
          "daylight window 1500..1560 is not a valid intra-day interval"),
         ("--daylight", "dawn-dusk", "cannot parse daylight window 'dawn-dusk'"),
+        # a minute past 59 would carry into the hour: 06:60 read as 07:00
+        ("--daylight", "06:60-18:00", "cannot parse daylight window '06:60-18:00'"),
+        ("--daylight", "00:400-18:00", "cannot parse daylight window '00:400-18:00'"),
         ("--max-lag", "0", "--max-lag must be >= 1, got 0"),
     ])
     def test_exits_1(self, mixed_csv, tmp_path, capfd, flag, value, message):
@@ -1076,7 +1118,9 @@ class TestFlagValueExitCodes:
         (("fit", "--model", "mar", "--order", "0"), "order must be >= 1, got 0"),
         (("fit", "--model", "mar", "--order", "x"), "order must be an integer or 'auto', got 'x'"),
         (("synth", "--days", "1", "--daylight", "dawn-dusk"), "cannot parse daylight window 'dawn-dusk'"),
-    ], ids=["horizons-0", "horizons-repeat", "order-0", "order-x", "synth-daylight"])
+        (("fit", "--model", "mar", "--daylight", "06:60-18:00"),
+         "cannot parse daylight window '06:60-18:00'"),
+    ], ids=["horizons-0", "horizons-repeat", "order-0", "order-x", "synth-daylight", "daylight-minute"])
     def test_refused_before_the_data_is_read(self, tmp_path, capfd, argv, message):
         """A missing data file is not reached: the flag is refused first,
         and nothing is written. ``synth`` writes its series to ``--data``."""

@@ -285,6 +285,27 @@ def glorot_oracle(spec: ConvSpec | LstmSpec, seed: int) -> FlatParams:
     return params
 
 
+class TestForecastRefusals:
+    """MAR and the networks forecast through one driver, so they refuse a
+    test series alike."""
+
+    @pytest.mark.parametrize("horizon, step, message", [
+        (80, 10, "horizon 80: no row to forecast; daylight window 06:00-18:30 is too narrow "
+                 "for 4 lags and this horizon"),
+        (1, 20, "test series step 20 does not match model step 10"),
+    ], ids=["no-row", "step"])
+    def test_mar_and_networks_alike(self, mixed_40d_split, horizon, step, message):
+        train, test = mixed_40d_split
+        test = IrradianceSeries(test.start, test.values[:: step // test.step], step)
+        mar = fit_all_horizons(train)
+        network = replace(untrained_model("cnn", train), horizon=horizon)
+        for call in (lambda: forecast(mar, test, horizon, recursive=True),
+                     lambda: nn_forecast(network, test)):
+            with pytest.raises(DataValidationError) as refusal:
+                call()
+            assert str(refusal.value) == message
+
+
 class TestBlockwiseForecast:
     @pytest.mark.parametrize("kind", ["cnn", "lstm"])
     def test_blocks_match_one_batch(self, mixed_40d_split, monkeypatch, kind):

@@ -350,8 +350,10 @@ class TestDaylightWindow:
             DaylightWindow(365, 1110).slot_bounds(10)
 
     def test_bad_parse(self):
-        with pytest.raises(DataValidationError):
-            DaylightWindow.parse("6am to 7pm")
+        # a minute past 59 would carry into the hour: 06:60 read as 07:00
+        for text in ("6am to 7pm", "06:60-18:00", "00:400-18:00", "06:00-18:75"):
+            with pytest.raises(DataValidationError, match="cannot parse daylight window"):
+                DaylightWindow.parse(text)
 
     def test_inverted_interval(self):
         with pytest.raises(DataValidationError):
