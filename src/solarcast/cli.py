@@ -33,6 +33,7 @@ from .metrics import (
     summary_table,
 )
 from .model_io import load_model, save_mar_model, save_nn_models
+from .nn.networks import SPECS
 from .nn.training import NeuralModel, loss_curve_csv, nn_forecast, train_network
 from .series import DEFAULT_SPLIT, DaylightWindow, IrradianceSeries, fit_scaler, split, standardize
 from .stats import autocorrelation, ensemble_profile, pacf_from_autocorrelation, select_order, training_residual
@@ -44,7 +45,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-MODELS = ("mar", "ar", "cnn", "lstm")
+MODELS = ("mar", "ar", *SPECS)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -127,10 +128,10 @@ COMMAND_SETTINGS = {
 def _header(args: argparse.Namespace, **fixed: str) -> dict[str, object]:
     """An output's header comments: the command and its flags, then the
     settings a model file fixes; whether the ensemble step ran where the
-    model is known."""
+    model is known: for MAR only, not AR or a network."""
     header = {**vars(args), **fixed}
     if "model" in header:
-        header["ensemble"] = header["model"] != "ar"
+        header["ensemble"] = header["model"] == "mar"
     return header
 
 
@@ -286,7 +287,7 @@ def _fit_nn(train: IrradianceSeries, args: argparse.Namespace, kinds: tuple[str,
         # workers start on submit; LSTM fits take longest, so they go first
         with _one_blas_thread():
             futures = {
-                job: pool.submit(train_network, job[0], train, job[1], daylight, args.seed)
+                job: pool.submit(train_network, SPECS[job[0]](), train, job[1], daylight, args.seed)
                 for job in sorted(jobs, key=lambda job: job[0] != "lstm")
             }
         return [futures[job].result() for job in jobs]
@@ -309,27 +310,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
             _write_text(curve_path, _header(args), (loss_curve_csv(m),))
     print(path)
     return EXIT_OK
-
-
-def _evaluate_model_file(
-    test: IrradianceSeries, args: argparse.Namespace
-) -> tuple[Iterator[ForecastReport], dict[str, object]]:
-    """Forecast with the saved model: a generator of reports, one horizon
-    at a time, and the output header, which adds the settings the
-    model file fixes to the flags, so it records what ran."""
-    horizons = horizon_list(args.horizons)
-    model = load_model(args.model_file, horizons, args.recursive)
-
-    def reports() -> Iterator[ForecastReport]:
-        for h in horizons:
-            try:
-                report = model.forecast(test, h, args.recursive)
-            except DataValidationError as exc:  # the file's values do not fit the data
-                raise DataValidationError(f"{args.model_file}: {exc}") from None
-            yield report
-            del report  # not held while the next horizon is forecast
-
-    return reports(), _header(args, **model.settings())
 
 
 def _write_reports(
@@ -360,8 +340,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     series = load_csv(args.data)
     _, test = split(series, args.split)
     _ensure_out(args.out)
-    reports, header = _evaluate_model_file(test, args)
-    _write_reports(reports, args, header, step=test.step)
+    horizons = horizon_list(args.horizons)
+    model = load_model(args.model_file, horizons, args.recursive)
+
+    def reports() -> Iterator[ForecastReport]:  # forecast with the saved model, one horizon at a time
+        for h in horizons:
+            try:
+                report = model.forecast(test, h, args.recursive)
+            except DataValidationError as exc:  # the file's values do not fit the data
+                raise DataValidationError(f"{args.model_file}: {exc}") from None
+            yield report
+            del report  # not held while the next horizon is forecast
+
+    # the header adds the settings the model file fixes to the flags, so it records what ran
+    _write_reports(reports(), args, _header(args, **model.settings()), step=test.step)
     return EXIT_OK
 
 
@@ -405,7 +397,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # the networks forecast the same target slots, so a MAPE threshold
     # that no actual reaches fails here, before any training
     summarize(reports, min_actual=args.mape_threshold)
-    reports.extend(nn_forecast(model, test) for model in _fit_nn(train, args, ("cnn", "lstm")))
+    reports.extend(nn_forecast(model, test) for model in _fit_nn(train, args, tuple(SPECS)))
 
     _write_reports(reports, args, _header(args), step=test.step, prefix="compare_")
     _overlay_charts(reports, test, args)

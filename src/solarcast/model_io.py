@@ -247,7 +247,7 @@ def load_nn_models(path: str | os.PathLike) -> NetworkSet:
     """Load every horizon section from an ``nn-model v1`` file; returns
     {horizon: NeuralModel}."""
     from .nn.flat import FlatParams
-    from .nn.networks import ConvSpec, LstmSpec
+    from .nn.networks import SPECS
     from .nn.training import NeuralModel
 
     with _records(path, NN_MAGIC) as reader:
@@ -256,10 +256,9 @@ def load_nn_models(path: str | os.PathLike) -> NetworkSet:
         [window] = reader.take_values("window", int, 1)
         daylight, scaler = reader.take_daylight_and_scaler()
         spec_text = reader.take("spec")
-        specs = {"cnn": ConvSpec, "lstm": LstmSpec}
-        if kind not in specs:
+        if kind not in SPECS:
             raise DataValidationError(f"unknown network kind {kind!r}")
-        spec = _built("spec record", specs[kind].from_text, spec_text)
+        spec = _built("spec record", SPECS[kind].from_text, spec_text)
         if window != spec.window:
             raise DataValidationError(
                 f"window record {window} does not match the spec's window={spec.window}"

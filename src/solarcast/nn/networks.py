@@ -32,13 +32,14 @@ from .lstm import Workspace, gate_shapes, lstm_sequence_backward, lstm_sequence_
 
 class _TextSpec:
     """The ``name=value`` text of a spec's fields, as a model file's
-    ``spec`` record holds it. Every field must be positive; a subclass's
-    ``family`` names its network in that refusal."""
+    ``spec`` record holds it; every field must be finite and positive. A
+    subclass is the one description of a kind of network: its ``kind``, whether
+    its inputs are lag-1 ``differenced``, the network it builds and its learning rates."""
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise DataValidationError(f"{self.family} spec field {f.name} must be positive")
+            if not 0 < getattr(self, f.name) < math.inf:  # also false for NaN
+                raise DataValidationError(f"{self.kind.upper()} spec field {f.name} must be positive")
 
     def to_text(self) -> str:
         return " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
@@ -62,7 +63,8 @@ class _TextSpec:
 
 @dataclass(frozen=True)
 class ConvSpec(_TextSpec):
-    family = "CNN"
+    kind = "cnn"
+    differenced = True
     kernel_count: int = 16
     kernel_size: int = 2
     pool_size: int = 1
@@ -85,6 +87,12 @@ class ConvSpec(_TextSpec):
                 f"conv output length {conv_len} is not divisible by pool size {self.pool_size}"
             )
 
+    def network(self, seed: int = 0, params: FlatParams | None = None) -> CnnNetwork:
+        return CnnNetwork(self, seed, params)
+
+    def learning_rate_at(self, epoch: int) -> float:
+        return self.learning_rate
+
     @property
     def flat_units(self) -> int:
         return (self.window - self.kernel_size + 1) // self.pool_size * self.kernel_count
@@ -106,7 +114,8 @@ class ConvSpec(_TextSpec):
 
 @dataclass(frozen=True)
 class LstmSpec(_TextSpec):
-    family = "LSTM"
+    kind = "lstm"
+    differenced = False
     units: int = 32
     layers: int = 1
     dense_hidden: int = 8
@@ -122,11 +131,21 @@ class LstmSpec(_TextSpec):
         if self.layers != 1:
             raise DataValidationError("only a single LSTM layer is supported")
 
+    def network(self, seed: int = 0, params: FlatParams | None = None) -> LstmNetwork:
+        return LstmNetwork(self, seed, params)
+
+    def learning_rate_at(self, epoch: int) -> float:
+        return self.initial_lr * self.lr_drop_factor ** (epoch // self.lr_drop_period)
+
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Name and shape of every parameter of a network of this spec."""
         h, dense = self.units, self.dense_hidden
         head = {"fc_w": (h, dense), "fc_b": (dense,), "out_w": (dense, 1), "out_b": (1,)}
         return {**gate_shapes(h, 1), **head}
+
+
+# every kind of network, by the name a model file's ``kind`` record holds
+SPECS = {spec.kind: spec for spec in (ConvSpec, LstmSpec)}
 
 
 def init_params(spec: ConvSpec | LstmSpec, seed: int) -> FlatParams:

@@ -1,10 +1,12 @@
-"""Window construction, training loops, and forecast post-processing
-for the neural baselines.
+"""Window construction, the one training loop, and forecast
+post-processing for the neural baselines.
 
 Both networks consume windows of the 4 most recent samples taken
 through ``series.row_index``, the same daylight row policy the
 autoregressive design matrix uses, so every model forecasts exactly
-the same target slots.
+the same target slots. Nothing here branches on the kind of network:
+its spec (``networks.SPECS``) names the network, its epochs, batch
+size and learning rates, and whether its inputs are differenced.
 
 The CNN works on lag-1 differences of the standardized signal (the
 difference transform detrends the bell shape); its target is the
@@ -35,7 +37,7 @@ from ..series import (
 )
 from .adam import Adam
 from .flat import FlatParams
-from .networks import CnnNetwork, ConvSpec, LstmNetwork, LstmSpec
+from .networks import ConvSpec, LstmSpec
 
 MIN_TRAINING_WINDOWS = 1000
 
@@ -115,11 +117,10 @@ class NeuralModel:
 
     @property
     def kind(self) -> str:
-        return "cnn" if isinstance(self.spec, ConvSpec) else "lstm"
+        return self.spec.kind
 
     def network(self):
-        network = CnnNetwork if isinstance(self.spec, ConvSpec) else LstmNetwork
-        return network(spec=self.spec, params=self.params)
+        return self.spec.network(params=self.params)
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -128,24 +129,20 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return float(np.mean(diff**2)), 2.0 * diff / diff.size
 
 
-def _train(
-    network,
-    windows: WindowSet,
-    epochs: int,
-    batch_size: int,
-    seed: int,
-    lr_schedule,
-) -> list[float]:
+def _train(network, windows: WindowSet, seed: int) -> list[float]:
+    """Fit ``network`` to the windows with Adam for its spec's epochs,
+    batch size and learning rate at each epoch; the loss of each epoch."""
+    spec = network.spec
     rng = np.random.default_rng(seed)
-    optimizer = Adam(learning_rate=lr_schedule(0))
+    optimizer = Adam(learning_rate=spec.learning_rate_at(0))
     n = windows.targets.size
     loss_curve: list[float] = []
-    for epoch in range(epochs):
-        optimizer.learning_rate = lr_schedule(epoch)
+    for epoch in range(spec.epochs):
+        optimizer.learning_rate = spec.learning_rate_at(epoch)
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
+        for start in range(0, n, spec.batch_size):
+            batch = order[start : start + spec.batch_size]
             x = windows.take(batch)
             y = windows.targets[batch]
             pred, cache = network.forward_with_cache(x)
@@ -160,31 +157,27 @@ def _train(
     return loss_curve
 
 
-def _fit(
-    network, train: IrradianceSeries, horizon: int, daylight: DaylightWindow,
-    seed: int, scaler: Scaler | None, lr_schedule,
+def train_network(
+    spec: ConvSpec | LstmSpec,
+    train: IrradianceSeries,
+    horizon: int,
+    daylight: DaylightWindow,
+    seed: int,
+    scaler: Scaler | None = None,
 ) -> NeuralModel:
-    """Train ``network`` for one horizon on windows of the training
-    series: lag-1 differences for the CNN, the standardized signal for
-    the LSTM."""
-    spec = network.spec
+    """Train a network of ``spec`` for one horizon on windows of the
+    training series. Deterministic under a fixed seed. It is also the
+    CLI's training-pool job: a spawned worker unpickles it, and the
+    spec, by reference, so the worker imports this package and not the CLI."""
+    network = spec.network(seed=seed)
     scaler = scaler or fit_scaler(train)
-    z = standardize(train, scaler)
-    windows = build_windows(z, spec.window, horizon, daylight, differenced=isinstance(spec, ConvSpec))
+    windows = build_windows(standardize(train, scaler), spec.window, horizon, daylight, spec.differenced)
     if windows.targets.size < MIN_TRAINING_WINDOWS:
         raise DataValidationError(
             f"{windows.targets.size} training windows; need at least {MIN_TRAINING_WINDOWS}"
         )
-    loss_curve = _train(network, windows, spec.epochs, spec.batch_size, seed, lr_schedule)
-    return NeuralModel(
-        spec=spec,
-        horizon=horizon,
-        params=network.params,
-        scaler=scaler,
-        daylight=daylight,
-        step=train.step,
-        loss_curve=loss_curve,
-    )
+    loss_curve = _train(network, windows, seed)
+    return NeuralModel(spec, horizon, network.params, scaler, daylight, train.step, loss_curve)
 
 
 def train_cnn(
@@ -195,11 +188,8 @@ def train_cnn(
     seed: int = 0,
     scaler: Scaler | None = None,
 ) -> NeuralModel:
-    """Train the convolutional baseline for one horizon. Deterministic
-    under a fixed seed."""
-    spec = spec or ConvSpec()
-    network = CnnNetwork(spec=spec, seed=seed)
-    return _fit(network, train, horizon, daylight, seed, scaler, lambda epoch: spec.learning_rate)
+    """Train the convolutional baseline for one horizon."""
+    return train_network(spec or ConvSpec(), train, horizon, daylight, seed, scaler)
 
 
 def train_lstm(
@@ -210,24 +200,8 @@ def train_lstm(
     seed: int = 0,
     scaler: Scaler | None = None,
 ) -> NeuralModel:
-    """Train the recurrent baseline for one horizon; the learning rate
-    is multiplied by the drop factor every drop period."""
-    spec = spec or LstmSpec()
-    network = LstmNetwork(spec=spec, seed=seed)
-    return _fit(
-        network, train, horizon, daylight, seed, scaler,
-        lambda epoch: spec.initial_lr * spec.lr_drop_factor ** (epoch // spec.lr_drop_period),
-    )
-
-
-def train_network(
-    kind: str, train: IrradianceSeries, horizon: int, daylight: DaylightWindow, seed: int
-) -> NeuralModel:
-    """Train the default ``kind`` ("cnn" or "lstm") network for one horizon:
-    the CLI's training-pool job. A spawned worker unpickles it by reference,
-    so the worker imports this package and not the CLI."""
-    trainer = train_cnn if kind == "cnn" else train_lstm
-    return trainer(train, horizon=horizon, daylight=daylight, seed=seed)
+    """Train the recurrent baseline for one horizon."""
+    return train_network(spec or LstmSpec(), train, horizon, daylight, seed, scaler)
 
 
 def nn_forecast(model: NeuralModel, test: IrradianceSeries) -> ForecastReport:
@@ -242,7 +216,7 @@ def nn_forecast(model: NeuralModel, test: IrradianceSeries) -> ForecastReport:
 
     def predict(targets: np.ndarray, at: tuple, lags: np.ndarray) -> np.ndarray:
         inputs = lags[:, ::-1]  # chronological
-        if model.kind == "cnn":
+        if model.spec.differenced:
             # lag-1 differences from the slot before each window; a day's
             # first window starts at its first daylight slot, which keeps its level
             before = test.values[targets - horizon - window] - model.scaler.mu
@@ -252,7 +226,7 @@ def nn_forecast(model: NeuralModel, test: IrradianceSeries) -> ForecastReport:
         block[: len(lags), :, 0] = inputs
         block[len(lags) :] = 0.0
         pred = network.predict(block)[: len(lags)]
-        return inverse_difference(pred, lags[:, 0]) if model.kind == "cnn" else pred
+        return inverse_difference(pred, lags[:, 0]) if model.spec.differenced else pred
 
     return ForecastReport.forecast(model, model.kind, test, window, horizon, PREDICT_BLOCK_ROWS, predict)
 

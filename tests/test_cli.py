@@ -415,7 +415,10 @@ class TestEvaluateRefusals:
         # the refusal comes before the records are parsed
         (lambda lines: [ln.replace("param out_b 1 ", "param out_b 1 x") for ln in lines],
          ["--recursive"], 1, "error: recursive mode applies to mar/ar models only"),
-    ], ids=["missing-horizon", "unknown-first-line", "corrupt-and-recursive"])
+        # NaN is not positive, though "nan <= 0" is false too
+        (lambda lines: [ln.replace("learning_rate=0.005", "learning_rate=nan") for ln in lines], [], 2,
+         "data error: {path}: spec record: CNN spec field learning_rate must be positive"),
+    ], ids=["missing-horizon", "unknown-first-line", "corrupt-and-recursive", "nan-spec-field"])
     def test_exits_with_one_line(self, mixed_csv, tmp_path, capfd, cnn_file_lines,
                                  edit, flags, code, message):
         lines = edit(cnn_file_lines) if edit else cnn_file_lines
@@ -564,6 +567,12 @@ def header_keys(path) -> set[str]:
     return {line[2:].split("=", 1)[0] for line in path.read_text().splitlines() if line.startswith("# ")}
 
 
+def header_value(path, key: str) -> str:
+    [value] = [line[2:].split("=", 1)[1] for line in path.read_text().splitlines()
+               if line.startswith(f"# {key}=")]
+    return value
+
+
 def help_flags(capsys, command) -> set[str]:
     """The flags a command's --help lists."""
     with pytest.raises(SystemExit) as exc:
@@ -574,6 +583,13 @@ def help_flags(capsys, command) -> set[str]:
 
 def help_dests(capsys, command) -> set[str]:
     return {flag[2:].replace("-", "_") for flag in help_flags(capsys, command) - {"--help"}}
+
+
+def test_model_choices_are_mar_ar_then_every_network_kind(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("fit", "--help")
+    assert exc.value.code == 0
+    assert "--model {mar,ar,cnn,lstm}" in capsys.readouterr().out
 
 
 class TestHeadersRecordWhatRan:
@@ -600,6 +616,8 @@ class TestHeadersRecordWhatRan:
                    "--out", str(tmp_path)) == 0
         expected = {"command", *help_dests(capsys, "fit"), "ensemble"}
         assert header_keys(tmp_path / "cnn_h1_loss.csv") == expected
+        # a network runs no ensemble step
+        assert header_value(tmp_path / "cnn_h1_loss.csv", "ensemble") == "False"
 
     @pytest.mark.parametrize("kind", ["mar", "ar", "cnn"])
     def test_evaluate(self, mixed_csv, tmp_path, capsys, cnn_file_lines, kind):
@@ -615,6 +633,7 @@ class TestHeadersRecordWhatRan:
         expected = {"command", *help_dests(capsys, "evaluate"), *fixed}
         for name in ("forecasts.csv", "summary.csv"):
             assert header_keys(tmp_path / name) == expected
+            assert header_value(tmp_path / name, "ensemble") == str(kind == "mar")
 
     def test_compare(self, compare_out, capsys):
         expected = {"command", *help_dests(capsys, "compare")}
@@ -1007,7 +1026,7 @@ class TestPoolSize:
                 pools.append(self)
 
             def submit(self, fn, *args):
-                self.submitted.append((args[0], args[2], os.environ.get("OPENBLAS_NUM_THREADS")))
+                self.submitted.append((args[0].kind, args[2], os.environ.get("OPENBLAS_NUM_THREADS")))
                 future = concurrent.futures.Future()
                 future.set_result(fn(*args))
                 return future
@@ -1016,7 +1035,7 @@ class TestPoolSize:
                 pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "train_network", lambda kind, train, h, daylight, seed: (kind, h))
+        monkeypatch.setattr(cli, "train_network", lambda spec, train, h, daylight, seed: (spec.kind, h))
         return pools
 
     @pytest.mark.parametrize("cpus, kinds, workers, horizons", [

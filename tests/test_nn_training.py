@@ -17,12 +17,12 @@ from solarcast import (
     save_nn_models,
     split,
 )
-from solarcast import cli
+from solarcast.model_io import load_model
 from solarcast.nn import Adam, ConvSpec, LstmSpec, nn_forecast, train_cnn, train_lstm
 from solarcast.nn import training
 from solarcast.nn.adam import EPSILON
 from solarcast.nn.flat import FlatParams
-from solarcast.nn.networks import CnnNetwork, LstmNetwork
+from solarcast.nn.networks import SPECS, CnnNetwork, LstmNetwork
 from solarcast.nn.training import NeuralModel, build_windows, loss_curve_csv, mse_loss, _train
 from solarcast.series import (
     DaylightWindow,
@@ -157,6 +157,8 @@ class TestTrainLstm:
 class _ExplodingNetwork:
     """Stub whose loss goes non-finite on the second epoch."""
 
+    spec = ConvSpec(learning_rate=0.01, batch_size=4096, epochs=5)
+
     def __init__(self):
         self.params = FlatParams({"w": (1,)}, {"w": np.array([1.0])})
         self.calls = 0
@@ -184,8 +186,7 @@ class TestDivergenceGuard:
         )
         network = _ExplodingNetwork()
         with pytest.raises(NumericalError, match="epoch 2"):
-            _train(network, windows, epochs=5, batch_size=4096, seed=0,
-                   lr_schedule=lambda e: 0.01)
+            _train(network, windows, seed=0)
 
 
 class TestWindows:
@@ -247,15 +248,14 @@ class TestNnForecast:
         assert nn_forecast(model, test).predicted.min() >= 0.0
 
     def test_horizon_mismatch(self, mixed_40d_split, tmp_path):
-        """A file of horizon-3 networks has none for horizon 1; evaluating
-        it there is a usage error, before any forecast."""
-        train, test = mixed_40d_split
+        """A file of horizon-3 networks has none for horizon 1; loading it
+        for that horizon is a usage error, before any forecast."""
+        train, _ = mixed_40d_split
         model = train_cnn(train, spec=ConvSpec(epochs=1), horizon=3, seed=1)
         path = tmp_path / "cnn.model"
         save_nn_models([model], path)
         with pytest.raises(UsageError, match="no network for horizon 1"):
-            cli._evaluate_model_file(test, cli.build_parser().parse_args(
-                ["evaluate", "--model-file", str(path), "--data", "unread.csv", "--horizons", "1"]))
+            load_model(path, (1,))
 
 
 def untrained_model(kind: str, train: IrradianceSeries) -> NeuralModel:
@@ -391,6 +391,19 @@ class TestPersistence:
             nn_forecast(model, test).predicted, nn_forecast(loaded, test).predicted
         )
 
+    @pytest.mark.parametrize("kind", list(SPECS))
+    def test_every_kind_round_trips_to_its_spec_class(self, mixed_40d_split, tmp_path, kind):
+        """The ``kind`` record a file is saved with loads back through
+        ``SPECS`` to the spec class, and the network, it was saved from."""
+        spec = SPECS[kind]()
+        model = NeuralModel(spec=spec, horizon=1, params=spec.network(seed=3).params,
+                            scaler=fit_scaler(mixed_40d_split[0]), daylight=DaylightWindow(), step=10)
+        path = tmp_path / f"{kind}.model"
+        save_nn_models([model], path)
+        [loaded] = load_nn_models(path).values()
+        assert (loaded.kind, type(loaded.spec), loaded.spec) == (kind, SPECS[kind], spec)
+        assert type(loaded.network()) is type(model.network())
+
     @pytest.mark.parametrize("network, spec", [
         (CnnNetwork, ConvSpec()),
         (CnnNetwork, ConvSpec(kernel_count=5, kernel_size=3, window=5, fc1_units=7, fc2_units=2)),
@@ -419,6 +432,9 @@ class TestPersistence:
         (LstmSpec, "units", "units: cannot parse ''"),
         (ConvSpec, "epochs=-1", "^CNN spec field epochs must be positive$"),
         (LstmSpec, "units=0", "^LSTM spec field units must be positive$"),
+        # not finite: NaN compares false with 0, inf is not a usable value
+        (ConvSpec, "learning_rate=nan", "^CNN spec field learning_rate must be positive$"),
+        (LstmSpec, "lr_drop_factor=inf", "^LSTM spec field lr_drop_factor must be positive$"),
         (LstmSpec, "layers=2", "^only a single LSTM layer is supported$"),
         (ConvSpec, "kernel_size=5", "^kernel size 5 exceeds the 4-sample window$"),
         (ConvSpec, "pool_size=2", "^conv output length 3 is not divisible by pool size 2$"),

@@ -12,6 +12,7 @@ import pytest
 import solarcast
 import solarcast.nn
 from solarcast import DaylightWindow, generate_synthetic, split
+from solarcast.nn import ConvSpec
 from solarcast.nn.training import train_network
 
 SRC = str(Path(solarcast.__file__).parent.parent)
@@ -92,7 +93,7 @@ def test_training_worker_imports_only_training_code():
     """A child unpickles the job as a spawned pool worker does, by the
     function's module and name, and trains the CNN for one horizon."""
     train, _ = split(generate_synthetic(30, "mixed", seed=7))
-    job = bytes(ForkingPickler.dumps((train_network, ("cnn", train, 1, DaylightWindow(), 0))))
+    job = bytes(ForkingPickler.dumps((train_network, (ConvSpec(), train, 1, DaylightWindow(), 0))))
     code = (
         "import pickle, sys\n"
         "fn, args = pickle.loads(sys.stdin.buffer.read())\n"
