@@ -11,7 +11,6 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
@@ -34,7 +33,7 @@ from .metrics import (
 )
 from .model_io import load_model, save_mar_model, save_nn_models
 from .nn.networks import SPECS
-from .nn.training import NeuralModel, loss_curve_csv, nn_forecast, train_network
+from .nn.training import loss_curve_csv, nn_forecast, train_networks
 from .series import DEFAULT_SPLIT, DaylightWindow, IrradianceSeries, fit_scaler, split, standardize
 from .stats import autocorrelation, ensemble_profile, pacf_from_autocorrelation, select_order, training_residual
 from .svgplot import render_line_chart
@@ -46,7 +45,6 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
 MODELS = ("mar", "ar", *SPECS)
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def horizon_list(text: str) -> tuple[int, ...]:
@@ -240,61 +238,6 @@ def _fit_mar(train: IrradianceSeries, args: argparse.Namespace, model: str) -> M
     return fit_all_horizons(train, mar_config)
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Processes started inside the block run BLAS on one thread: the
-    pool already puts at least one worker on each CPU, and OpenBLAS
-    reads these variables when it loads."""
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = value
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _fit_nn(train: IrradianceSeries, args: argparse.Namespace, kinds: tuple[str, ...]) -> list[NeuralModel]:
-    """Train one network per (kind, horizon) in a pool of worker
-    processes; returns them in (kind, horizon) order. Each job is the
-    same seeded call as in-process training, so results are identical.
-    The job lives in ``nn.training``, so a worker does not import this module."""
-    # imported here, so commands that train nothing start as fast as before
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    daylight = daylight_window(args.daylight)
-    jobs = [(kind, h) for kind in kinds for h in horizon_list(args.horizons)]
-    # an LSTM fit costs ~15 CNN fits, so each gets its own worker and the
-    # OS shares the CPUs among them; queued behind a second LSTM fit, a
-    # worker would leave the other CPUs idle at the end. Each worker holds
-    # its own numpy, so there are at most two per CPU
-    cpus = _usable_cpus()
-    lstm_jobs = sum(kind == "lstm" for kind, _ in jobs)
-    workers = min(len(jobs), cpus if cpus == 1 else max(cpus, lstm_jobs), 2 * cpus)
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
-    try:
-        # workers start on submit; LSTM fits take longest, so they go first
-        with _one_blas_thread():
-            futures = {
-                job: pool.submit(train_network, SPECS[job[0]](), train, job[1], daylight, args.seed)
-                for job in sorted(jobs, key=lambda job: job[0] != "lstm")
-            }
-        return [futures[job].result() for job in jobs]
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
     series = load_csv(args.data)
     train, _ = split(series, args.split)
@@ -303,7 +246,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     if args.model in ("mar", "ar"):  # the networks train in a pool of worker processes
         save_mar_model(_fit_mar(train, args, args.model), path)
     else:
-        models = _fit_nn(train, args, (args.model,))
+        models = train_networks([SPECS[args.model]()], train, horizon_list(args.horizons),
+                                daylight_window(args.daylight), args.seed)
         save_nn_models(models, path)
         for m in models:
             curve_path = os.path.join(out_dir, f"{args.model}_h{m.horizon}_loss.csv")
@@ -392,12 +336,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     train, test = split(series, args.split)
     _ensure_out(args.out)
 
+    horizons, daylight = horizon_list(args.horizons), daylight_window(args.daylight)
     models = [_fit_mar(train, args, name) for name in ("mar", "ar")]
-    reports = [model.forecast(test, h) for h in horizon_list(args.horizons) for model in models]
+    reports = [model.forecast(test, h) for h in horizons for model in models]
     # the networks forecast the same target slots, so a MAPE threshold
     # that no actual reaches fails here, before any training
     summarize(reports, min_actual=args.mape_threshold)
-    reports.extend(nn_forecast(model, test) for model in _fit_nn(train, args, tuple(SPECS)))
+    networks = train_networks([spec() for spec in SPECS.values()], train, horizons, daylight, args.seed)
+    reports.extend(nn_forecast(model, test) for model in networks)
 
     _write_reports(reports, args, _header(args), step=test.step, prefix="compare_")
     _overlay_charts(reports, test, args)

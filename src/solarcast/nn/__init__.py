@@ -15,5 +15,5 @@ __getattr__, __all__ = _resolver(__name__, globals(), {
               "dense_forward relu",
     "lstm": "lstm_cell_backward lstm_cell_forward lstm_sequence_backward lstm_sequence_forward",
     "networks": "CnnNetwork ConvSpec LstmNetwork LstmSpec",
-    "training": "NeuralModel nn_forecast train_cnn train_lstm",
+    "training": "NeuralModel nn_forecast train_cnn train_lstm train_networks",
 })

@@ -32,14 +32,14 @@ from .lstm import Workspace, gate_shapes, lstm_sequence_backward, lstm_sequence_
 
 class _TextSpec:
     """The ``name=value`` text of a spec's fields, as a model file's
-    ``spec`` record holds it; every field must be finite and positive. A
-    subclass is the one description of a kind of network: its ``kind``, whether
-    its inputs are lag-1 ``differenced``, the network it builds and its learning rates."""
+    ``spec`` record holds it; every field must be finite and positive. A subclass is the one
+    description of a kind of network: its ``kind``, the ``cost`` of training one, whether its
+    inputs are lag-1 ``differenced``, the network it builds and its learning rates."""
 
     def __post_init__(self) -> None:
         for f in fields(self):
             if not 0 < getattr(self, f.name) < math.inf:  # also false for NaN
-                raise DataValidationError(f"{self.kind.upper()} spec field {f.name} must be positive")
+                raise DataValidationError(f"{self.kind.upper()} spec field {f.name} must be finite and positive")
 
     def to_text(self) -> str:
         return " ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
@@ -64,6 +64,7 @@ class _TextSpec:
 @dataclass(frozen=True)
 class ConvSpec(_TextSpec):
     kind = "cnn"
+    cost = 1  # the time one fit takes, in CNN fits
     differenced = True
     kernel_count: int = 16
     kernel_size: int = 2
@@ -115,6 +116,7 @@ class ConvSpec(_TextSpec):
 @dataclass(frozen=True)
 class LstmSpec(_TextSpec):
     kind = "lstm"
+    cost = 15  # about 15 CNN fits, at the default specs
     differenced = False
     units: int = 32
     layers: int = 1

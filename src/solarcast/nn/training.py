@@ -1,5 +1,5 @@
-"""Window construction, the one training loop, and forecast
-post-processing for the neural baselines.
+"""Window construction, the one training loop and its worker pool, and
+forecast post-processing for the neural baselines.
 
 Both networks consume windows of the 4 most recent samples taken
 through ``series.row_index``, the same daylight row policy the
@@ -18,6 +18,8 @@ The LSTM works on the standardized signal directly.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +42,7 @@ from .flat import FlatParams
 from .networks import ConvSpec, LstmSpec
 
 MIN_TRAINING_WINDOWS = 1000
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -166,8 +169,8 @@ def train_network(
     scaler: Scaler | None = None,
 ) -> NeuralModel:
     """Train a network of ``spec`` for one horizon on windows of the
-    training series. Deterministic under a fixed seed. It is also the
-    CLI's training-pool job: a spawned worker unpickles it, and the
+    training series. Deterministic under a fixed seed. It is also
+    ``train_networks``' job: a spawned worker unpickles it, and the
     spec, by reference, so the worker imports this package and not the CLI."""
     network = spec.network(seed=seed)
     scaler = scaler or fit_scaler(train)
@@ -178,6 +181,53 @@ def train_network(
         )
     loss_curve = _train(network, windows, seed)
     return NeuralModel(spec, horizon, network.params, scaler, daylight, train.step, loss_curve)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Processes started inside the block run BLAS on one thread: the
+    pool already puts at least one worker on each CPU, and OpenBLAS
+    reads these variables when it loads."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name in BLAS_THREAD_VARS:
+            del os.environ[name]
+        os.environ.update({name: value for name, value in saved.items() if value is not None})
+
+
+def _usable_cpus() -> int:  # some platforms have no affinity call
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def train_networks(specs: list[ConvSpec | LstmSpec], train: IrradianceSeries, horizons: tuple[int, ...],
+                   daylight: DaylightWindow, seed: int) -> list[NeuralModel]:
+    """Train one network per (spec, horizon) in a pool of spawned worker
+    processes; returns them in (spec, horizon) order. Each job is the
+    seeded ``train_network`` call, so the models do not depend on the
+    number of workers or the order the jobs run in."""
+    # imported here, so commands that train nothing do not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    jobs = [(spec, h) for spec in specs for h in horizons]
+    # each job that costs more than one CNN fit gets its own worker, and the
+    # OS shares the CPUs among them; queued behind another such job, a worker
+    # would leave the other CPUs idle at the end. Each worker holds its own
+    # numpy, so there are at most two per CPU
+    cpus = _usable_cpus()
+    costly = sum(spec.cost > 1 for spec, _ in jobs)
+    workers = min(len(jobs), cpus if cpus == 1 else max(cpus, costly), 2 * cpus)
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn"))
+    try:
+        with _one_blas_thread():  # workers start on submit; the costliest jobs go first
+            futures = {job: pool.submit(train_network, job[0], train, job[1], daylight, seed)
+                       for job in sorted(jobs, key=lambda job: -job[0].cost)}
+        return [futures[job].result() for job in jobs]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def train_cnn(

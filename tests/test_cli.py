@@ -1,6 +1,5 @@
 """Command-line surface: each subcommand, exit codes, output headers."""
 
-import concurrent.futures
 import contextlib
 import os
 import re
@@ -417,7 +416,7 @@ class TestEvaluateRefusals:
          ["--recursive"], 1, "error: recursive mode applies to mar/ar models only"),
         # NaN is not positive, though "nan <= 0" is false too
         (lambda lines: [ln.replace("learning_rate=0.005", "learning_rate=nan") for ln in lines], [], 2,
-         "data error: {path}: spec record: CNN spec field learning_rate must be positive"),
+         "data error: {path}: spec record: CNN spec field learning_rate must be finite and positive"),
     ], ids=["missing-horizon", "unknown-first-line", "corrupt-and-recursive", "nan-spec-field"])
     def test_exits_with_one_line(self, mixed_csv, tmp_path, capfd, cnn_file_lines,
                                  edit, flags, code, message):
@@ -608,10 +607,10 @@ class TestHeadersRecordWhatRan:
         assert header_keys(tmp_path / "diagnostics.csv") == expected
 
     def test_fit(self, mixed_csv, tmp_path, capsys, monkeypatch):
-        def one_epoch(train, args, kinds):  # in process, so the test trains for one epoch
-            return [train_cnn(train, spec=ConvSpec(epochs=1), horizon=1, seed=args.seed)]
+        def one_epoch(specs, train, horizons, daylight, seed):  # in process, for one epoch
+            return [train_cnn(train, spec=ConvSpec(epochs=1), horizon=1, seed=seed)]
 
-        monkeypatch.setattr(cli, "_fit_nn", one_epoch)
+        monkeypatch.setattr(cli, "train_networks", one_epoch)
         assert run("fit", "--data", str(mixed_csv), "--model", "cnn", "--horizons", "1",
                    "--out", str(tmp_path)) == 0
         expected = {"command", *help_dests(capsys, "fit"), "ensemble"}
@@ -808,7 +807,7 @@ class TestNegativeSeed:
         def no_training(*args):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(cli, "_fit_nn", no_training)
+        monkeypatch.setattr(cli, "train_networks", no_training)
         out = tmp_path / "out"
         code = run(*argv, "--data", str(mixed_csv), "--out", str(out))
         err = capfd.readouterr().err
@@ -1001,65 +1000,6 @@ class TestNoEnsembleKnob:
         assert not (tmp_path / "mar.model").exists()
 
 
-def test_blas_pinned_only_while_workers_start(monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    with cli._one_blas_thread():
-        assert [os.environ[name] for name in cli.BLAS_THREAD_VARS] == ["1"] * 3
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert "OPENBLAS_NUM_THREADS" not in os.environ
-
-
-class TestPoolSize:
-    """The pool gets one worker per LSTM fit even past the CPU count, but
-    no more than two per CPU, and never more workers than jobs; no
-    network is trained and no process is started here."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, mp_context):
-                self.max_workers = max_workers
-                self.submitted = []
-                pools.append(self)
-
-            def submit(self, fn, *args):
-                self.submitted.append((args[0].kind, args[2], os.environ.get("OPENBLAS_NUM_THREADS")))
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-            def shutdown(self, cancel_futures):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli, "train_network", lambda spec, train, h, daylight, seed: (spec.kind, h))
-        return pools
-
-    @pytest.mark.parametrize("cpus, kinds, workers, horizons", [
-        (2, ("cnn", "lstm"), 3, (1, 3, 6)),
-        (2, ("cnn",), 2, (1, 3, 6)),
-        (1, ("cnn", "lstm"), 1, (1, 3, 6)),
-        (8, ("cnn", "lstm"), 6, (1, 3, 6)),
-        (2, ("lstm",), 4, tuple(range(1, 65))),
-    ], ids=["compare-2-cpus", "fit-cnn-2-cpus", "compare-1-cpu", "compare-8-cpus",
-            "fit-lstm-64-horizons-2-cpus"])
-    def test_workers(self, pools, monkeypatch, cpus, kinds, workers, horizons):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        args = cli.build_parser().parse_args(
-            ["compare", "--data", "unread.csv", "--horizons", ",".join(map(str, horizons))])
-        models = cli._fit_nn(None, args, kinds)
-        assert [pool.max_workers for pool in pools] == [workers]
-        assert models == [(kind, h) for kind in kinds for h in horizons]
-        # LSTM fits go first, and every worker starts with BLAS pinned
-        submitted = pools[0].submitted
-        lstm_first = sorted(models, key=lambda job: job[0] != "lstm")
-        assert [(kind, h) for kind, h, _ in submitted] == lstm_first
-        assert {threads for _, _, threads in submitted} == {"1"}
-
-
 def test_installed_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "solarcast", "synth", "--days", "2", "--regime", "clear",
@@ -1199,7 +1139,7 @@ class TestUnreachableMapeThreshold:
         def no_training(*args):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(cli, "_fit_nn", no_training)
+        monkeypatch.setattr(cli, "train_networks", no_training)
         extra, prefix = ((("--model-file", str(mar_file)), "") if command == "evaluate"
                          else ((), "compare_"))
         out = tmp_path / "out"

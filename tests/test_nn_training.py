@@ -1,5 +1,8 @@
-"""Adam, the training loops, persistence, and forecast post-processing."""
+"""Adam, the training loops, the training pool, persistence, and forecast
+post-processing."""
 
+import concurrent.futures
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -426,15 +429,15 @@ class TestPersistence:
             glorot_oracle(spec, seed).flat.tobytes()
 
     @pytest.mark.parametrize("spec, text, message", [
-        (ConvSpec, "pool_size=0", "pool_size must be positive"),
+        (ConvSpec, "pool_size=0", "pool_size must be finite and positive"),
         (ConvSpec, "learning_rate=fast", "learning_rate: cannot parse 'fast'"),
         (LstmSpec, "epochs=two", "epochs: cannot parse 'two'"),
         (LstmSpec, "units", "units: cannot parse ''"),
-        (ConvSpec, "epochs=-1", "^CNN spec field epochs must be positive$"),
-        (LstmSpec, "units=0", "^LSTM spec field units must be positive$"),
+        (ConvSpec, "epochs=-1", "^CNN spec field epochs must be finite and positive$"),
+        (LstmSpec, "units=0", "^LSTM spec field units must be finite and positive$"),
         # not finite: NaN compares false with 0, inf is not a usable value
-        (ConvSpec, "learning_rate=nan", "^CNN spec field learning_rate must be positive$"),
-        (LstmSpec, "lr_drop_factor=inf", "^LSTM spec field lr_drop_factor must be positive$"),
+        (ConvSpec, "learning_rate=nan", "^CNN spec field learning_rate must be finite and positive$"),
+        (LstmSpec, "lr_drop_factor=inf", "^LSTM spec field lr_drop_factor must be finite and positive$"),
         (LstmSpec, "layers=2", "^only a single LSTM layer is supported$"),
         (ConvSpec, "kernel_size=5", "^kernel size 5 exceeds the 4-sample window$"),
         (ConvSpec, "pool_size=2", "^conv output length 3 is not divisible by pool size 2$"),
@@ -480,3 +483,83 @@ class TestPersistence:
         lines = loss_curve_csv(model).strip().split("\n")
         assert lines[0] == "epoch,loss"
         assert len(lines) == 4
+
+
+def test_blas_pinned_only_while_workers_start(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    with training._one_blas_thread():
+        assert [os.environ[name] for name in training.BLAS_THREAD_VARS] == ["1"] * 3
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+class _HeavySpec:
+    """A kind of spec that no code names, whose fit costs four CNN fits."""
+
+    kind, cost = "heavy", 4
+
+
+class TestPoolSize:
+    """The pool gets one worker per fit that costs more than a CNN fit, even
+    past the CPU count, but no more than two per CPU, and never more
+    workers than jobs; no network is trained and no process is started here."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, mp_context):
+                self.max_workers = max_workers
+                self.submitted = []
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                self.submitted.append((args[0].kind, args[2], os.environ.get("OPENBLAS_NUM_THREADS")))
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(training, "train_network", lambda spec, train, h, daylight, seed: (spec.kind, h))
+        return pools
+
+    @pytest.mark.parametrize("cpus, kinds, workers, horizons", [
+        (2, ("cnn", "lstm"), 3, (1, 3, 6)),
+        (2, ("cnn",), 2, (1, 3, 6)),
+        (1, ("cnn", "lstm"), 1, (1, 3, 6)),
+        (8, ("cnn", "lstm"), 6, (1, 3, 6)),
+        (2, ("lstm",), 4, tuple(range(1, 65))),
+    ], ids=["compare-2-cpus", "fit-cnn-2-cpus", "compare-1-cpu", "compare-8-cpus",
+            "fit-lstm-64-horizons-2-cpus"])
+    def test_workers(self, pools, monkeypatch, cpus, kinds, workers, horizons):
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        models = training.train_networks([SPECS[kind]() for kind in kinds], None, horizons,
+                                         DaylightWindow(), 0)
+        assert [pool.max_workers for pool in pools] == [workers]
+        assert models == [(kind, h) for kind in kinds for h in horizons]
+        # LSTM fits go first, and every worker starts with BLAS pinned
+        submitted = pools[0].submitted
+        lstm_first = sorted(models, key=lambda job: job[0] != "lstm")
+        assert [(kind, h) for kind, h, _ in submitted] == lstm_first
+        assert {threads for _, _, threads in submitted} == {"1"}
+
+    @pytest.mark.parametrize("cpus, specs, workers, submit_order", [
+        (2, (ConvSpec(), _HeavySpec()), 3, ("heavy", "cnn")),
+        (4, (ConvSpec(), _HeavySpec(), LstmSpec()), 6, ("lstm", "heavy", "cnn")),
+    ], ids=["cnn-heavy-2-cpus", "cnn-heavy-lstm-4-cpus"])
+    def test_cost_alone_sizes_and_orders_the_pool(self, pools, monkeypatch, cpus, specs, workers,
+                                                   submit_order):
+        # a kind the pool has never heard of gets a worker of its own and
+        # goes before the cheaper CNN fits, and after the costlier LSTM fits
+        monkeypatch.setattr(training, "_usable_cpus", lambda: cpus)
+        horizons = (1, 3, 6)
+        models = training.train_networks(list(specs), None, horizons, DaylightWindow(), 0)
+        assert [pool.max_workers for pool in pools] == [workers]
+        assert models == [(spec.kind, h) for spec in specs for h in horizons]
+        submitted = [(kind, h) for kind, h, _ in pools[0].submitted]
+        assert submitted == [(kind, h) for kind in submit_order for h in horizons]
