@@ -1,5 +1,15 @@
+import gc
 import sys
 
-from .cli import main
 
-sys.exit(main())
+def run() -> None:
+    """The process entry of ``solarcast`` and ``python -m solarcast``."""
+    from .cli import main
+
+    # the objects made at import live to exit; frozen, exit does not walk them
+    gc.freeze()
+    sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

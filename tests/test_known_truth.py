@@ -12,11 +12,16 @@ a scaled copy of z, so:
   40 sqrt(sum_{j<h} psi_j^2), with psi the process's MA(inf) weights
   (Hamilton 1994, *Time Series Analysis*, ch. 4).
 
+No forecaster that sees only past values can beat that optimal error by
+more than sampling error, so a network whose error falls below it has seen
+the future: a window or row-policy off-by-one.
+
 Each bound is a number of standard errors computed here from the data, not
 a hand-picked tolerance. Byte-identity with an earlier version shows that
 nothing changed; these show that the result is right.
 """
 
+import dataclasses
 import math
 from datetime import datetime
 
@@ -25,6 +30,7 @@ import pytest
 
 from solarcast import DaylightWindow, IrradianceSeries, MarConfig, fit_all_horizons, split
 from solarcast import build_design_matrix, standardize
+from solarcast.nn import ConvSpec, LstmSpec, nn_forecast, train_cnn, train_lstm
 from solarcast.stats import PACF_THRESHOLD, training_residual
 
 # phi_3 sits well above PACF_THRESHOLD, so the order is not a coin flip:
@@ -54,6 +60,18 @@ def optimal_rmse(horizon: int) -> float:
     for j in range(1, horizon):
         psi.append(sum(phi * psi[j - 1 - i] for i, phi in enumerate(PHI) if j - 1 - i >= 0))
     return SCALE * math.sqrt(sum(weight**2 for weight in psi))
+
+
+def rmse_with_error(report, test: IrradianceSeries) -> tuple[float, float]:
+    """A forecast's RMSE and its sampling standard error, from the per-day
+    mean squared errors by the delta method."""
+    squared = (report.actual - report.predicted) ** 2
+    # days are independent blocks: the process's slowest root has modulus
+    # 0.904, so the 69 night steps leave 0.1 % of one day in the next
+    day = report.sample_index // test.samples_per_day
+    daily = np.bincount(day, weights=squared) / np.bincount(day)  # every day has rows
+    rmse = math.sqrt(squared.mean())
+    return rmse, daily.std(ddof=1) / math.sqrt(len(daily)) / (2 * rmse)
 
 
 @pytest.fixture(scope="module", params=[1, 2, 3], ids=lambda seed: f"seed{seed}")
@@ -89,12 +107,16 @@ def test_one_step_weights_within_standard_errors(fitted):
 def test_forecast_rmse_is_the_optimal_predictors(fitted, recursive):
     _, test, model = fitted
     for h in HORIZONS:
-        report = model.forecast(test, h, recursive)
-        squared = (report.actual - report.predicted) ** 2
-        # days are independent blocks: the process's slowest root has modulus
-        # 0.904, so the 69 night steps leave 0.1 % of one day in the next
-        day = report.sample_index // test.samples_per_day
-        daily = np.bincount(day, weights=squared) / np.bincount(day)  # every day has rows
-        rmse = math.sqrt(squared.mean())
-        error = daily.std(ddof=1) / math.sqrt(len(daily)) / (2 * rmse)  # delta method
+        rmse, error = rmse_with_error(model.forecast(test, h, recursive), test)
         assert abs(rmse - optimal_rmse(h)) <= K * error, (h, rmse, error)
+
+
+@pytest.mark.parametrize("trainer, spec", [(train_cnn, ConvSpec()), (train_lstm, LstmSpec())],
+                         ids=["cnn", "lstm"])
+def test_networks_do_not_beat_the_optimal_predictor(trainer, spec):
+    """The leakage bound: two epochs are enough, since a network that sees
+    its target learns it at once."""
+    train, test = split(known_series(1), 0.7)
+    model = trainer(train, dataclasses.replace(spec, epochs=2), horizon=1)
+    rmse, error = rmse_with_error(nn_forecast(model, test), test)
+    assert rmse >= optimal_rmse(1) - K * error, (rmse, error)

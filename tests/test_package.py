@@ -1,7 +1,9 @@
-"""The package's public surface resolves on first use, and a network-training
-worker imports only the code that training runs."""
+"""The package's public surface resolves on first use, a network-training
+worker imports only the code that training runs, and only the process entry
+freezes the heap that import made."""
 
 import os
+import re
 import subprocess
 import sys
 from multiprocessing.reduction import ForkingPickler
@@ -16,6 +18,7 @@ from solarcast.nn import ConvSpec
 from solarcast.nn.training import train_network
 
 SRC = str(Path(solarcast.__file__).parent.parent)
+PYPROJECT = Path(SRC).parent / "pyproject.toml"
 
 # what a training job never runs: the CLI and its argument parser and
 # charts, the data, model-file and statistics code around training, and
@@ -104,3 +107,41 @@ def test_training_worker_imports_only_training_code():
     trained, loaded = run_python(code, stdin=job).splitlines()
     assert trained == "cnn 1 30"
     assert loaded == "[]"
+
+
+def test_process_entry_freezes_the_imported_heap():
+    code = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['solarcast', '--help']\n"
+        "try:\n"
+        "    runpy.run_module('solarcast', run_name='__main__')\n"
+        "except SystemExit as exit:\n"
+        "    print('exit', exit.code)\n"
+        "print('frozen', gc.get_freeze_count() > 0)\n"
+    )
+    assert run_python(code).splitlines()[-2:] == ["exit 0", "frozen True"]
+
+
+def test_importing_the_process_entry_runs_nothing():
+    code = (
+        "import gc, sys, solarcast.__main__ as entry\n"
+        "print(callable(entry.run), 'solarcast.cli' in sys.modules, gc.get_freeze_count())\n"
+    )
+    assert run_python(code).splitlines() == ["True False 0"]
+
+
+def test_console_script_is_the_process_entry():
+    # a regex, not tomllib: Python 3.10 has none
+    script = re.search(r'^\[project\.scripts\]\nsolarcast = "([^"]+)"$', PYPROJECT.read_text(), re.M)
+    assert script and script.group(1) == "solarcast.__main__:run"
+
+
+def test_in_process_main_does_not_freeze(tmp_path):
+    data = str(tmp_path / "one.csv")
+    code = (
+        "import gc\n"
+        "from solarcast.cli import main\n"
+        f"print(main(['synth', '--days', '1', '--data', {data!r}]), gc.get_freeze_count())\n"
+    )
+    # synth prints the path it wrote, then main's exit code and the freeze count
+    assert run_python(code).splitlines() == [data, "0 0"]
