@@ -376,7 +376,3 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -130,6 +130,18 @@ def test_importing_the_process_entry_runs_nothing():
     assert run_python(code).splitlines() == ["True False 0"]
 
 
+def test_the_cli_module_is_no_process_entry():
+    # run as a script, cli.py only defines its commands: a process starts
+    # through solarcast.__main__, the one entry that freezes the heap
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['solarcast', '--help']\n"
+        "runpy.run_module('solarcast.cli', run_name='__main__')\n"
+        "print('ran nothing')\n"
+    )
+    assert run_python(code).splitlines() == ["ran nothing"]
+
+
 def test_console_script_is_the_process_entry():
     # a regex, not tomllib: Python 3.10 has none
     script = re.search(r'^\[project\.scripts\]\nsolarcast = "([^"]+)"$', PYPROJECT.read_text(), re.M)
