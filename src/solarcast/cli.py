@@ -37,12 +37,7 @@ from .nn.training import loss_curve_csv, nn_forecast, train_networks
 from .series import DEFAULT_SPLIT, DaylightWindow, IrradianceSeries, fit_scaler, split, standardize
 from .stats import autocorrelation, ensemble_profile, pacf_from_autocorrelation, select_order, training_residual
 from .svgplot import render_line_chart
-from .synthetic import SYNTH_START, SYNTH_STEP, synthetic_days
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_NUMERICAL = 3
+from .synthetic import REGIMES, SYNTH_START, SYNTH_STEP, synthetic_days
 
 MODELS = ("mar", "ar", *SPECS)
 
@@ -79,18 +74,31 @@ def daylight_window(text: str) -> DaylightWindow:
         raise UsageError(str(exc)) from None
 
 
-def _refuse_unless(accepts: Callable[[Any], bool], message: str) -> Callable[[Any], None]:
-    """A check that raises a ``UsageError`` of ``message`` for a value ``accepts`` refuses."""
+def synth_days(days: int) -> int:
+    if days < 1:
+        raise UsageError(f"--days must be >= 1, got {days}")
+    max_days = (datetime.max - SYNTH_START).days + 1  # the calendar ends on datetime.max's day
+    if days > max_days:
+        raise UsageError(f"--days {days} runs past {datetime.max.date()}, the last date: "
+                         f"at most {max_days} days fit from {SYNTH_START.date()}")
+    return days
 
-    def check(value: Any) -> None:
+
+def _refuse_unless(accepts: Callable[[Any], bool], message: str) -> Callable[[Any], Any]:
+    """A check that returns a value ``accepts`` takes and raises a
+    ``UsageError`` of ``message`` for one it refuses."""
+
+    def check(value: Any) -> Any:
         if not accepts(value):
             raise UsageError(message.format(value))
+        return value
     return check
 
 
 # each setting: its flag, --name with "_" as "-", and the check that
-# refuses a value no data could make valid; main runs the checks in this
-# order, before the command reads its data or makes --out
+# refuses a value no data could make valid and returns the value it
+# parsed; main parses a command's flags in this order, before it reads
+# the data or makes --out
 SETTINGS = {
     "data": (dict(required=True, help="input CSV path"), None),
     "out": (dict(default="out", help="output directory"), None),
@@ -112,22 +120,22 @@ SETTINGS = {
     "model": (dict(choices=MODELS, default="mar", help="ar is mar without the ensemble step"), None),
     "recursive": (dict(action="store_true",
                        help="iterate the 1-step model instead of direct per-horizon weights"), None),
-}
-# the settings each command takes a flag for; any other is a usage error
-COMMAND_SETTINGS = {
-    "synth": ("daylight", "seed", "out"),
-    "diagnose": ("data", "split", "daylight", "out"),
-    "fit": ("data", "split", "order", "horizons", "daylight", "model", "seed", "out"),
-    "evaluate": ("data", "split", "horizons", "out", "mape_threshold", "recursive"),
-    "compare": ("data", "split", "order", "horizons", "daylight", "seed", "out", "mape_threshold"),
+    "days": (dict(type=int, required=True), synth_days),
+    "regime": (dict(choices=REGIMES, default="mixed"), None),
+    # the PACF starts at lag 1
+    "max_lag": (dict(type=int, default=24),
+                _refuse_unless(lambda lag: lag >= 1, "--max-lag must be >= 1, got {}")),
+    "domain": (dict(choices=("ens", "z"), default="ens",
+                    help="correlate ensemble-deducted (default) or standardized data"), None),
+    "model_file": (dict(required=True), None),
 }
 
 
-def _header(args: argparse.Namespace, **fixed: str) -> dict[str, object]:
-    """An output's header comments: the command and its flags, then the
-    settings a model file fixes; whether the ensemble step ran where the
-    model is known: for MAR only, not AR or a network."""
-    header = {**vars(args), **fixed}
+def _header(given: dict[str, object], **fixed: str) -> dict[str, object]:
+    """An output's header comments: the command and its flags as given,
+    then the settings a model file fixes; whether the ensemble step ran
+    where the model is known: for MAR only, not AR or a network."""
+    header = {**given, **fixed}
     if "model" in header:
         header["ensemble"] = header["model"] == "mar"
     return header
@@ -157,109 +165,74 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(FAILURES[UsageError][1])
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="solarcast", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic irradiance CSV")
-    p_synth.add_argument("--days", type=int, required=True)
-    p_synth.add_argument("--regime", choices=("clear", "cloudy", "mixed"), default="mixed")
-    p_synth.add_argument("--data", default="", help="output CSV path "
-                         "(default synthetic_<regime>_<days>d.csv in the output directory)")
-
-    p_diag = sub.add_parser("diagnose", help="ACF/PACF diagnostics and order recommendation")
-    p_diag.add_argument("--max-lag", dest="max_lag", type=int, default=24)
-    p_diag.add_argument("--domain", choices=("ens", "z"), default="ens",
-                        help="correlate ensemble-deducted (default) or standardized data")
-
-    sub.add_parser("fit", help="fit a model and persist it")
-
-    p_eval = sub.add_parser("evaluate", help="forecast the test split with a saved model")
-    p_eval.add_argument("--model-file", dest="model_file", required=True)
-
-    sub.add_parser("compare", help="fit and evaluate all four models on one split")
-
-    for command, settings in COMMAND_SETTINGS.items():
-        for name in settings:
-            sub.choices[command].add_argument(f"--{name.replace('_', '-')}", **SETTINGS[name][0])
+    for command, (_, help_text, flags) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            name, kwargs = (flag, SETTINGS[flag][0]) if isinstance(flag, str) else flag
+            command_parser.add_argument(f"--{name.replace('_', '-')}", **kwargs)
     return parser
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    if args.days < 1:
-        raise UsageError(f"--days must be >= 1, got {args.days}")
-    max_days = (datetime.max - SYNTH_START).days + 1  # the calendar ends on datetime.max's day
-    if args.days > max_days:
-        raise UsageError(f"--days {args.days} runs past {datetime.max.date()}, the last date: "
-                         f"at most {max_days} days fit from {SYNTH_START.date()}")
-    blocks = synthetic_days(args.days, args.regime, args.seed, daylight=daylight_window(args.daylight))
+def cmd_synth(header: dict[str, object], *, days: int, regime: str, data: str,
+              daylight: DaylightWindow, seed: int, out: str) -> None:
+    blocks = synthetic_days(days, regime, seed, daylight=daylight)
     # --out is made only when the series is written into it
-    path = args.data or os.path.join(_ensure_out(args.out), f"synthetic_{args.regime}_{args.days}d.csv")
-    write_text(path, csv_text(SYNTH_START, SYNTH_STEP, blocks, _header(args)))  # no array of the series
+    path = data or os.path.join(_ensure_out(out), f"synthetic_{regime}_{days}d.csv")
+    write_text(path, csv_text(SYNTH_START, SYNTH_STEP, blocks, header))  # no array of the series
     print(path)
-    return EXIT_OK
 
 
-def cmd_diagnose(args: argparse.Namespace) -> int:
-    if args.max_lag < 1:  # the PACF starts at lag 1
-        raise UsageError(f"--max-lag must be >= 1, got {args.max_lag}")
-    series = load_csv(args.data)
-    train, _ = split(series, args.split)
-    scaler = fit_scaler(train)
-    domain = standardize(train, scaler)
-    if args.domain == "ens":
-        domain = training_residual(domain, ensemble_profile(domain))
-    values = daylight_values(domain, daylight_window(args.daylight))
-    acf = autocorrelation(values, args.max_lag)
+def cmd_diagnose(header: dict[str, object], *, halves: tuple[IrradianceSeries, IrradianceSeries],
+                 daylight: DaylightWindow, out: str, max_lag: int, domain: str) -> None:
+    train, _ = halves
+    series = standardize(train, fit_scaler(train))
+    if domain == "ens":
+        series = training_residual(series, ensemble_profile(series))
+    acf = autocorrelation(daylight_values(series, daylight), max_lag)
     pacf = pacf_from_autocorrelation(acf)
     order = select_order(pacf)
 
-    out_dir = _ensure_out(args.out)
     body_lines = ["lag,acf,pacf"]
-    for lag in range(args.max_lag + 1):
+    for lag in range(max_lag + 1):
         body_lines.append(f"{lag},{acf.values[lag]:.10g},{pacf.values[lag]:.10g}")
-    path = os.path.join(out_dir, "diagnostics.csv")
-    _write_text(path, _header(args), ("\n".join(body_lines) + "\n",))
+    path = os.path.join(_ensure_out(out), "diagnostics.csv")
+    _write_text(path, header, ("\n".join(body_lines) + "\n",))
     print(f"recommended order: {order}")
     print(path)
-    return EXIT_OK
 
 
-def _fit_mar(train: IrradianceSeries, args: argparse.Namespace, model: str) -> MarModel:
-    mar_config = MarConfig(
-        order=order_value(args.order),
-        horizons=horizon_list(args.horizons),
-        daylight=daylight_window(args.daylight),
-        ensemble_enabled=model != "ar",
-    )
+def _fit_mar(train: IrradianceSeries, model: str, order: int | None, horizons: tuple[int, ...],
+             daylight: DaylightWindow) -> MarModel:
+    mar_config = MarConfig(order=order, horizons=horizons, daylight=daylight, ensemble_enabled=model != "ar")
     return fit_all_horizons(train, mar_config)
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    series = load_csv(args.data)
-    train, _ = split(series, args.split)
-    out_dir = _ensure_out(args.out)
-    path = os.path.join(out_dir, f"{args.model}.model")
-    if args.model in ("mar", "ar"):  # the networks train in a pool of worker processes
-        save_mar_model(_fit_mar(train, args, args.model), path)
+def cmd_fit(header: dict[str, object], *, halves: tuple[IrradianceSeries, IrradianceSeries],
+            order: int | None, horizons: tuple[int, ...], daylight: DaylightWindow, model: str,
+            seed: int, out: str) -> None:
+    train, _ = halves
+    path = os.path.join(_ensure_out(out), f"{model}.model")
+    if model in ("mar", "ar"):  # the networks train in a pool of worker processes
+        save_mar_model(_fit_mar(train, model, order, horizons, daylight), path)
     else:
-        models = train_networks([SPECS[args.model]()], train, horizon_list(args.horizons),
-                                daylight_window(args.daylight), args.seed)
+        models = train_networks([SPECS[model]()], train, horizons, daylight, seed)
         save_nn_models(models, path)
         for m in models:
-            curve_path = os.path.join(out_dir, f"{args.model}_h{m.horizon}_loss.csv")
-            _write_text(curve_path, _header(args), (loss_curve_csv(m),))
+            _write_text(os.path.join(out, f"{model}_h{m.horizon}_loss.csv"), header, (loss_curve_csv(m),))
     print(path)
-    return EXIT_OK
 
 
 def _write_reports(
     reports: Iterable[ForecastReport],
-    args: argparse.Namespace,
     header: dict[str, object],
+    out: str,
+    mape_threshold: float,
     step: int,
     prefix: str = "",
 ) -> None:
@@ -269,58 +242,58 @@ def _write_reports(
 
     def rows() -> Iterator[str]:
         for report in reports:
-            cells.extend(summarize([report], min_actual=args.mape_threshold))
+            cells.extend(summarize([report], min_actual=mape_threshold))
             # each report's header-then-rows text, the header only once
             yield from islice(report_rows_csv([report]), len(cells) > 1, None)
             del report  # not held while the next report is made
 
-    _write_text(os.path.join(args.out, f"{prefix}forecasts.csv"), header, rows())
+    _write_text(os.path.join(out, f"{prefix}forecasts.csv"), header, rows())
     cells.sort()  # comparison order
-    _write_text(os.path.join(args.out, f"{prefix}summary.csv"), header, (summary_csv(cells),))
+    _write_text(os.path.join(out, f"{prefix}summary.csv"), header, (summary_csv(cells),))
     print(summary_table(cells, step=step), end="")
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    series = load_csv(args.data)
-    _, test = split(series, args.split)
-    _ensure_out(args.out)
-    horizons = horizon_list(args.horizons)
-    model = load_model(args.model_file, horizons, args.recursive)
+def cmd_evaluate(header: dict[str, object], *, halves: tuple[IrradianceSeries, IrradianceSeries],
+                 model_file: str, horizons: tuple[int, ...], out: str, mape_threshold: float,
+                 recursive: bool) -> None:
+    _, test = halves
+    _ensure_out(out)
+    model = load_model(model_file, horizons, recursive)
 
     def reports() -> Iterator[ForecastReport]:  # forecast with the saved model, one horizon at a time
         for h in horizons:
             try:
-                report = model.forecast(test, h, args.recursive)
+                report = model.forecast(test, h, recursive)
             except DataValidationError as exc:  # the file's values do not fit the data
-                raise DataValidationError(f"{args.model_file}: {exc}") from None
+                raise DataValidationError(f"{model_file}: {exc}") from None
             yield report
             del report  # not held while the next horizon is forecast
 
     # the header adds the settings the model file fixes to the flags, so it records what ran
-    _write_reports(reports(), args, _header(args, **model.settings()), step=test.step)
-    return EXIT_OK
+    _write_reports(reports(), _header(header, **model.settings()), out, mape_threshold, step=test.step)
 
 
 def _overlay_charts(
     reports: list[ForecastReport],
     test: IrradianceSeries,
-    args: argparse.Namespace,
+    header: dict[str, object],
+    out: str,
 ) -> None:
     """One SVG per horizon: the first test day's observed curve with
-    every model's predictions overlaid."""
+    every model's predictions overlaid, each at its own report's hours."""
     by_horizon: dict[int, list[ForecastReport]] = {}
     for report in reports:
         by_horizon.setdefault(report.horizon, []).append(report)
-    comment = " ".join(f"{k}={v}" for k, v in _header(args).items())
+    comment = " ".join(f"{k}={v}" for k, v in header.items())
     for horizon, horizon_reports in sorted(by_horizon.items()):
-        first = horizon_reports[0]
-        # the first test day's slots are the indices below one day
-        on_first_day = first.sample_index < test.samples_per_day
-        minutes = first.sample_index[on_first_day] * test.step
-        hours = minutes // 60 + (minutes % 60) / 60.0
-        curves = [("observed", hours, first.actual[on_first_day])]
+        curves = []
         for report in horizon_reports:
+            # the first test day's slots are the indices below one day
             on_first_day = report.sample_index < test.samples_per_day
+            minutes = report.sample_index[on_first_day] * test.step
+            hours = minutes // 60 + (minutes % 60) / 60.0
+            if not curves:  # the observed curve at the first report's rows
+                curves.append(("observed", hours, report.actual[on_first_day]))
             curves.append((report.model, hours, report.predicted[on_first_day]))
         title = (
             f"Observed vs predicted, {horizon * test.step}-minute horizon, {test.start.date()}"
@@ -328,51 +301,58 @@ def _overlay_charts(
         svg = render_line_chart(
             curves, title=title, x_label="hour of day", y_label="irradiance W/m2", comment=comment
         )
-        write_text(os.path.join(args.out, f"overlay_h{horizon}.svg"), (svg,))
+        write_text(os.path.join(out, f"overlay_h{horizon}.svg"), (svg,))
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    series = load_csv(args.data)
-    train, test = split(series, args.split)
-    _ensure_out(args.out)
-
-    horizons, daylight = horizon_list(args.horizons), daylight_window(args.daylight)
-    models = [_fit_mar(train, args, name) for name in ("mar", "ar")]
+def cmd_compare(header: dict[str, object], *, halves: tuple[IrradianceSeries, IrradianceSeries],
+                order: int | None, horizons: tuple[int, ...], daylight: DaylightWindow, seed: int,
+                out: str, mape_threshold: float) -> None:
+    train, test = halves
+    _ensure_out(out)
+    models = [_fit_mar(train, name, order, horizons, daylight) for name in ("mar", "ar")]
     reports = [model.forecast(test, h) for h in horizons for model in models]
     # the networks forecast the same target slots, so a MAPE threshold
     # that no actual reaches fails here, before any training
-    summarize(reports, min_actual=args.mape_threshold)
-    networks = train_networks([spec() for spec in SPECS.values()], train, horizons, daylight, args.seed)
+    summarize(reports, min_actual=mape_threshold)
+    networks = train_networks([spec() for spec in SPECS.values()], train, horizons, daylight, seed)
     reports.extend(nn_forecast(model, test) for model in networks)
 
-    _write_reports(reports, args, _header(args), step=test.step, prefix="compare_")
-    _overlay_charts(reports, test, args)
-    return EXIT_OK
+    _write_reports(reports, header, out, mape_threshold, step=test.step, prefix="compare_")
+    _overlay_charts(reports, test, header, out)
 
 
+# each command: its function, its help, and the settings it takes a flag
+# for, in --help order, each by name or as (name, the command's own flag
+# text); any other flag is a usage error
 COMMANDS = {
-    "synth": cmd_synth,
-    "diagnose": cmd_diagnose,
-    "fit": cmd_fit,
-    "evaluate": cmd_evaluate,
-    "compare": cmd_compare,
+    "synth": (cmd_synth, "generate a synthetic irradiance CSV", (
+        "days", "regime", ("data", dict(default="", help="output CSV path "
+                                        "(default synthetic_<regime>_<days>d.csv in the output directory)")),
+        "daylight", "seed", "out")),
+    "diagnose": (cmd_diagnose, "ACF/PACF diagnostics and order recommendation",
+                 ("max_lag", "domain", "data", "split", "daylight", "out")),
+    "fit": (cmd_fit, "fit a model and persist it",
+            ("data", "split", "order", "horizons", "daylight", "model", "seed", "out")),
+    "evaluate": (cmd_evaluate, "forecast the test split with a saved model",
+                 ("model_file", "data", "split", "horizons", "out", "mape_threshold", "recursive")),
+    "compare": (cmd_compare, "fit and evaluate all four models on one split",
+                ("data", "split", "order", "horizons", "daylight", "seed", "out", "mape_threshold")),
 }
+# each refusal's stderr prefix and exit code
+FAILURES = {UsageError: ("error", 1), DataValidationError: ("data error", 2),
+            NumericalError: ("numerical error", 3)}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        for name, (_, check) in SETTINGS.items():
-            if check and name in COMMAND_SETTINGS[args.command]:
-                check(getattr(args, name))
-        return COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataValidationError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    args = build_parser().parse_args(argv)
+    try:  # each flag parsed once, in SETTINGS order, before the data is read or --out made
+        settings = {name: check(getattr(args, name)) if check else getattr(args, name)
+                    for name, (_, check) in SETTINGS.items() if hasattr(args, name)}
+        if "split" in settings:  # the four commands that read --data get its halves
+            settings["halves"] = split(load_csv(settings.pop("data")), settings.pop("split"))
+        COMMANDS[args.command][0](_header(vars(args)), **settings)
+        return 0
+    except tuple(FAILURES) as exc:
+        prefix, code = FAILURES[type(exc)]
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code

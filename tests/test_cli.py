@@ -24,7 +24,7 @@ from solarcast import (
     split,
     write_csv,
 )
-from solarcast import cli, mar
+from solarcast import cli, mar, svgplot
 from solarcast import io as solarcast_io
 from solarcast.cli import main
 from solarcast.io import READ_CHUNK_BYTES
@@ -561,6 +561,32 @@ class TestCompare:
             assert path.exists()
             ET.parse(path)
 
+    def test_each_overlay_curve_is_at_its_own_rows(self, mixed_csv, tmp_path):
+        """At order 2 MAR and AR forecast from an earlier first-day row than
+        the networks' 4-step window; each polyline's x values are its own
+        model's first-day rows, the observed curve's those of MAR."""
+        assert run("compare", "--data", str(mixed_csv), "--order", "2", "--horizons", "1",
+                   "--out", str(tmp_path)) == 0
+        rows = [ln.split(",") for ln in data_lines(tmp_path / "compare_forecasts.csv")[1:]]
+        hours = {}
+        for ts, model, _, _, _ in rows:
+            if ts[:10] == rows[0][0][:10]:
+                hours.setdefault(model, []).append(int(ts[11:13]) + int(ts[14:16]) / 60)
+        assert len(hours["mar"]) == len(hours["cnn"]) + 2  # the check has rows to tell apart
+        hours["observed"] = hours["mar"]
+        lo, hi = min(min(h) for h in hours.values()), max(max(h) for h in hours.values())
+        elements = list(ET.parse(tmp_path / "overlay_h1.svg").getroot())
+        drawn = {}
+        for i, element in enumerate(elements):
+            if element.tag.endswith("polyline"):  # its legend line, then its label
+                xs = [float(point.split(",")[0]) for point in element.get("points").split()]
+                drawn[elements[i + 2].text] = xs
+        assert sorted(drawn) == ["ar", "cnn", "lstm", "mar", "observed"]
+        width = svgplot.WIDTH - svgplot.MARGIN_LEFT - svgplot.MARGIN_RIGHT
+        for model, xs in drawn.items():
+            expected = [svgplot.MARGIN_LEFT + (h - lo) / (hi - lo) * width for h in hours[model]]
+            assert xs == pytest.approx(expected, abs=0.006), model
+
 
 def header_keys(path) -> set[str]:
     return {line[2:].split("=", 1)[0] for line in path.read_text().splitlines() if line.startswith("# ")}
@@ -605,6 +631,17 @@ class TestHeadersRecordWhatRan:
         assert run("diagnose", "--data", str(mixed_csv), "--out", str(tmp_path)) == 0
         expected = {"command", *help_dests(capsys, "diagnose")}
         assert header_keys(tmp_path / "diagnostics.csv") == expected
+
+    def test_flags_are_echoed_as_given(self, mixed_csv, tmp_path):
+        """A header records each flag's text, not the value it parses to."""
+        assert run("diagnose", "--data", str(mixed_csv), "--daylight", "6:00-18:30",
+                   "--out", str(tmp_path)) == 0
+        assert header_value(tmp_path / "diagnostics.csv", "daylight") == "6:00-18:30"
+        assert run("fit", "--data", str(mixed_csv), "--horizons", "1,3", "--out", str(tmp_path)) == 0
+        assert run("evaluate", "--model-file", str(tmp_path / "mar.model"), "--data", str(mixed_csv),
+                   "--horizons", "1,03", "--out", str(tmp_path)) == 0
+        for name in ("forecasts.csv", "summary.csv"):
+            assert header_value(tmp_path / name, "horizons") == "1,03"
 
     def test_fit(self, mixed_csv, tmp_path, capsys, monkeypatch):
         def one_epoch(specs, train, horizons, daylight, seed):  # in process, for one epoch

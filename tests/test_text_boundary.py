@@ -128,22 +128,23 @@ def test_series_start_needs_a_fixed_offset():
 @pytest.mark.parametrize("start", STARTS.values(), ids=STARTS.keys())
 def test_overlay_charts_match_timestamp_masks(tmp_path, start):
     """The overlays, drawn from sample indices, equal the charts drawn
-    from a first-day mask and hours computed on datetimes."""
+    from first-day masks and hours computed on datetimes, each report's
+    curve at its own timestamps."""
     test = series_at(start, 10, 3)
     reports = reports_for(test)
     args = cli.build_parser().parse_args(["compare", "--data", "unread.csv", "--out", str(tmp_path)])
-    cli._overlay_charts(reports, test, args)
-    comment = " ".join(f"{k}={v}" for k, v in cli._header(args).items())
+    header = cli._header(vars(args))
+    cli._overlay_charts(reports, test, header, str(tmp_path))
+    comment = " ".join(f"{k}={v}" for k, v in header.items())
     day_end = start.replace(hour=23, minute=59)
     for h in (1, 3):
-        horizon_reports = [r for r in reports if r.horizon == h]
-        stamps = grid_timestamps_oracle(start, 10, horizon_reports[0].sample_index)
-        mask = np.array([start <= ts <= day_end for ts in stamps])
-        hours = np.array([ts.hour + ts.minute / 60.0 for ts, keep in zip(stamps, mask) if keep])
-        curves = [("observed", hours, horizon_reports[0].actual[mask])]
-        for report in horizon_reports:
+        curves = []
+        for report in (r for r in reports if r.horizon == h):
             stamps = grid_timestamps_oracle(start, 10, report.sample_index)
             keep = np.array([start <= ts <= day_end for ts in stamps])
+            hours = np.array([ts.hour + ts.minute / 60.0 for ts, kept in zip(stamps, keep) if kept])
+            if not curves:  # the observed curve at the first report's timestamps
+                curves.append(("observed", hours, report.actual[keep]))
             curves.append((report.model, hours, report.predicted[keep]))
         expected = render_line_chart(
             curves, title=f"Observed vs predicted, {h * 10}-minute horizon, {start.date()}",
