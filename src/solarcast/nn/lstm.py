@@ -30,8 +30,8 @@ indexed by step and held feature-major, as (steps, features, batch):
 activated gates and ``tanh_c[t]`` is tanh(c_t). Every intermediate of
 a step has a buffer too, so no step allocates an array. The buffers
 are new on each call, or carved from a ``Workspace`` that a network
-reuses batch after batch. Inference, which never backpropagates, can
-keep one step instead of the window: each step overwrites the last.
+reuses batch after batch. Inference, which never backpropagates, keeps
+one slot of each buffer instead of the window; each step updates it in place.
 The public functions take and return (batch, features).
 """
 
@@ -124,16 +124,15 @@ def _forward(
     """Run the cell over x, (steps, n_in, batch), from states h0 and c0
     (arrays of (hidden, batch) or scalars); returns the step state, in
     buffers taken from ``workspace`` (a new one when None). Without
-    ``history`` the buffers hold one step, each step overwriting the
-    last, so the state has the final h and c but cannot be
-    backpropagated."""
+    ``history`` each buffer holds one slot that every step updates in
+    place, so the state has the final h and c but cannot be backpropagated."""
     steps, n_in, batch = x.shape
     hidden = b.shape[0] // 4
     workspace = workspace or Workspace()
     kept = steps if history else 1
     concat, c, gates, tanh_c = workspace.take(
-        (kept + 1, hidden + n_in, batch),
-        (kept + 1, hidden, batch),
+        (kept + history, hidden + n_in, batch),
+        (kept + history, hidden, batch),
         (kept, 4 * hidden, batch),
         (kept, hidden, batch),
     )
@@ -141,10 +140,8 @@ def _forward(
     c[0] = c0
     b = b[:, None]
     for t in range(steps):
-        s = t % kept  # the buffer slot of step t
-        if t and not s:  # one slot: the last step's h and c start this one
-            concat[0, :hidden] = concat[1, :hidden]
-            c[0] = c[1]
+        s = t % kept  # step t reads slot s and writes slot n, the same one without history
+        n = s + history
         concat[s, hidden:] = x[t]
         g = gates[s]
         np.matmul(w, concat[s], out=g)
@@ -152,10 +149,10 @@ def _forward(
         sigmoid(g[: 3 * hidden], out=g[: 3 * hidden])
         np.tanh(g[3 * hidden :], out=g[3 * hidden :])
         f, i, o, cand = _gates(g, hidden)
-        np.multiply(f, c[s], out=c[s + 1])
-        c[s + 1] += np.multiply(i, cand, out=tanh_c[s])  # scratch until the next line
-        np.tanh(c[s + 1], out=tanh_c[s])
-        np.multiply(o, tanh_c[s], out=concat[s + 1, :hidden])
+        np.multiply(f, c[s], out=c[n])
+        c[n] += np.multiply(i, cand, out=tanh_c[s])  # scratch until the next line
+        np.tanh(c[n], out=tanh_c[s])
+        np.multiply(o, tanh_c[s], out=concat[n, :hidden])  # after the matmul has read h_{t-1}
     return {
         "concat": concat, "c": c, "gates": gates, "tanh_c": tanh_c,
         "taken": (workspace, workspace.calls if history else None),

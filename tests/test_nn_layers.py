@@ -357,8 +357,9 @@ class TestLstmCell:
             assert np.array_equal(seq_grads[name], grads[name]), name
 
     def test_last_step_only_unroll_matches_the_full_one(self):
-        """Inference keeps one step of state; its final h and c are the
-        full unroll's, bit for bit, and it cannot be backpropagated."""
+        """Inference keeps one slot of each state buffer, updated in
+        place; its final h and c are the full unroll's, bit for bit, and
+        it cannot be backpropagated."""
         rng = np.random.default_rng(11)
         params = small_lstm_params(rng, hidden=3, n_in=1)
         space = Workspace()
@@ -366,7 +367,7 @@ class TestLstmCell:
             x_seq = rng.standard_normal((batch, 5, 1))
             h_full, full = lstm_sequence_forward(x_seq, params, 3)
             h_last, last = lstm_sequence_forward(x_seq, params, 3, space, history=False)
-            assert last["gates"].shape[0] == 1
+            assert last["gates"].shape[0] == last["concat"].shape[0] == last["c"].shape[0] == 1
             assert np.array_equal(h_last, h_full)
             assert np.array_equal(last["c"][-1], full["c"][-1])
         with pytest.raises(DataValidationError, match="only the last step"):
