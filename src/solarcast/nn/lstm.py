@@ -28,9 +28,17 @@ indexed by step and held feature-major, as (steps, features, batch):
 ``concat[t]`` is [h_{t-1}; x_t] and step t writes h_t straight into
 ``concat[t + 1]``; ``c[t]`` is c_{t-1}; ``gates[t]`` holds the
 activated gates and ``tanh_c[t]`` is tanh(c_t). Every intermediate of
-a step has a buffer too, so no step allocates an array. The buffers
-are new on each call, or carved from a ``Workspace`` that a network
-reuses batch after batch. Inference, which never backpropagates, keeps
+a forward step has a buffer too, so no step allocates an array. The
+buffers are new on each call, or carved from a ``Workspace`` that a
+network reuses batch after batch. Backpropagation writes each step's
+gradients into that step's forward buffers, which are dead once the
+step is backpropagated: the gate gradients into ``gates[t]``, the
+gradient at ``concat[t]`` into ``concat[t]`` and the one at c_{t-1}
+into ``c[t]``. This is the buffer reuse of memory-efficient BPTT
+(Gruslys et al., 2016) with nothing recomputed; backpropagation needs
+only two (hidden, batch) scratch arrays and the step's weight
+gradient, and it consumes the state, so a second backward over the
+same state is refused. Inference, which never backpropagates, keeps
 one slot of each buffer instead of the window; each step updates it in place.
 The public functions take and return (batch, features).
 """
@@ -169,49 +177,60 @@ def _backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate (hidden, batch) gradients at the last step's h and
     c to the first step, adding the gate gradients into ``grads``.
-    Returns the gradients at the first step's concat and c_prev."""
+    Each step's gradients go into that step's forward buffers, dead
+    once it is backpropagated: the gate gradients into ``gates[t]``,
+    the gradient at ``concat[t]`` into ``concat[t]`` and the one at
+    c_{t-1} into ``c[t]``. So this consumes the state, and returns
+    views of its buffers: the gradients at the first step's concat and
+    c_prev."""
     space, call = state["taken"]
     if call is None:
         raise DataValidationError("this step state kept only the last step")
     if space.calls != call:
         raise DataValidationError("a later forward call has overwritten this step state")
+    if state.get("consumed"):
+        raise DataValidationError("this step state was consumed by a backward pass")
     concat, c, gates, tanh_c = state["concat"], state["c"], state["gates"], state["tanh_c"]
     hidden = c.shape[1]
     n_in = concat.shape[1] - hidden
     w, _ = _stacked(params, hidden, n_in)
     grad_w, grad_b = _stacked(grads, hidden, n_in)
-    # d is the loss gradient at the gate pre-activations; every other
-    # intermediate has a buffer too, so no step allocates an array
-    batch = gates.shape[2]
-    d, grad_concat, grad_w_t, grad_c_total, grad_c_prev, scratch, sig_scratch = (
-        workspace or Workspace()
-    ).take(
-        gates.shape[1:], concat.shape[1:], grad_w.shape,
-        (hidden, batch), (hidden, batch), (hidden, batch), (3 * hidden, batch),
+    state["consumed"] = True
+    # two scratch arrays: the gradient at c_t once it is whole, and a
+    # partial product of each gate's gradient
+    grad_c_total, part, grad_w_t = (workspace or Workspace()).take(
+        c.shape[1:], c.shape[1:], grad_w.shape
     )
-    d_f, d_i, d_o, d_cand = _gates(d, hidden)
     for t in reversed(range(gates.shape[0])):
-        f, i, o, cand = _gates(gates[t], hidden)
+        d = gates[t]
+        f, i, o, cand = _gates(d, hidden)
         # grad_c + grad_h * o * (1 - tanh_c²)
         np.multiply(grad_h, o, out=grad_c_total)
-        np.subtract(1.0, np.square(tanh_c[t], out=scratch), out=scratch)
-        grad_c_total *= scratch
+        np.subtract(1.0, np.square(tanh_c[t], out=part), out=part)
+        grad_c_total *= part
         grad_c_total += grad_c
-        np.multiply(grad_c_total, c[t], out=d_f)
-        np.multiply(grad_c_total, cand, out=d_i)
-        np.multiply(grad_h, tanh_c[t], out=d_o)
-        # through the gate nonlinearities
-        sig, d_sig = gates[t][: 3 * hidden], d[: 3 * hidden]
-        d_sig *= sig
-        d_sig *= np.subtract(1.0, sig, out=sig_scratch)
-        np.multiply(grad_c_total, i, out=d_cand)
-        d_cand *= np.subtract(1.0, np.square(cand, out=scratch), out=scratch)
+        # each gate's gradient, through its nonlinearity, overwrites the
+        # gate once nothing else reads it
+        np.multiply(grad_h, tanh_c[t], out=part)  # grad_h * tanh_c * o * (1 - o)
+        part *= o
+        np.subtract(1.0, o, out=o)
+        o *= part
+        np.multiply(c[t], grad_c_total, out=part)  # grad_c_total * c_prev * f * (1 - f)
+        grad_c = np.multiply(grad_c_total, f, out=c[t])  # the gradient at c_prev
+        part *= f
+        np.subtract(1.0, f, out=f)
+        f *= part
+        np.multiply(grad_c_total, cand, out=part)  # grad_c_total * cand * i * (1 - i)
+        part *= i
+        grad_c_total *= i  # grad_c_total * i * (1 - cand²)
+        np.subtract(1.0, np.square(cand, out=cand), out=cand)
+        cand *= grad_c_total
+        np.subtract(1.0, i, out=i)
+        i *= part
         grad_w += np.matmul(d, concat[t].T, out=grad_w_t)
         grad_b += d.sum(axis=1)
-        np.matmul(w.T, d, out=grad_concat)
-        grad_h = grad_concat[:hidden]
-        grad_c = np.multiply(grad_c_total, f, out=grad_c_prev)
-    return grad_concat, grad_c
+        grad_h = np.matmul(w.T, d, out=concat[t])[:hidden]
+    return concat[0], grad_c
 
 
 def lstm_cell_forward(
@@ -237,7 +256,10 @@ def lstm_cell_backward(
     """Backward through one step.
 
     grad_h / grad_c are the loss gradients flowing into h_t and c_t.
-    Returns (grad_x, grad_h_prev, grad_c_prev, param_grads).
+    Returns (grad_x, grad_h_prev, grad_c_prev, param_grads). The step's
+    gradients are written into the cache's forward buffers, so this
+    consumes the cache (its gates then hold their gradients), and the
+    three input gradients it returns are views of those buffers.
     """
     hidden = cache["c"].shape[1]
     grads = FlatParams(gate_shapes(hidden, cache["concat"].shape[1] - hidden))
@@ -276,7 +298,10 @@ def lstm_sequence_backward(
     gradients, summed over all steps, are added into ``grads`` (a
     ``FlatParams`` that holds the gates in ``GATE_PARAMS`` order, such
     as a network's gradients) or into a new one, which is returned.
-    Scratch buffers come from ``workspace`` when given."""
+    Each step's gradients are written into that step's buffers of
+    ``state``, which this consumes: it cannot be backpropagated again.
+    The two scratch arrays and the step's weight gradient come from
+    ``workspace`` when given."""
     if state["gates"].shape[0] == 0:
         raise DataValidationError("no forward steps to backpropagate through")
     if grads is None:

@@ -383,6 +383,107 @@ class TestLstmCell:
         assert not np.array_equal(before, after)
 
 
+def reference_backward(grad_h, grad_c, state, params):
+    """BPTT over a copy of a forward state, one new array per
+    intermediate, in the order of the operations of a backward with a
+    buffer of its own for each: returns the parameter gradients by
+    name, each step's gate gradients, and the gradients at the first
+    step's concat and c_prev, all (features, batch)."""
+    concat, c, gates, tanh_c = (state[key].copy() for key in ("concat", "c", "gates", "tanh_c"))
+    hidden = c.shape[1]
+    w = np.concatenate([params[name] for name in GATE_PARAMS[:4]])
+    grad_w, grad_b = np.zeros(w.shape), np.zeros(4 * hidden)
+    steps = [None] * gates.shape[0]
+    for t in reversed(range(gates.shape[0])):
+        f, i, o, cand = (gates[t][k * hidden : (k + 1) * hidden] for k in range(4))
+        grad_c_total = grad_h * o * (1.0 - np.square(tanh_c[t])) + grad_c
+        d_f = grad_c_total * c[t] * f * (1.0 - f)
+        d_i = grad_c_total * cand * i * (1.0 - i)
+        d_o = grad_h * tanh_c[t] * o * (1.0 - o)
+        d_cand = grad_c_total * i * (1.0 - np.square(cand))
+        steps[t] = d = np.concatenate([d_f, d_i, d_o, d_cand])
+        grad_w += d @ concat[t].T
+        grad_b += d.sum(axis=1)
+        grad_concat = w.T @ d
+        grad_h, grad_c = grad_concat[:hidden], grad_c_total * f
+    grads = dict(zip(GATE_PARAMS, [*np.split(grad_w, 4), *np.split(grad_b, 4)]))
+    return grads, steps, grad_concat, grad_c
+
+
+class TestBackpropagationInPlace:
+    """Backpropagation writes each step's gradients into that step's
+    forward buffers and consumes the state."""
+
+    @pytest.mark.parametrize(
+        "hidden, n_in, batch, steps",
+        [(3, 1, 5, 4), (4, 3, 1, 2), (2, 2, 7, 1), (5, 2, 3, 6), (32, 1, 256, 4)],
+    )
+    def test_bit_for_bit_a_plain_reference(self, hidden, n_in, batch, steps):
+        """Every gradient equals, bit for bit, the reference's, which
+        keeps each intermediate in an array of its own."""
+        rng = np.random.default_rng(hidden * 100 + batch)
+        params = small_lstm_params(rng, hidden=hidden, n_in=n_in)
+        grad_h_final = rng.standard_normal((batch, hidden))
+        _, state = lstm_sequence_forward(rng.standard_normal((batch, steps, n_in)), params, hidden)
+        grad_h = np.ascontiguousarray(grad_h_final.T)
+        expected, gates, grad_concat, grad_c = reference_backward(
+            grad_h, np.zeros_like(grad_h), state, params
+        )
+        grads = lstm_sequence_backward(grad_h_final, state, params)
+        for name in GATE_PARAMS:
+            assert np.array_equal(grads[name], expected[name]), name
+        for t in range(steps):
+            assert np.array_equal(state["gates"][t], gates[t]), t
+        assert np.array_equal(state["concat"][0], grad_concat)
+        assert np.array_equal(state["c"][0], grad_c)
+
+    def test_cell_bit_for_bit_a_plain_reference(self):
+        """From nonzero states and a nonzero gradient at c_t; the
+        returned input gradients are views of the cache's buffers."""
+        rng = np.random.default_rng(12)
+        hidden, n_in, batch = 4, 2, 3
+        params = small_lstm_params(rng, hidden=hidden, n_in=n_in)
+        x, h_prev, c_prev = (rng.standard_normal((batch, n)) for n in (n_in, hidden, hidden))
+        grad_h, grad_c = rng.standard_normal((2, batch, hidden))
+        _, _, cache = lstm_cell_forward(x, h_prev, c_prev, params)
+        expected, _, grad_concat, grad_c_prev = reference_backward(
+            grad_h.T, grad_c.T, cache, params
+        )
+        grad_x, grad_h_prev, grad_c_out, grads = lstm_cell_backward(grad_h, grad_c, cache, params)
+        for name in GATE_PARAMS:
+            assert np.array_equal(grads[name], expected[name]), name
+        assert np.array_equal(grad_x, grad_concat[hidden:].T)
+        assert np.array_equal(grad_h_prev, grad_concat[:hidden].T)
+        assert np.array_equal(grad_c_out, grad_c_prev.T)
+        for returned in (grad_x, grad_h_prev):
+            assert np.shares_memory(returned, cache["concat"])
+        assert np.shares_memory(grad_c_out, cache["c"])
+
+    def test_a_consumed_state_is_refused(self):
+        """A second backward over the same state would read gradients as
+        activations; each entry point refuses it instead."""
+        consumed = "^this step state was consumed by a backward pass$"
+        rng = np.random.default_rng(13)
+        params = small_lstm_params(rng, hidden=3, n_in=1)
+        grad_h = rng.standard_normal((2, 3))
+        _, state = lstm_sequence_forward(rng.standard_normal((2, 4, 1)), params, 3)
+        lstm_sequence_backward(grad_h, state, params)
+        with pytest.raises(DataValidationError, match=consumed):
+            lstm_sequence_backward(grad_h, state, params)
+
+        h_prev, c_prev = rng.standard_normal((2, 2, 3))
+        _, _, cache = lstm_cell_forward(rng.standard_normal((2, 1)), h_prev, c_prev, params)
+        lstm_cell_backward(grad_h, grad_h, cache, params)
+        with pytest.raises(DataValidationError, match=consumed):
+            lstm_cell_backward(grad_h, grad_h, cache, params)
+
+        network = LstmNetwork(LstmSpec(units=3, dense_hidden=2), seed=1)
+        _, cache = network.forward_with_cache(rng.standard_normal((2, 4, 1)))
+        network.backward(cache, np.ones(2))
+        with pytest.raises(DataValidationError, match=consumed):
+            network.backward(cache, np.ones(2))
+
+
 def check_gradients(loss_fn, params, analytic, tol=GRAD_TOL):
     numeric = finite_difference_gradients(loss_fn, params)
     err = max_relative_error(analytic, numeric, floor=GRAD_FLOOR)
